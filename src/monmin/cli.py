@@ -289,16 +289,17 @@ def cmd_series(series_path, currency, tetcy, config_path, fmt, extrema, plot_pat
     aggregate = _run_load(
         ingest.load_series, series_path, currency=CurrencyCode(currency.upper()), std=std
     )
-    spec, rows = report.build_table5(aggregate)
+    minutes = series_in_monmin(aggregate)
+    spec, rows = report.build_table5(aggregate, minutes)
     _deliver(report.render_table(spec, rows, _resolve_fmt(fmt, config)), out)
     found = None
     if extrema:
-        found = detect_extrema(series_in_monmin(aggregate))
+        found = detect_extrema(minutes)
         click.echo(f"peaks: {' '.join(str(y) for y in found.peaks)}")
         click.echo(f"troughs: {' '.join(str(y) for y in found.troughs)}")
     if plot_path:
         Path(plot_path).write_text(
-            report.emit_plot_data(aggregate, found), encoding="utf-8", newline=""
+            report.emit_plot_data(aggregate, found, minutes), encoding="utf-8", newline=""
         )
 
 

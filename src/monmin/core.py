@@ -53,7 +53,7 @@ def as_decimal(value) -> Decimal:
     raise TypeError(f"cannot convert {type(value).__name__} to Decimal")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurrencyCode:
     """ISO-style currency identifier, e.g. USD or CZK.
 
@@ -74,7 +74,7 @@ class CurrencyCode:
         return self.code
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeStandard:
     """The minutes-per-year constant a Monetary Minute is defined against."""
 
@@ -88,7 +88,7 @@ class TimeStandard:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EconomySnapshot:
     """One country's GDP, population and currency at a reference date.
 
@@ -126,7 +126,7 @@ class CmSource(Enum):
     MANUAL = "manual"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonMinValue:
     """Price of one Monetary Minute: currency units per minute."""
 
@@ -142,7 +142,7 @@ class MonMinValue:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExchangeRate:
     """Directed rate: units of ``quote`` per 1 unit of ``base``."""
 
@@ -214,7 +214,7 @@ class RateTable:
         return found
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PriceQuote:
     """A priced item (or salary) in a named currency."""
 
@@ -231,7 +231,7 @@ class PriceQuote:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonMinPrice:
     """A price re-expressed in Monetary Minutes of one currency context."""
 

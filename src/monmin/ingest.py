@@ -11,9 +11,11 @@ decimal point and no thousands separators:
 A ``# scale=<factor>`` comment line before the header multiplies the
 monetary columns (gdp; m1 and gdp for series) into absolute units, so
 "billions" tables can be transcribed verbatim.  Other ``#`` lines are
-ignored.  Loading is all-or-nothing: any error row means the returned
+ignored.  A leading byte-order mark is skipped.  A quoted cell may span
+lines, but a blank or ``#`` line is never part of a cell.  Numbers must
+be finite.  Loading is all-or-nothing: any error row means the returned
 dataset is empty and the report lists every problem with its 1-based
-physical line number.
+physical line number (a row's first line when it spans several).
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import CurrencyCode, EconomySnapshot, ExchangeRate, PriceQuote, RateTable, TimeStandard
 from .errors import NonPositiveInput
@@ -67,40 +69,80 @@ class Basket:
 class _Scan(NamedTuple):
     directives: dict[str, tuple[int, str]]  # name -> (line, value)
     header_line: int
-    rows: list[tuple[int, list[str]]]
-    errors: list[Issue]
+    rows: Iterator[tuple[int, list[str]]]  # (first physical line, cells), read lazily
+    errors: list[Issue]  # shared: csv errors land here while ``rows`` is read
+
+
+class _Codes(dict):
+    """Per-file cache so each distinct currency code is validated once."""
+
+    def __missing__(self, text: str) -> CurrencyCode:
+        code = self[text] = CurrencyCode(text)
+        return code
+
+
+def _finite(text: str) -> Decimal:
+    value = Decimal(text)
+    if not value.is_finite():
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+def _records(reader, numbers: list[int], errors: list[Issue]):
+    """Rows of one csv reader, each with the physical line it starts on.
+
+    ``numbers[i]`` is the physical line of the i-th line fed to the
+    reader, and ``reader.line_num`` counts the lines consumed so far, so
+    the count before a row is read indexes that row's first line.
+    """
+    first = reader.line_num
+    while True:
+        try:
+            for cells in reader:
+                yield numbers[first], cells
+                first = reader.line_num
+            return
+        except csv.Error as exc:
+            errors.append(Issue(numbers[first], f"MalformedRow: {exc}"))
+            first = reader.line_num
 
 
 def _read_table(path, expected: list[str], optional: tuple[str, ...] = ()) -> _Scan:
+    """Scan a file: directives, then one csv reader over the remaining lines.
+
+    Blank and ``#`` lines are dropped before the reader sees them, so they
+    never form part of a quoted cell.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"file not found: {path}")
     directives: dict[str, tuple[int, str]] = {}
-    header: list[str] | None = None
-    header_line = 0
-    rows: list[tuple[int, list[str]]] = []
+    lines: list[str] = []
+    numbers: list[int] = []
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.lstrip()
+            if not text:
+                continue
+            if text[0] == "#":
+                match = _DIRECTIVE_RE.match(text.rstrip())
+                if match and not lines:
+                    directives[match.group(1)] = (lineno, match.group(2))
+                continue
+            lines.append(raw)
+            numbers.append(lineno)
     errors: list[Issue] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        text = raw.strip()
-        if not text:
-            continue
-        if text.startswith("#"):
-            match = _DIRECTIVE_RE.match(text)
-            if match and header is None:
-                directives[match.group(1)] = (lineno, match.group(2))
-            continue
-        cells = next(csv.reader([raw]))
-        if header is None:
-            header = [c.strip() for c in cells]
-            header_line = lineno
-            if header != expected and header != expected + list(optional):
-                errors.append(
-                    Issue(lineno, f"MalformedRow: header {header} does not match {expected}")
-                )
-            continue
-        rows.append((lineno, cells))
-    if header is None:
+    rows = _records(csv.reader(lines), numbers, errors)
+    first = next(rows, None)
+    if first is None:
         errors.append(Issue(1, "MalformedRow: missing header row"))
+        return _Scan(directives, 0, rows, errors)
+    header_line, cells = first
+    header = [c.strip() for c in cells]
+    if header != expected and header != expected + list(optional):
+        errors.append(
+            Issue(header_line, f"MalformedRow: header {header} does not match {expected}")
+        )
     return _Scan(directives, header_line, rows, errors)
 
 
@@ -122,20 +164,21 @@ def _scale_factor(scan: _Scan, errors: list[Issue]) -> Decimal:
 def load_economies(path) -> tuple[list[EconomySnapshot], IngestReport]:
     """Load country snapshots; gdp is multiplied by any declared scale."""
     scan = _read_table(path, _ECONOMIES_HEADER)
-    errors = list(scan.errors)
+    errors = scan.errors
     scale = _scale_factor(scan, errors)
     snapshots: list[EconomySnapshot] = []
     seen: dict[str, int] = {}
+    codes = _Codes()
     for lineno, cells in scan.rows:
         if len(cells) != 5:
             errors.append(Issue(lineno, f"MalformedRow: expected 5 columns, got {len(cells)}"))
             continue
-        country, code, gdp_text, pop_text, as_of = (c.strip() for c in cells)
+        country, code, gdp_text, pop_text, as_of = map(str.strip, cells)
         try:
             snapshot = EconomySnapshot(
                 country=country,
-                currency=CurrencyCode(code),
-                gdp=Decimal(gdp_text) * scale,
+                currency=codes[code],
+                gdp=_finite(gdp_text) * scale,
                 population=int(pop_text),
                 as_of=as_of,
             )
@@ -160,20 +203,21 @@ def load_economies(path) -> tuple[list[EconomySnapshot], IngestReport]:
 def load_rates(path) -> tuple[RateTable, IngestReport]:
     """Load a directed rate table; reciprocal drift is a warning, not an error."""
     scan = _read_table(path, _RATES_HEADER)
-    errors = list(scan.errors)
+    errors = scan.errors
     warnings: list[Issue] = []
     rates: list[ExchangeRate] = []
     seen: dict[tuple[str, str], int] = {}
+    codes = _Codes()
     for lineno, cells in scan.rows:
         if len(cells) != 4:
             errors.append(Issue(lineno, f"MalformedRow: expected 4 columns, got {len(cells)}"))
             continue
-        base, quote, rate_text, as_of = (c.strip() for c in cells)
+        base, quote, rate_text, as_of = map(str.strip, cells)
         try:
             rate = ExchangeRate(
-                base=CurrencyCode(base),
-                quote=CurrencyCode(quote),
-                rate=Decimal(rate_text),
+                base=codes[base],
+                quote=codes[quote],
+                rate=_finite(rate_text),
                 as_of=as_of or None,
             )
         except NonPositiveInput as exc:
@@ -215,13 +259,14 @@ def load_basket(path, known_currencies=None) -> tuple[list[Basket], IngestReport
     """
     known = None if known_currencies is None else {str(c) for c in known_currencies}
     scan = _read_table(path, _BASKET_HEADER)
-    errors = list(scan.errors)
+    errors = scan.errors
     groups: dict[tuple[str, str], dict] = {}
+    codes = _Codes()
     for lineno, cells in scan.rows:
         if len(cells) != 6:
             errors.append(Issue(lineno, f"MalformedRow: expected 6 columns, got {len(cells)}"))
             continue
-        country, code, item, unit, amount_text, role = (c.strip() for c in cells)
+        country, code, item, unit, amount_text, role = map(str.strip, cells)
         if role not in ("item", "salary"):
             errors.append(Issue(lineno, f"MalformedRow: role must be item or salary, got {role!r}"))
             continue
@@ -230,7 +275,7 @@ def load_basket(path, known_currencies=None) -> tuple[list[Basket], IngestReport
             continue
         try:
             quote = PriceQuote(
-                item=item, unit=unit, currency=CurrencyCode(code), amount=Decimal(amount_text)
+                item=item, unit=unit, currency=codes[code], amount=_finite(amount_text)
             )
         except NonPositiveInput as exc:
             errors.append(Issue(lineno, f"NonPositiveInput: {exc}"))
@@ -268,7 +313,7 @@ def load_series(
     series currency (default USD).
     """
     scan = _read_table(path, _SERIES_HEADER, optional=("events",))
-    errors = list(scan.errors)
+    errors = scan.errors
     scale = _scale_factor(scan, errors)
     years: list[AggregateYear] = []
     last_year: int | None = None
@@ -276,13 +321,13 @@ def load_series(
         if len(cells) not in (4, 5):
             errors.append(Issue(lineno, f"MalformedRow: expected 4 or 5 columns, got {len(cells)}"))
             continue
-        year_text, m1_text, gdp_text, pop_text = (c.strip() for c in cells[:4])
+        year_text, m1_text, gdp_text, pop_text = map(str.strip, cells[:4])
         events = cells[4].strip() if len(cells) == 5 else ""
         try:
             year = AggregateYear(
                 year=int(year_text),
-                m1=Decimal(m1_text) * scale,
-                gdp=Decimal(gdp_text) * scale,
+                m1=_finite(m1_text) * scale,
+                gdp=_finite(gdp_text) * scale,
                 population=int(pop_text),
                 events=events,
             )

@@ -17,7 +17,7 @@ import io
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .core import (
     CmSource,
@@ -82,11 +82,14 @@ class TableSpec:
             raise ValueError(f"duplicate column names in table {self.table_id.value}")
 
 
+def _half_away(value: Decimal, quantum: Decimal) -> Decimal:
+    rounded = value.quantize(quantum, ROUND_HALF_UP)
+    return rounded if rounded else abs(rounded)  # avoid "-0.00"
+
+
 def round_half_away(value: Decimal, decimals: int) -> Decimal:
     """Round to a fixed number of decimals, ties away from zero."""
-    quantum = Decimal(1).scaleb(-decimals)
-    rounded = as_decimal(value).quantize(quantum, rounding=ROUND_HALF_UP)
-    return abs(rounded) if rounded == 0 else rounded  # avoid "-0.00"
+    return _half_away(as_decimal(value), Decimal(1).scaleb(-decimals))
 
 
 def round_significant(value: Decimal, figures: int) -> Decimal:
@@ -98,16 +101,48 @@ def round_significant(value: Decimal, figures: int) -> Decimal:
     return value.quantize(quantum, rounding=ROUND_HALF_UP)
 
 
-def format_cell(rule: ColumnRule, value) -> str:
-    if not rule.numeric:
-        return "" if value is None else str(value)
-    number = as_decimal(value)
+def _verbatim(value) -> str:
+    return "" if value is None else str(value)
+
+
+def _formatter(rule: ColumnRule) -> Callable[[object], str]:
+    """Compile one column's rule into a cell formatter, the quantum worked out once."""
     if rule.decimals is not None:
-        return str(round_half_away(number, rule.decimals))
-    text = format(round_significant(number, rule.sig_figures), "f")
-    if "." in text:
-        text = text.rstrip("0").rstrip(".")
-    return text
+        quantum = Decimal(1).scaleb(-rule.decimals)
+
+        def fixed(value) -> str:
+            if type(value) is not Decimal:
+                value = as_decimal(value)
+            return str(_half_away(value, quantum))
+
+        return fixed
+    if rule.sig_figures is not None:
+        figures = rule.sig_figures
+
+        def significant(value) -> str:
+            text = format(round_significant(value, figures), "f")
+            return text.rstrip("0").rstrip(".") if "." in text else text
+
+        return significant
+    return _verbatim
+
+
+def format_cell(rule: ColumnRule, value) -> str:
+    return _formatter(rule)(value)
+
+
+def _formatted_rows(spec: TableSpec, rows: Sequence[Mapping[str, object]]):
+    """Each row's cells as text in column order; a row is shape-checked before it is formatted."""
+    names = [c.name for c in spec.columns]
+    name_set = set(names)
+    columns = [(c.name, _formatter(c)) for c in spec.columns]
+    for index, row in enumerate(rows):
+        if row.keys() != name_set:
+            raise ShapeMismatch(
+                f"table {spec.table_id.value} row {index}: expected columns {names}, "
+                f"got {sorted(row.keys())}"
+            )
+        yield [fmt(row[name]) for name, fmt in columns]
 
 
 def render_table(spec: TableSpec, rows: Sequence[Mapping[str, object]], fmt: str = "csv") -> str:
@@ -118,22 +153,15 @@ def render_table(spec: TableSpec, rows: Sequence[Mapping[str, object]], fmt: str
     if fmt not in ("csv", "text"):
         raise ValueError(f"unknown format {fmt!r}")
     names = [c.name for c in spec.columns]
-    cells: list[list[str]] = []
-    for index, row in enumerate(rows):
-        if set(row.keys()) != set(names):
-            raise ShapeMismatch(
-                f"table {spec.table_id.value} row {index}: expected columns {names}, "
-                f"got {sorted(row.keys())}"
-            )
-        cells.append([format_cell(rule, row[rule.name]) for rule in spec.columns])
 
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(names)
-        writer.writerows(cells)
+        writer.writerows(_formatted_rows(spec, rows))
         return buffer.getvalue()
 
+    cells = list(_formatted_rows(spec, rows))
     widths = [
         max(len(name), *(len(row[i]) for row in cells)) if cells else len(name)
         for i, name in enumerate(names)
@@ -345,8 +373,12 @@ def build_table4b(baskets: Sequence[Basket]):
     return spec, rows
 
 
-def build_table5(series: AggregateSeries):
-    """Yearly M1 and GDP in billions plus M1 in billions of minutes."""
+def build_table5(series: AggregateSeries, minutes: Sequence[tuple[int, Decimal]] | None = None):
+    """Yearly M1 and GDP in billions plus M1 in billions of minutes.
+
+    ``minutes`` may pass in :func:`series_in_monmin` of the series when the
+    caller already has it.
+    """
     spec = TableSpec(
         TableId.T5,
         (
@@ -357,14 +389,15 @@ def build_table5(series: AggregateSeries):
             ColumnRule("events"),
         ),
     )
-    minutes = dict(series_in_monmin(series))
+    if minutes is None:
+        minutes = series_in_monmin(series)
     rows = []
-    for y in series.years:
+    for y, (_, value) in zip(series.years, minutes):
         rows.append(
             {
                 "year": y.year,
                 "m1_billions": y.m1 / _BILLION,
-                "m1_monmin_billions": minutes[y.year] / _BILLION,
+                "m1_monmin_billions": value / _BILLION,
                 "gdp_billions": y.gdp / _BILLION,
                 "events": y.events,
             }
@@ -372,14 +405,25 @@ def build_table5(series: AggregateSeries):
     return spec, rows
 
 
-def emit_plot_data(series: AggregateSeries, extrema: ExtremaReport | None = None) -> str:
+def emit_plot_data(
+    series: AggregateSeries,
+    extrema: ExtremaReport | None = None,
+    minutes: Sequence[tuple[int, Decimal]] | None = None,
+) -> str:
     """Plot-data CSV: year, raw M1, M1 in minutes, raw GDP, full precision.
 
     With an extrema report, a marker column labels peak/trough years.
+    ``minutes`` may pass in :func:`series_in_monmin` of the series when the
+    caller already has it.
     """
     if not series.years:
         raise EmptySeries("cannot emit plot data for an empty series")
-    minutes = series_in_monmin(series)
+    if minutes is None:
+        minutes = series_in_monmin(series)
+    markers: dict[int, str] = {}
+    if extrema is not None:
+        markers = dict.fromkeys(extrema.troughs, "trough")
+        markers.update(dict.fromkeys(extrema.peaks, "peak"))
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     header = ["year", "m1_currency", "m1_monmin", "gdp_currency"]
@@ -389,7 +433,6 @@ def emit_plot_data(series: AggregateSeries, extrema: ExtremaReport | None = None
     for y, (year, value) in zip(series.years, minutes):
         row = [str(year), _plain(y.m1), _plain(value), _plain(y.gdp)]
         if extrema is not None:
-            marker = "peak" if year in extrema.peaks else "trough" if year in extrema.troughs else ""
-            row.append(marker)
+            row.append(markers.get(year, ""))
         writer.writerow(row)
     return buffer.getvalue()

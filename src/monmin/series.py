@@ -15,7 +15,7 @@ from .core import CurrencyCode, TimeStandard, as_decimal
 from .errors import EmptySeries, NonMonotoneYears, NonPositiveInput, TooShort
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AggregateYear:
     """One year's M1 and GDP (absolute currency units) plus population."""
 
@@ -38,7 +38,7 @@ class AggregateYear:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AggregateSeries:
     """Ordered yearly aggregates for one economy."""
 
@@ -58,7 +58,7 @@ class AggregateSeries:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtremaReport:
     """Years of local peaks and troughs; the two sets never overlap."""
 

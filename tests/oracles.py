@@ -24,3 +24,25 @@ def brute_force_extrema(values):
         elif left > value and right > value:
             troughs.append(year)
     return peaks, troughs
+
+
+def reference_cell(value, decimals=None, sig_figures=None):
+    """Cell text of one value under a rounding rule, computed value by value.
+
+    Mirrors the renderer before its per-column formatters were compiled:
+    coerce (floats through ``str``), build the quantum for this value,
+    round half away from zero, and print ``0`` for a negative zero.
+    """
+    from decimal import ROUND_HALF_UP, Decimal
+
+    number = Decimal(str(value)) if isinstance(value, float) else Decimal(value)
+    if decimals is not None:
+        rounded = number.quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_UP)
+        return str(abs(rounded) if rounded == 0 else rounded)
+    if number == 0:
+        return "0"
+    quantum = Decimal(1).scaleb(number.adjusted() - sig_figures + 1)
+    text = format(number.quantize(quantum, rounding=ROUND_HALF_UP), "f")
+    if "." in text:
+        text = text.rstrip("0").rstrip(".")
+    return text

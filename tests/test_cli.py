@@ -57,6 +57,17 @@ class TestCm:
         assert code == 2
         assert ":2: error: NonPositiveInput" in err
 
+    def test_infinite_gdp_exits_2_without_traceback(self, capsys, tmp_path):
+        bad = tmp_path / "e.csv"
+        bad.write_text(
+            "country,currency,gdp,population,as_of\n"
+            "X,USD,100,10,2019-01-01\nY,USD,Infinity,10,2019-01-01\n"
+        )
+        code, out, err = run(capsys, "cm", "--economies", str(bad))
+        assert code == 2 and out == ""
+        assert ":3: error: MalformedRow: not a finite number: 'Infinity'" in err
+        assert "Traceback" not in err
+
     def test_missing_required_flag_exits_1(self, capsys):
         code, _, err = run(capsys, "cm")
         assert code == 1

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 from decimal import Decimal as D
 
 import pytest
@@ -25,6 +28,7 @@ from monmin import (
     to_monmin,
 )
 from monmin.errors import DuplicatePair
+from monmin.series import AggregateSeries, AggregateYear, ExtremaReport
 
 USD = CurrencyCode("USD")
 EUR = CurrencyCode("EUR")
@@ -50,6 +54,45 @@ class TestCurrencyCode:
     def test_symbol_is_cosmetic(self):
         assert CurrencyCode("USD", "$") == CurrencyCode("USD")
         assert hash(CurrencyCode("USD", "$")) == hash(CurrencyCode("USD"))
+
+
+_YEAR = AggregateYear(1960, D("140e9"), D("542e9"), 180671000, "Recession.")
+VALUE_TYPES = [
+    CurrencyCode("CZK", "Kč"),
+    TimeStandard(D("525948.766")),
+    EconomySnapshot("Czechia", CZK, D("5.79e12"), 10649800, "2019-12-31"),
+    MonMinValue(USD, D("0.1210095"), CmSource.COMPUTED_FROM_GDP),
+    ExchangeRate(USD, EUR, D("0.8930"), "2019-12-31"),
+    PriceQuote("Gold", "1 oz", USD, D("1447.00")),
+    MonMinPrice("Gold", USD, D("11958.58")),
+    _YEAR,
+    AggregateSeries(USD, (_YEAR,), TimeStandard()),
+    ExtremaReport((1987, 1994), (2008,)),
+]
+
+
+def _field_values(obj):
+    return [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+
+
+@pytest.mark.parametrize("value", VALUE_TYPES, ids=lambda v: type(v).__name__)
+class TestSlottedValueTypes:
+    def test_frozen(self, value):
+        name = dataclasses.fields(value)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
+
+    def test_no_instance_dict(self, value):
+        assert not hasattr(value, "__dict__")
+
+    @pytest.mark.parametrize(
+        "clone", [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_round_trips_keep_every_field(self, value, clone):
+        twin = clone(value)
+        assert twin == value and hash(twin) == hash(value)
+        assert _field_values(twin) == _field_values(value)
 
 
 class TestTimeStandard:

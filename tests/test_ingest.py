@@ -86,6 +86,83 @@ class TestLoadEconomies:
         assert report.errors[0].message.startswith("MalformedRow")
 
 
+class TestPhysicalLayout:
+    HEADER = "country,currency,gdp,population,as_of\n"
+
+    def test_bom_prefixed_file_loads_like_the_plain_file(self, fixtures, tmp_path):
+        plain = (fixtures / "economies_table1.csv").read_text(encoding="utf-8")
+        path = put(tmp_path, "e.csv", "\ufeff" + plain)
+        assert load_economies(path) == load_economies(fixtures / "economies_table1.csv")
+
+    def test_crlf_file_loads_like_the_lf_file(self, fixtures, tmp_path):
+        plain = (fixtures / "economies_table1.csv").read_text(encoding="utf-8")
+        path = tmp_path / "e.csv"
+        path.write_bytes(plain.replace("\n", "\r\n").encode("utf-8"))
+        assert load_economies(path) == load_economies(fixtures / "economies_table1.csv")
+
+    def test_crlf_error_lines(self, tmp_path):
+        path = tmp_path / "e.csv"
+        text = self.HEADER + "A,USD,100,10,2019-01-01\n\nB,USD,abc,10,2019-01-01\n"
+        path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        _, report = load_economies(path)
+        assert [e.line for e in report.errors] == [4]
+
+    def test_quoted_cell_spanning_lines_is_one_row(self, tmp_path):
+        path = put(tmp_path, "e.csv",
+                   self.HEADER + '"North\nLand",USD,100,10,2019-01-01\nC,USD,100,10,2019-01-01\n')
+        snapshots, report = load_economies(path)
+        assert report.ok and report.records_accepted == 2
+        assert [s.country for s in snapshots] == ["North\nLand", "C"]
+
+    def test_multi_line_row_issues_carry_its_first_line(self, tmp_path):
+        path = put(tmp_path, "e.csv",
+                   self.HEADER
+                   + '"North\nLand",USD,100,10,2019-01-01\n'  # lines 2-3
+                   + "Bad,USD,abc,10,2019-01-01\n"  # line 4
+                   + '"Multi\nLine",USD,0,10,2019-01-01\n'  # lines 5-6
+                   + "Last,USD,1,0,2019-01-01\n")  # line 7
+        _, report = load_economies(path)
+        assert [e.line for e in report.errors] == [4, 5, 7]
+        assert report.errors[1].message.startswith("NonPositiveInput")
+
+    def test_blank_and_comment_lines_are_never_part_of_a_cell(self, tmp_path):
+        path = put(tmp_path, "e.csv",
+                   self.HEADER + '"North\n# not text\n\nLand",USD,100,10,2019-01-01\n'
+                   + "Bad,USD,abc,10,2019-01-01\n")
+        _, report = load_economies(path)
+        assert [e.line for e in report.errors] == [6]
+        path = put(tmp_path, "e.csv",
+                   self.HEADER + '"North\n# not text\nLand",USD,100,10,2019-01-01\n')
+        snapshots, _ = load_economies(path)
+        assert snapshots[0].country == "North\nLand"
+
+    def test_csv_error_is_a_line_numbered_issue(self, tmp_path):
+        path = put(tmp_path, "e.csv",
+                   self.HEADER + "A,USD,100,10,2019-01-01\n"
+                   + "B" * 200_000 + ",USD,100,10,2019-01-01\n"
+                   + "C,USD,abc,10,2019-01-01\n")
+        snapshots, report = load_economies(path)
+        assert snapshots == []
+        assert [e.line for e in report.errors] == [3, 4]
+        assert report.errors[0].message == "MalformedRow: field larger than field limit (131072)"
+
+    @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "inf", "NaN", "sNaN"])
+    def test_non_finite_numbers_are_malformed(self, tmp_path, text):
+        cases = [
+            (load_economies, self.HEADER + f"X,USD,{text},10,2019-01-01\n"),
+            (load_rates, f"base,quote,rate,as_of\nUSD,EUR,{text},\n"),
+            (load_basket,
+             f"country,currency,item,unit,amount,role\nX,USD,Thing,unit,{text},item\n"),
+            (load_series, f"year,m1,gdp,population\n1980,{text},2,3\n"),
+            (load_series, f"year,m1,gdp,population\n1980,1,{text},3\n"),
+        ]
+        for loader, body in cases:
+            _, report = loader(put(tmp_path, "f.csv", body))
+            assert [(e.line, e.message) for e in report.errors] == [
+                (2, f"MalformedRow: not a finite number: {text!r}")
+            ], loader.__name__
+
+
 class TestLoadRates:
     def test_table2_fixture(self, fixtures):
         table, report = load_rates(fixtures / "rates_table2.csv")

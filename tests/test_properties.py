@@ -3,21 +3,27 @@ from decimal import Decimal as D
 from hypothesis import assume, given, settings, strategies as st
 
 from monmin import (
+    ColumnRule,
     CurrencyCode,
     EconomySnapshot,
     ExchangeRate,
     MonMinValue,
     PriceQuote,
+    TableId,
+    TableSpec,
     TimeStandard,
     compute_cm,
     cross_cm,
     detect_extrema,
     parity_rate,
     percent_of_salary,
+    render_table,
+    round_half_away,
     to_monmin,
 )
+from monmin.report import format_cell
 
-from oracles import brute_force_extrema
+from oracles import brute_force_extrema, reference_cell
 
 USD = CurrencyCode("USD")
 CZK = CurrencyCode("CZK")
@@ -127,3 +133,40 @@ def test_extrema_years_are_interior(data):
     first, last = series[0][0], series[-1][0]
     for year in report.peaks + report.troughs:
         assert first < year < last
+
+
+finite_decimals = st.decimals(min_value=D("-1e15"), max_value=D("1e15"),
+                              allow_nan=False, allow_infinity=False)
+cell_values = st.one_of(
+    finite_decimals,
+    st.sampled_from([D("0"), D("-0"), D("-0.000"), D("-0.0049"), D("0.5"), D("-2.5")]),
+    st.integers(min_value=-10**15, max_value=10**15),
+    finite_decimals.map(str),
+    st.floats(min_value=-1e15, max_value=1e15, allow_nan=False, allow_infinity=False),
+)
+
+
+def _rendered(rule, value):
+    text = render_table(TableSpec(TableId.T1, (rule,)), [{rule.name: value}])
+    header, cell = text.splitlines()
+    assert header == rule.name
+    return cell
+
+
+@given(value=cell_values, decimals=st.integers(min_value=0, max_value=8))
+@settings(deadline=None)
+def test_fixed_decimals_formatter_matches_reference(value, decimals):
+    rule = ColumnRule("x", decimals=decimals)
+    expected = reference_cell(value, decimals=decimals)
+    assert str(round_half_away(value, decimals)) == expected
+    assert format_cell(rule, value) == expected
+    assert _rendered(rule, value) == expected
+
+
+@given(value=cell_values, figures=st.integers(min_value=1, max_value=8))
+@settings(deadline=None)
+def test_significant_figures_formatter_matches_reference(value, figures):
+    rule = ColumnRule("x", sig_figures=figures)
+    expected = reference_cell(value, sig_figures=figures)
+    assert format_cell(rule, value) == expected
+    assert _rendered(rule, value) == expected

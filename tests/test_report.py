@@ -1,8 +1,11 @@
+import random
 from decimal import Decimal as D
 
 import pytest
 
 from monmin import (
+    AggregateSeries,
+    AggregateYear,
     ColumnRule,
     CmSource,
     CurrencyCode,
@@ -31,6 +34,7 @@ from monmin import (
 from monmin.errors import UnknownCurrency
 
 from expected_tables import TABLE2_MANUAL, TABLE3_CM, TABLE4_COUNTRIES
+from oracles import brute_force_extrema
 
 
 def manual(code, value):
@@ -94,10 +98,15 @@ class TestRenderTable:
         assert render_table(self.SPEC, []) == "name,value,count\n"
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            render_table(self.SPEC, [{"name": "a", "value": D(1)}])
-        with pytest.raises(ShapeMismatch):
-            render_table(self.SPEC, [{"name": "a", "value": D(1), "count": 1, "extra": 2}])
+        expected = "table 1 row 1: expected columns ['name', 'value', 'count'], got "
+        good = {"name": "a", "value": D(1), "count": 1}
+        for fmt in ("csv", "text"):
+            with pytest.raises(ShapeMismatch) as missing:
+                render_table(self.SPEC, [good, {"name": "a", "value": D(1)}], fmt)
+            assert str(missing.value) == expected + "['name', 'value']"
+            with pytest.raises(ShapeMismatch) as extra:
+                render_table(self.SPEC, [good, {**good, "extra": 2}], fmt)
+            assert str(extra.value) == expected + "['count', 'extra', 'name', 'value']"
 
     def test_deterministic(self):
         rows = [{"name": "a", "value": D("1.3333"), "count": 2}]
@@ -229,6 +238,26 @@ class TestTable5AndPlotData:
         assert row_2008.endswith(",trough")
         row_1987 = next(line for line in lines if line.startswith("1987,"))
         assert row_1987.endswith(",peak")
+
+
+    def test_markers_on_a_long_series_match_a_brute_force_scan(self):
+        rng = random.Random(2019)
+        years = [
+            AggregateYear(1000 + i, D(rng.randint(1, 9)) * 10**9, D("500e9"), 1_000_000)
+            for i in range(2000)
+        ]
+        series = AggregateSeries(CurrencyCode("USD"), years)
+        minutes = series_in_monmin(series)
+        text = emit_plot_data(series, detect_extrema(minutes), minutes)
+        assert text == emit_plot_data(series, detect_extrema(minutes))
+        peaks, troughs = brute_force_extrema(minutes)
+        assert len(peaks) > 300 and len(troughs) > 300
+        expected = {**dict.fromkeys(peaks, "peak"), **dict.fromkeys(troughs, "trough")}
+        rows = text.splitlines()[1:]
+        assert len(rows) == 2000
+        for row in rows:
+            year, marker = row.split(",")[0], row.split(",")[-1]
+            assert marker == expected.get(int(year), ""), year
 
 
 class TestSpecValidation:
