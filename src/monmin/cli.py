@@ -7,11 +7,9 @@ over the environment, which wins over an optional JSON config file.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import sys
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation, getcontext
 from pathlib import Path
 
 import click
@@ -27,7 +25,6 @@ from .core import (
     TimeStandard,
     compute_cm,
     parity_rate,
-    percent_of_salary,
     to_monmin,
 )
 from .errors import CurrencyMismatch, IngestFailure, MonMinError, ShapeMismatch
@@ -53,9 +50,12 @@ def _load_config(path) -> dict:
 
 def _decimal_flag(text, flag: str) -> Decimal:
     try:
-        return Decimal(str(text))
+        value = Decimal(str(text))
     except InvalidOperation:
         raise click.UsageError(f"{flag} expects a decimal number, got {text!r}")
+    if not value.is_finite():
+        raise click.UsageError(f"{flag} expects a finite decimal number, got {text!r}")
+    return value
 
 
 def _resolve_std(tetcy, config: dict) -> TimeStandard:
@@ -194,7 +194,14 @@ def cmd_convert(amount, currency, cm_value, economies_path, country, tetcy, deci
     places = decimals if decimals is not None else int(config.get("decimals", 0))
     if places < 0:
         raise click.UsageError("--decimals must be >= 0")
-    click.echo(str(round_half_away(to_monmin(quote, cm).monmin, places)))
+    minutes = to_monmin(quote, cm).monmin
+    try:
+        rounded = round_half_away(minutes, places)
+    except InvalidOperation:
+        raise click.UsageError(
+            f"--decimals {places} needs more than {getcontext().prec} digits for {minutes:f}"
+        )
+    click.echo(str(rounded))
 
 
 @cli.command("parity")
@@ -223,31 +230,9 @@ def cmd_basket(basket_path, economies_path, cm_entries, tetcy, config_path, out)
     std = _resolve_std(tetcy, config)
     cms = _gather_cms(cm_entries, economies_path, std)
     baskets = _run_load(ingest.load_basket, basket_path, known_currencies=cms.keys())
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["country", "currency", "item", "unit", "amount", "role", "monmin", "cm_source"])
-    used: dict[str, MonMinValue] = {}
-    for basket in baskets:
-        cm = cms[basket.currency.code]
-        used[basket.currency.code] = cm
-        quotes = [(q, "item") for q in basket.items]
-        if basket.salary is not None:
-            quotes.append((basket.salary, "salary"))
-        for quote, role in quotes:
-            writer.writerow(
-                [
-                    basket.country,
-                    basket.currency.code,
-                    quote.item,
-                    quote.unit,
-                    format(quote.amount, "f"),
-                    role,
-                    str(round_half_away(to_monmin(quote, cm).monmin, 0)),
-                    cm.source.value,
-                ]
-            )
-    _note_cm_sources(used)
-    _deliver(buffer.getvalue(), out)
+    spec, rows = report.build_basket_listing(baskets, cms)
+    _note_cm_sources({b.currency.code: cms[b.currency.code] for b in baskets})
+    _deliver(report.render_table(spec, rows), out)
 
 
 @cli.command("percent")
@@ -256,21 +241,8 @@ def cmd_basket(basket_path, economies_path, cm_entries, tetcy, config_path, out)
 def cmd_percent(basket_path, out):
     """Each basket item as a percent of that basket's salary."""
     baskets = _run_load(ingest.load_basket, basket_path)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["country", "currency", "item", "unit", "percent"])
-    for basket in baskets:
-        if basket.salary is None:
-            raise MonMinError(f"basket {basket.country} has no salary row")
-        one = MonMinValue(basket.currency, Decimal(1), CmSource.MANUAL)
-        salary = to_monmin(basket.salary, one)
-        for quote in list(basket.items) + [basket.salary]:
-            value = percent_of_salary(to_monmin(quote, one), salary)
-            writer.writerow(
-                [basket.country, basket.currency.code, quote.item, quote.unit,
-                 str(round_half_away(value, 2))]
-            )
-    _deliver(buffer.getvalue(), out)
+    spec, rows = report.build_percent_listing(baskets)
+    _deliver(report.render_table(spec, rows), out)
 
 
 @cli.command("series")

@@ -224,7 +224,8 @@ class PriceQuote:
     amount: Decimal
 
     def __post_init__(self):
-        object.__setattr__(self, "amount", as_decimal(self.amount))
+        if not isinstance(self.amount, Decimal):
+            object.__setattr__(self, "amount", as_decimal(self.amount))
         if self.amount < 0:
             raise NonPositiveInput(
                 f"{self.item}: amount must be >= 0, got {self.amount}"
@@ -252,8 +253,6 @@ def compute_cm(econ: EconomySnapshot, std: TimeStandard = TimeStandard()) -> Mon
 
     Full 28-digit precision is kept; callers round only when reporting.
     """
-    if econ.gdp <= 0 or econ.population <= 0:
-        raise NonPositiveInput(f"{econ.country}: gdp and population must be > 0")
     value = econ.gdp / econ.population / std.minutes_per_year
     return MonMinValue(currency=econ.currency, value=value, source=CmSource.COMPUTED_FROM_GDP)
 
@@ -271,8 +270,6 @@ def cross_cm(ref: MonMinValue, rate: ExchangeRate) -> MonMinValue:
 
 def invert_cm(cm: MonMinValue) -> Decimal:
     """Minutes represented by one unit of the currency: 1 / value."""
-    if cm.value <= 0:
-        raise NonPositiveInput(f"minute value must be > 0, got {cm.value}")
     return 1 / cm.value
 
 
@@ -282,8 +279,6 @@ def to_monmin(price: PriceQuote, cm: MonMinValue) -> MonMinPrice:
         raise CurrencyMismatch(
             f"price in {price.currency} cannot use a {cm.currency} minute value"
         )
-    if cm.value <= 0:
-        raise NonPositiveInput(f"minute value must be > 0, got {cm.value}")
     return MonMinPrice(
         item=price.item, currency_context=cm.currency, monmin=price.amount / cm.value
     )

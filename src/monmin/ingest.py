@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from .core import CurrencyCode, EconomySnapshot, ExchangeRate, PriceQuote, RateTable, TimeStandard
-from .errors import NonPositiveInput
+from .errors import CurrencyMismatch, NonPositiveInput
 from .series import AggregateSeries, AggregateYear
 
 _DIRECTIVE_RE = re.compile(r"^#\s*([a-z_]+)\s*=\s*(\S+)\s*$")
@@ -64,6 +64,15 @@ class Basket:
     currency: CurrencyCode
     items: tuple[PriceQuote, ...]
     salary: PriceQuote | None = None
+
+    def __post_init__(self):
+        currency = self.currency
+        quotes = self.items if self.salary is None else (*self.items, self.salary)
+        for quote in quotes:
+            if quote.currency is not currency and quote.currency != currency:
+                raise CurrencyMismatch(
+                    f"basket {self.country}/{currency}: {quote.item} is priced in {quote.currency}"
+                )
 
 
 class _Scan(NamedTuple):
@@ -260,7 +269,7 @@ def load_basket(path, known_currencies=None) -> tuple[list[Basket], IngestReport
     known = None if known_currencies is None else {str(c) for c in known_currencies}
     scan = _read_table(path, _BASKET_HEADER)
     errors = scan.errors
-    groups: dict[tuple[str, str], dict] = {}
+    groups: dict[tuple[str, str], list] = {}  # (country, code) -> [items, salary]
     codes = _Codes()
     for lineno, cells in scan.rows:
         if len(cells) != 6:
@@ -283,21 +292,21 @@ def load_basket(path, known_currencies=None) -> tuple[list[Basket], IngestReport
         except (InvalidOperation, ValueError) as exc:
             errors.append(Issue(lineno, f"MalformedRow: {exc}"))
             continue
-        group = groups.setdefault(
-            (country, code), {"currency": quote.currency, "items": [], "salary": None}
-        )
+        group = groups.get((country, code))
+        if group is None:
+            group = groups[country, code] = [[], None]
         if role == "salary":
-            if group["salary"] is not None:
+            if group[1] is not None:
                 errors.append(Issue(lineno, f"MalformedRow: duplicate salary row for {country}"))
                 continue
-            group["salary"] = quote
+            group[1] = quote
         else:
-            group["items"].append(quote)
+            group[0].append(quote)
     if errors:
         return [], IngestReport(0, errors=tuple(errors))
     baskets = [
-        Basket(country=country, currency=g["currency"], items=tuple(g["items"]), salary=g["salary"])
-        for (country, _), g in groups.items()
+        Basket(country=country, currency=codes[code], items=tuple(items), salary=salary)
+        for (country, code), (items, salary) in groups.items()
     ]
     return baskets, IngestReport(sum(len(b.items) + (1 if b.salary else 0) for b in baskets))
 

@@ -7,8 +7,9 @@ produce byte-identical output.
 
 Builders assemble the six standard report tables (per-country minute
 values, cross-rate minute values, commodity and food baskets in minutes,
-percent-of-salary, and the yearly M1 series) plus the plot-data file for
-the series figure.
+percent-of-salary, and the yearly M1 series), the two basket listings
+(every quote in minutes, every quote as a percent of its salary) and the
+plot-data file for the series figure.
 """
 from __future__ import annotations
 
@@ -17,10 +18,10 @@ import io
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Collection, Iterator, Mapping, Sequence
 
 from .core import (
-    CmSource,
     MonMinValue,
     RateTable,
     TimeStandard,
@@ -28,11 +29,9 @@ from .core import (
     compute_cm,
     cross_cm,
     invert_cm,
-    percent_of_salary,
-    to_monmin,
 )
-from .errors import CurrencyMismatch, EmptySeries, ShapeMismatch, UnknownCurrency
-from .ingest import Basket
+from .errors import CurrencyMismatch, EmptySeries, NonPositiveInput, ShapeMismatch, UnknownCurrency
+from .ingest import Basket, _plain
 from .series import AggregateSeries, ExtremaReport, series_in_monmin
 
 _BILLION = Decimal("1e9")
@@ -45,6 +44,8 @@ class TableId(Enum):
     T4 = "4"
     T4B = "4b"
     T5 = "5"
+    BASKET = "basket"
+    PERCENT = "percent"
 
 
 @dataclass(frozen=True)
@@ -131,21 +132,30 @@ def format_cell(rule: ColumnRule, value) -> str:
     return _formatter(rule)(value)
 
 
-def _formatted_rows(spec: TableSpec, rows: Sequence[Mapping[str, object]]):
-    """Each row's cells as text in column order; a row is shape-checked before it is formatted."""
+def _formatted_rows(spec: TableSpec, rows: Collection[Mapping[str, object]], text: bool):
+    """Each row's cells in column order; a row is shape-checked before it is formatted.
+
+    Numeric columns always run their formatter.  Verbatim columns are
+    formatted only for text output: ``csv.writer`` already prints ``None``
+    as an empty cell and anything else through ``str()``.
+    """
     names = [c.name for c in spec.columns]
     name_set = set(names)
-    columns = [(c.name, _formatter(c)) for c in spec.columns]
+    values = itemgetter(*names) if len(names) > 1 else lambda row: [row[n] for n in names]
+    formatters = [(i, _formatter(c)) for i, c in enumerate(spec.columns) if text or c.numeric]
     for index, row in enumerate(rows):
         if row.keys() != name_set:
             raise ShapeMismatch(
                 f"table {spec.table_id.value} row {index}: expected columns {names}, "
                 f"got {sorted(row.keys())}"
             )
-        yield [fmt(row[name]) for name, fmt in columns]
+        cells = list(values(row))
+        for i, fmt in formatters:
+            cells[i] = fmt(cells[i])
+        yield cells
 
 
-def render_table(spec: TableSpec, rows: Sequence[Mapping[str, object]], fmt: str = "csv") -> str:
+def render_table(spec: TableSpec, rows: Collection[Mapping[str, object]], fmt: str = "csv") -> str:
     """Render rows under a spec as CSV or aligned text.
 
     Every row must supply exactly the spec's columns.
@@ -158,10 +168,10 @@ def render_table(spec: TableSpec, rows: Sequence[Mapping[str, object]], fmt: str
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(names)
-        writer.writerows(_formatted_rows(spec, rows))
+        writer.writerows(_formatted_rows(spec, rows, text=False))
         return buffer.getvalue()
 
-    cells = list(_formatted_rows(spec, rows))
+    cells = list(_formatted_rows(spec, rows, text=True))
     widths = [
         max(len(name), *(len(row[i]) for row in cells)) if cells else len(name)
         for i, name in enumerate(names)
@@ -176,8 +186,24 @@ def render_table(spec: TableSpec, rows: Sequence[Mapping[str, object]], fmt: str
     return "\n".join(lines) + "\n"
 
 
-def _plain(value: Decimal) -> str:
-    return format(value, "f")
+class RowView:
+    """Rows made one at a time on each iteration, with their count known up front.
+
+    A listing of every quote would otherwise sit in memory as dicts while it
+    is rendered.
+    """
+
+    __slots__ = ("_make", "_count")
+
+    def __init__(self, make: Callable[[], Iterator[dict]], count: int):
+        self._make = make
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[dict]:
+        return self._make()
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +313,35 @@ def _aligned_quotes(baskets: Sequence[Basket]):
 
 
 def _cm_for(basket: Basket, cms: Mapping[str, MonMinValue]) -> MonMinValue:
+    """A basket's minute value, looked up and checked against its currency once.
+
+    Every quote of a :class:`Basket` is in the basket's currency, so this one
+    check stands for the one :func:`to_monmin` makes per quote, and each
+    quote then costs one division: ``amount / value``.
+    """
     cm = cms.get(basket.currency.code)
     if cm is None:
         raise UnknownCurrency(f"no minute value for currency {basket.currency}")
+    if cm.currency != basket.currency:
+        raise CurrencyMismatch(
+            f"price in {basket.currency} cannot use a {cm.currency} minute value"
+        )
     return cm
+
+
+def _salary_minutes(basket: Basket) -> Decimal:
+    """A basket's salary under a unit minute value: the denominator of its percents.
+
+    The minute value cancels in a percent of salary, so prices are taken in
+    minutes of value 1, ``100 * (amount / 1) / (salary / 1)``: exactly what
+    :func:`percent_of_salary` gives for :func:`to_monmin` prices at value 1.
+    """
+    if basket.salary is None:
+        raise ShapeMismatch(f"basket {basket.country} has no salary row")
+    salary = basket.salary.amount / 1
+    if salary <= 0:
+        raise NonPositiveInput(f"salary must be > 0, got {salary}")
+    return salary
 
 
 def build_table3(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
@@ -298,17 +349,19 @@ def build_table3(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
     codes = [b.currency.code for b in baskets]
     if len(codes) != len(set(codes)):
         raise ShapeMismatch("table 3 needs one basket per currency context")
+    prices = [f"price_{code}" for code in codes]
+    minutes = [f"monmin_{code}" for code in codes]
     columns = [ColumnRule("item"), ColumnRule("unit")]
-    columns += [ColumnRule(f"price_{code}", decimals=2) for code in codes]
-    columns += [ColumnRule(f"monmin_{code}", decimals=0) for code in codes]
+    columns += [ColumnRule(name, decimals=2) for name in prices]
+    columns += [ColumnRule(name, decimals=0) for name in minutes]
     spec = TableSpec(TableId.T3, tuple(columns))
-    values = [_cm_for(b, cms) for b in baskets]
+    values = [_cm_for(b, cms).value for b in baskets]
     rows = []
     for (item, unit), quotes in _aligned_quotes(baskets):
         row = {"item": item, "unit": unit}
-        for code, quote, cm in zip(codes, quotes, values):
-            row[f"price_{code}"] = quote.amount
-            row[f"monmin_{code}"] = to_monmin(quote, cm).monmin
+        for price, minute, quote, value in zip(prices, minutes, quotes, values):
+            row[price] = quote.amount
+            row[minute] = quote.amount / value
         rows.append(row)
     return spec, rows
 
@@ -325,20 +378,20 @@ def build_table4(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
             + [ColumnRule(country, decimals=0) for country in countries]
         ),
     )
-    values = [_cm_for(b, cms) for b in baskets]
+    values = [_cm_for(b, cms).value for b in baskets]
     rows = []
     for (item, unit), quotes in _aligned_quotes(baskets):
         row = {"item": item, "unit": unit}
-        for country, quote, cm in zip(countries, quotes, values):
-            row[country] = to_monmin(quote, cm).monmin
+        for country, quote, value in zip(countries, quotes, values):
+            row[country] = quote.amount / value
         rows.append(row)
     salaries = [b.salary for b in baskets]
     if any(s is not None for s in salaries):
         if any(s is None for s in salaries):
             raise ShapeMismatch("either every basket carries a salary row or none does")
         row = {"item": salaries[0].item, "unit": salaries[0].unit}
-        for country, salary, cm in zip(countries, salaries, values):
-            row[country] = to_monmin(salary, cm).monmin
+        for country, salary, value in zip(countries, salaries, values):
+            row[country] = salary.amount / value
         rows.append(row)
     return spec, rows
 
@@ -358,19 +411,102 @@ def build_table4b(baskets: Sequence[Basket]):
             + [ColumnRule(country, decimals=2) for country in countries]
         ),
     )
-    # unit minute value per context: percent_of_salary only needs the ratio
-    units = [MonMinValue(b.currency, Decimal(1), CmSource.MANUAL) for b in baskets]
+    salaries = [_salary_minutes(b) for b in baskets]
     rows = []
     for (item, unit), quotes in _aligned_quotes(baskets):
         row = {"item": item, "unit": unit}
-        for basket, one, country, quote in zip(baskets, units, countries, quotes):
-            row[country] = percent_of_salary(to_monmin(quote, one), to_monmin(basket.salary, one))
+        for country, quote, salary in zip(countries, quotes, salaries):
+            row[country] = 100 * (quote.amount / 1) / salary
         rows.append(row)
     row = {"item": baskets[0].salary.item, "unit": baskets[0].salary.unit}
     for country in countries:
         row[country] = Decimal(100)
     rows.append(row)
     return spec, rows
+
+
+def _quotes(basket: Basket):
+    """A basket's quotes with their role: the items, then the salary if any."""
+    for quote in basket.items:
+        yield quote, "item"
+    if basket.salary is not None:
+        yield basket.salary, "salary"
+
+
+def _quote_count(baskets: Sequence[Basket]) -> int:
+    return sum(len(b.items) + (b.salary is not None) for b in baskets)
+
+
+def build_basket_listing(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
+    """Every quote of every basket in minutes, with its minute value's provenance.
+
+    The minute values are looked up and checked before this returns; the
+    rows are made while they are rendered.
+    """
+    spec = TableSpec(
+        TableId.BASKET,
+        (
+            ColumnRule("country"),
+            ColumnRule("currency"),
+            ColumnRule("item"),
+            ColumnRule("unit"),
+            ColumnRule("amount"),
+            ColumnRule("role"),
+            ColumnRule("monmin", decimals=0),
+            ColumnRule("cm_source"),
+        ),
+    )
+    values = [_cm_for(b, cms) for b in baskets]
+
+    def rows():
+        for basket, cm in zip(baskets, values):
+            country, code, value, source = basket.country, basket.currency.code, cm.value, cm.source.value
+            for quote, role in _quotes(basket):
+                yield {
+                    "country": country,
+                    "currency": code,
+                    "item": quote.item,
+                    "unit": quote.unit,
+                    "amount": _plain(quote.amount),
+                    "role": role,
+                    "monmin": quote.amount / value,
+                    "cm_source": source,
+                }
+
+    return spec, RowView(rows, _quote_count(baskets))
+
+
+def build_percent_listing(baskets: Sequence[Basket]):
+    """Every quote of every basket, its salary included, as a percent of that salary.
+
+    The first basket without a positive salary, in basket order, raises
+    before this returns; the rows are made while they are rendered.
+    """
+    spec = TableSpec(
+        TableId.PERCENT,
+        (
+            ColumnRule("country"),
+            ColumnRule("currency"),
+            ColumnRule("item"),
+            ColumnRule("unit"),
+            ColumnRule("percent", decimals=2),
+        ),
+    )
+    salaries = [_salary_minutes(b) for b in baskets]
+
+    def rows():
+        for basket, salary in zip(baskets, salaries):
+            country, code = basket.country, basket.currency.code
+            for quote, _ in _quotes(basket):
+                yield {
+                    "country": country,
+                    "currency": code,
+                    "item": quote.item,
+                    "unit": quote.unit,
+                    "percent": 100 * (quote.amount / 1) / salary,
+                }
+
+    return spec, RowView(rows, _quote_count(baskets))
 
 
 def build_table5(series: AggregateSeries, minutes: Sequence[tuple[int, Decimal]] | None = None):

@@ -46,3 +46,57 @@ def reference_cell(value, decimals=None, sig_figures=None):
     if "." in text:
         text = text.rstrip("0").rstrip(".")
     return text
+
+
+def reference_minutes(quote, cm):
+    """A quote's minute price the per-quote way: :func:`to_monmin`, checks and all."""
+    from monmin import to_monmin
+
+    return to_monmin(quote, cm).monmin
+
+
+def reference_percent(quote, salary):
+    """A quote as a percent of a salary the per-quote way: both re-priced at a unit minute value."""
+    from decimal import Decimal
+
+    from monmin import CmSource, MonMinValue, percent_of_salary, to_monmin
+
+    one = MonMinValue(salary.currency, Decimal(1), CmSource.MANUAL)
+    return percent_of_salary(to_monmin(quote, one), to_monmin(salary, one))
+
+
+def reference_render(spec, rows, fmt):
+    """A table rendered cell by cell, as the renderer did before verbatim cells went to csv.writer.
+
+    Every cell is turned into text first: numeric columns through
+    :func:`reference_cell`, the others through ``report._verbatim``.
+    """
+    import csv
+    import io
+
+    from monmin.report import _verbatim
+
+    names = [c.name for c in spec.columns]
+    cells = [
+        [
+            reference_cell(row[c.name], c.decimals, c.sig_figures) if c.numeric else _verbatim(row[c.name])
+            for c in spec.columns
+        ]
+        for row in rows
+    ]
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(names)
+        for row in cells:
+            writer.writerow(row)
+        return buffer.getvalue()
+    widths = [max([len(name)] + [len(row[i]) for row in cells]) for i, name in enumerate(names)]
+    lines = []
+    for row in [names] + cells:
+        padded = [
+            cell.rjust(widths[i]) if spec.columns[i].numeric else cell.ljust(widths[i])
+            for i, cell in enumerate(row)
+        ]
+        lines.append("  ".join(padded).rstrip())
+    return "\n".join(lines) + "\n"

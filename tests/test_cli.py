@@ -1,6 +1,9 @@
 import json
 from decimal import Decimal as D
 
+import pytest
+
+from conftest import FIXTURES, GOLDEN
 from monmin.cli import main
 
 
@@ -301,3 +304,104 @@ class TestConfigFile:
             capsys, "cm", "--economies", economies_arg(fixtures), "--config", str(config)
         )
         assert code == 1
+
+
+# The listings' golden files are checked here, not through golden_runs():
+# that list is also what the benchmark's paper-tables workload runs.
+LISTING_GOLDENS = [
+    ("basket_commodities.csv", "basket_commodities.stderr",
+     ["basket", "--basket", str(FIXTURES / "basket_commodities.csv"),
+      "--cm", "USD=0.121001", "--cm", "CZK=0.951979", "--cm", "EUR=0.077722", "--cm", "GBP=0.014648"]),
+    ("percent_food.csv", None, ["percent", "--basket", str(FIXTURES / "basket_food.csv")]),
+]
+
+
+class TestListingGoldens:
+    @pytest.mark.parametrize("stdout_name,stderr_name,argv", LISTING_GOLDENS,
+                             ids=[name for name, _, _ in LISTING_GOLDENS])
+    def test_bytes(self, capsys, stdout_name, stderr_name, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert out.encode("utf-8") == (GOLDEN / stdout_name).read_bytes()
+        expected_err = (GOLDEN / stderr_name).read_bytes() if stderr_name else b""
+        assert err.encode("utf-8") == expected_err
+
+    def test_out_file_matches_golden(self, capsys, tmp_path):
+        target = tmp_path / "listing.csv"
+        name, _, argv = LISTING_GOLDENS[0]
+        code, out, _ = run(capsys, *argv, "--out", str(target))
+        assert code == 0 and out == ""
+        assert target.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def write_basket_file(path, rows):
+    path.write_text(
+        "country,currency,item,unit,amount,role\n" + "".join(f"{row}\n" for row in rows),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+class TestPercentErrors:
+    def test_zero_salary(self, capsys, tmp_path):
+        path = write_basket_file(tmp_path / "b.csv", ["A,USD,Bread,kg,1.50,item", "A,USD,Salary,month,0.00,salary"])
+        code, out, err = run(capsys, "percent", "--basket", path)
+        assert (code, out, err) == (2, "", "error: salary must be > 0, got 0.00\n")
+
+    def test_missing_salary(self, capsys, tmp_path):
+        path = write_basket_file(tmp_path / "b.csv", ["A,USD,Bread,kg,1.50,item"])
+        code, out, err = run(capsys, "percent", "--basket", path)
+        assert (code, out, err) == (2, "", "error: basket A has no salary row\n")
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            (["A,USD,Bread,kg,1.50,item", "A,USD,Salary,month,0.00,salary", "B,EUR,Bread,kg,2.00,item"],
+             "salary must be > 0, got 0.00"),
+            (["B,EUR,Bread,kg,2.00,item", "A,USD,Bread,kg,1.50,item", "A,USD,Salary,month,0,salary"],
+             "basket B has no salary row"),
+        ],
+        ids=["zero-salary-first", "missing-salary-first"],
+    )
+    def test_first_failing_basket_in_file_order(self, capsys, tmp_path, rows, message):
+        code, out, err = run(capsys, "percent", "--basket", write_basket_file(tmp_path / "b.csv", rows))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+class TestNumericFlags:
+    """Non-finite numbers and unroundable --decimals are usage errors naming the flag."""
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["convert", "--amount", "1", "--cm", "NaN"], "--cm"),
+            (["convert", "--amount", "1", "--cm", "Infinity"], "--cm"),
+            (["convert", "--amount", "NaN", "--cm", "1"], "--amount"),
+            (["parity", "--rate", "1", "--ref", "sNaN", "--local", "1"], "--ref"),
+            (["parity", "--rate", "-Infinity", "--ref", "1", "--local", "1"], "--rate"),
+            (["basket", "--basket", str(FIXTURES / "basket_commodities.csv"), "--cm", "USD=NaN"], "--cm"),
+            (["cm", "--economies", str(FIXTURES / "economies_table1.csv"), "--tetcy", "NaN"], "--tetcy"),
+            (["cm", "--economies", str(FIXTURES / "economies_table1.csv"), "--tetcy", "Infinity"], "--tetcy"),
+            (["convert", "--amount", "10", "--cm", "0.1", "--decimals", "30"], "--decimals"),
+        ],
+        ids=["convert-cm-nan", "convert-cm-inf", "convert-amount-nan", "parity-ref-snan",
+             "parity-rate-minus-inf", "basket-cm-nan", "cm-tetcy-nan", "cm-tetcy-inf", "convert-decimals-30"],
+    )
+    def test_usage_error_without_traceback(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        message = err.splitlines()[-1]
+        assert message.startswith(f"usage error: {flag} ")
+        assert "Traceback" not in err and "InvalidOperation" not in err
+
+    def test_non_finite_message(self, capsys):
+        _, _, err = run(capsys, "convert", "--amount", "1", "--cm", "Infinity")
+        assert err.splitlines()[-1] == "usage error: --cm expects a finite decimal number, got 'Infinity'"
+
+    def test_decimals_limit_follows_the_result(self, capsys):
+        # 10 / 0.1 = 100 has three integer digits, so 25 decimals fill the 28
+        code, out, _ = run(capsys, "convert", "--amount", "10", "--cm", "0.1", "--decimals", "25")
+        assert (code, out) == (0, "100." + "0" * 25 + "\n")
+        code, _, err = run(capsys, "convert", "--amount", "10", "--cm", "0.1", "--decimals", "26")
+        assert code == 1
+        assert err.splitlines()[-1] == "usage error: --decimals 26 needs more than 28 digits for 100"

@@ -136,6 +136,12 @@ class TestComputeCm:
     def test_gdp_per_capita(self):
         assert snapshot(D(1000), 4).gdp_per_capita() == D(250)
 
+    @pytest.mark.parametrize("gdp,population", [(D(0), 10), (D(-5), 10), (D(1000), 0), (D(1000), -3)])
+    def test_snapshot_rejects_what_compute_cm_would_divide_by(self, gdp, population):
+        # compute_cm does not re-check gdp and population: no snapshot can hold these
+        with pytest.raises(NonPositiveInput):
+            EconomySnapshot("Testland", USD, gdp, population, "2019-01-01")
+
 
 class TestCrossCm:
     def test_usd_to_eur(self):
@@ -170,6 +176,12 @@ class TestInvertCm:
 
     def test_yuan_2019(self):
         assert abs(invert_cm(MonMinValue(CurrencyCode("CNY"), D("0.00023033"))) - D("4341.59")) <= D("0.05")
+
+    @pytest.mark.parametrize("value", [D(0), D("-0"), D("-0.5")])
+    def test_minute_value_rejects_what_invert_cm_would_divide_by(self, value):
+        # invert_cm does not re-check the value: no MonMinValue can hold these
+        with pytest.raises(NonPositiveInput):
+            MonMinValue(USD, value)
 
 
 class TestToFromMonMin:
@@ -207,6 +219,28 @@ class TestToFromMonMin:
     def test_from_monmin_context_mismatch(self):
         with pytest.raises(CurrencyMismatch):
             from_monmin(MonMinPrice("x", CZK, D(1)), self.CM_USD)
+
+    @pytest.mark.parametrize("value", [D(0), D("-1"), D("-1e-30")])
+    def test_minute_value_rejects_what_to_monmin_would_divide_by(self, value):
+        # to_monmin does not re-check the value: no MonMinValue can hold these
+        with pytest.raises(NonPositiveInput):
+            MonMinValue(USD, value, CmSource.MANUAL)
+
+
+class TestPriceQuote:
+    def test_decimal_amount_is_kept_as_is(self):
+        amount = D("1447.00")
+        assert PriceQuote("Gold", "1 oz", USD, amount).amount is amount
+
+    @pytest.mark.parametrize("raw,expected", [(7, "7"), ("2.50", "2.50"), (0.1, "0.1")])
+    def test_other_amounts_are_coerced(self, raw, expected):
+        amount = PriceQuote("x", "", USD, raw).amount
+        assert type(amount) is D and str(amount) == expected
+
+    @pytest.mark.parametrize("raw", [D("-0.01"), -1, "-2"])
+    def test_negative_amounts_rejected(self, raw):
+        with pytest.raises(NonPositiveInput):
+            PriceQuote("x", "", USD, raw)
 
 
 class TestParityRate:

@@ -3,7 +3,10 @@ from decimal import Decimal as D
 import pytest
 
 from monmin import (
+    Basket,
     CurrencyCode,
+    CurrencyMismatch,
+    PriceQuote,
     TimeStandard,
     load_basket,
     load_economies,
@@ -196,6 +199,25 @@ class TestLoadRates:
         path = put(tmp_path, "r.csv", "base,quote,rate,as_of\nUSD,EUR,0,\n")
         _, report = load_rates(path)
         assert report.errors[0].message.startswith("NonPositiveInput")
+
+
+class TestBasket:
+    USD = CurrencyCode("USD")
+    EUR = CurrencyCode("EUR")
+
+    def test_item_in_another_currency_rejected(self):
+        with pytest.raises(CurrencyMismatch, match="Bread is priced in EUR"):
+            Basket("X", self.USD, (PriceQuote("Milk", "1 l", self.USD, D(1)),
+                                   PriceQuote("Bread", "kg", self.EUR, D(2))))
+
+    def test_salary_in_another_currency_rejected(self):
+        with pytest.raises(CurrencyMismatch, match="Salary is priced in EUR"):
+            Basket("X", self.USD, (), PriceQuote("Salary", "month", self.EUR, D(2000)))
+
+    def test_equal_codes_from_distinct_objects_accepted(self):
+        quote = PriceQuote("Milk", "1 l", CurrencyCode("USD"), D(1))
+        basket = Basket("X", self.USD, (quote,), PriceQuote("Salary", "month", CurrencyCode("USD"), D(9)))
+        assert basket.items == (quote,)
 
 
 class TestLoadBasket:

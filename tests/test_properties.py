@@ -3,6 +3,7 @@ from decimal import Decimal as D
 from hypothesis import assume, given, settings, strategies as st
 
 from monmin import (
+    Basket,
     ColumnRule,
     CurrencyCode,
     EconomySnapshot,
@@ -12,6 +13,11 @@ from monmin import (
     TableId,
     TableSpec,
     TimeStandard,
+    build_basket_listing,
+    build_percent_listing,
+    build_table3,
+    build_table4,
+    build_table4b,
     compute_cm,
     cross_cm,
     detect_extrema,
@@ -23,7 +29,13 @@ from monmin import (
 )
 from monmin.report import format_cell
 
-from oracles import brute_force_extrema, reference_cell
+from oracles import (
+    brute_force_extrema,
+    reference_cell,
+    reference_minutes,
+    reference_percent,
+    reference_render,
+)
 
 USD = CurrencyCode("USD")
 CZK = CurrencyCode("CZK")
@@ -170,3 +182,113 @@ def test_significant_figures_formatter_matches_reference(value, figures):
     expected = reference_cell(value, sig_figures=figures)
     assert format_cell(rule, value) == expected
     assert _rendered(rule, value) == expected
+
+
+# Amounts of up to 40 significant digits: more than the 28-digit context
+# holds, so every division and product below rounds.
+def _long_decimals(min_coefficient=0):
+    exact = st.builds(
+        lambda coefficient, exponent: D(f"{coefficient}E{exponent}"),
+        st.integers(min_value=min_coefficient, max_value=10**40 - 1),
+        st.integers(min_value=-30, max_value=10),
+    )
+    if min_coefficient:
+        return exact
+    return st.one_of(exact, st.sampled_from([D("0"), D("-0"), D("0E-7"), D("-0.00")]))
+
+
+_CODES = ["USD", "EUR", "CZK", "GBP", "JPY"]
+
+
+@st.composite
+def basket_sets(draw):
+    """Aligned baskets, one per currency and country, each with a positive salary, plus their minute values."""
+    codes = draw(st.lists(st.sampled_from(_CODES), min_size=1, max_size=4, unique=True))
+    size = draw(st.integers(min_value=0, max_value=5))
+    baskets, cms = [], {}
+    for code in codes:
+        currency = CurrencyCode(code)
+        items = tuple(
+            PriceQuote(f"item {i}", "kg", currency, draw(_long_decimals())) for i in range(size)
+        )
+        salary = PriceQuote("salary", "month", currency, draw(_long_decimals(min_coefficient=1)))
+        baskets.append(Basket(f"Land {code}", currency, items, salary))
+        cms[code] = MonMinValue(currency, draw(_long_decimals(min_coefficient=1)))
+    return baskets, cms
+
+
+def _same(got, want):
+    assert got == want and str(got) == str(want)
+
+
+@given(data=basket_sets())
+@settings(deadline=None)
+def test_basket_tables_match_per_quote_minutes(data):
+    baskets, cms = data
+    _, rows3 = build_table3(baskets, cms)
+    _, rows4 = build_table4(baskets, cms)
+    for basket in baskets:
+        code, cm = basket.currency.code, cms[basket.currency.code]
+        for row, quote in zip(rows3, basket.items):
+            assert row["price_" + code] is quote.amount
+            _same(row["monmin_" + code], reference_minutes(quote, cm))
+        for row, quote in zip(rows4, basket.items + (basket.salary,)):
+            _same(row[basket.country], reference_minutes(quote, cm))
+
+
+@given(data=basket_sets())
+@settings(deadline=None)
+def test_percent_table_matches_per_quote_percents(data):
+    baskets, _ = data
+    _, rows = build_table4b(baskets)
+    for basket in baskets:
+        for row, quote in zip(rows, basket.items):
+            _same(row[basket.country], reference_percent(quote, basket.salary))
+
+
+@given(data=basket_sets())
+@settings(deadline=None)
+def test_listings_match_per_quote_references(data):
+    baskets, cms = data
+    quotes = [(b, q, role) for b in baskets
+              for q, role in [(q, "item") for q in b.items] + [(b.salary, "salary")]]
+    _, listing = build_basket_listing(baskets, cms)
+    _, percents = build_percent_listing(baskets)
+    assert len(listing) == len(percents) == len(quotes)
+    for row, (basket, quote, role) in zip(listing, quotes):
+        assert (row["country"], row["currency"], row["item"], row["role"]) == (
+            basket.country, basket.currency.code, quote.item, role)
+        assert row["amount"] == format(quote.amount, "f")
+        _same(row["monmin"], reference_minutes(quote, cms[basket.currency.code]))
+    for row, (basket, quote, _) in zip(percents, quotes):
+        assert (row["country"], row["item"], row["unit"]) == (basket.country, quote.item, quote.unit)
+        _same(row["percent"], reference_percent(quote, basket.salary))
+
+
+verbatim_values = st.one_of(
+    st.none(),
+    st.integers(min_value=-10**20, max_value=10**20),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.decimals(allow_nan=True, allow_infinity=True),
+    st.text(alphabet=st.sampled_from(list('ab ,"\n\r\'-')), max_size=8),
+)
+
+
+@given(
+    rows=st.lists(st.tuples(verbatim_values, verbatim_values, finite_decimals), max_size=6),
+    fmt=st.sampled_from(["csv", "text"]),
+)
+@settings(deadline=None)
+def test_verbatim_cells_render_like_per_cell_reference(rows, fmt):
+    spec = TableSpec(TableId.T1, (ColumnRule("a"), ColumnRule("b"), ColumnRule("x", decimals=2)))
+    dicts = [{"a": a, "b": b, "x": x} for a, b, x in rows]
+    assert render_table(spec, dicts, fmt) == reference_render(spec, dicts, fmt)
+
+
+@given(values=st.lists(verbatim_values, max_size=6), fmt=st.sampled_from(["csv", "text"]))
+@settings(deadline=None)
+def test_single_verbatim_column_renders_like_per_cell_reference(values, fmt):
+    spec = TableSpec(TableId.T1, (ColumnRule("a"),))
+    dicts = [{"a": value} for value in values]
+    assert render_table(spec, dicts, fmt) == reference_render(spec, dicts, fmt)

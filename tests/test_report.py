@@ -9,11 +9,15 @@ from monmin import (
     ColumnRule,
     CmSource,
     CurrencyCode,
+    CurrencyMismatch,
     MonMinValue,
+    NonPositiveInput,
     ShapeMismatch,
     TableId,
     TableSpec,
     TimeStandard,
+    build_basket_listing,
+    build_percent_listing,
     build_table1,
     build_table2,
     build_table3,
@@ -203,6 +207,62 @@ class TestTable4And4b:
         baskets, _ = load_basket(fixtures / "basket_commodities.csv")
         with pytest.raises(ShapeMismatch):
             build_table4b(baskets)
+
+
+class TestListings:
+    def cms(self):
+        return {code: manual(code, value) for code, value in TABLE3_CM.items()}
+
+    def test_basket_rows_are_sized_and_replayable(self, fixtures):
+        baskets, _ = load_basket(fixtures / "basket_commodities.csv")
+        spec, rows = build_basket_listing(baskets, self.cms())
+        assert not isinstance(rows, (list, tuple))
+        first, second = list(rows), list(rows)
+        assert len(rows) == len(first) == 24
+        assert first == second
+        assert [c.name for c in spec.columns] == list(first[0])
+        gold = next(r for r in first if r["currency"] == "USD" and r["item"] == "Gold")
+        assert gold["amount"] == "1447.00" and gold["role"] == "item"
+        assert gold["monmin"] == D("1447.00") / D(TABLE3_CM["USD"])
+        assert gold["cm_source"] == "manual"
+        assert render_table(spec, rows) == render_table(spec, first)
+
+    def test_percent_rows_are_sized_and_replayable(self, fixtures):
+        baskets, _ = load_basket(fixtures / "basket_food.csv")
+        spec, rows = build_percent_listing(baskets)
+        first, second = list(rows), list(rows)
+        assert len(rows) == len(first) == 6 * 28
+        assert first == second
+        salaries = [r for r in first if r["item"].startswith("Average Monthly Net Salary")]
+        assert len(salaries) == 6 and all(r["percent"] == 100 for r in salaries)
+        assert render_table(spec, rows, "text") == render_table(spec, first, "text")
+
+    def test_empty_basket_list(self):
+        spec, rows = build_percent_listing([])
+        assert len(rows) == 0 and render_table(spec, rows) == "country,currency,item,unit,percent\n"
+
+    def test_missing_cm_is_unknown_currency(self, fixtures):
+        baskets, _ = load_basket(fixtures / "basket_commodities.csv")
+        cms = self.cms()
+        del cms["EUR"]
+        with pytest.raises(UnknownCurrency, match="no minute value for currency EUR"):
+            build_basket_listing(baskets, cms)
+
+    @pytest.mark.parametrize("build", [build_table3, build_basket_listing])
+    def test_minute_value_in_another_currency(self, fixtures, build):
+        baskets, _ = load_basket(fixtures / "basket_commodities.csv")
+        cms = {**self.cms(), "EUR": manual("GBP", "0.014648")}
+        with pytest.raises(CurrencyMismatch, match="^price in EUR cannot use a GBP minute value$"):
+            build(baskets, cms)
+
+    def test_zero_salary(self, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_text("country,currency,item,unit,amount,role\n"
+                        "A,USD,Bread,kg,1,item\nA,USD,Salary,month,0.0,salary\n", encoding="utf-8")
+        baskets, _ = load_basket(path)
+        for build in (build_percent_listing, build_table4b):
+            with pytest.raises(NonPositiveInput, match="^salary must be > 0, got 0.0$"):
+                build(baskets)
 
 
 class TestTable5AndPlotData:
