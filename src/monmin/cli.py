@@ -1,15 +1,16 @@
 """Command-line front door wiring ingest -> core/series -> report.
 
-Exit codes: 0 success, 1 usage error, 2 data error.  Results go to
-stdout (or ``--out``), diagnostics to stderr.  ``MONMIN_TETCY`` overrides
-the default minutes-per-year constant; an explicit ``--tetcy`` flag wins
-over the environment, which wins over an optional JSON config file.
+Exit codes: 0 success, 1 usage error, 2 data error.  Results are
+streamed to stdout or ``--out``, the same bytes either way, diagnostics
+to stderr.  ``MONMIN_TETCY`` overrides the default minutes-per-year
+constant; an explicit ``--tetcy`` flag wins over the environment, which
+wins over an optional JSON config file.
 """
 from __future__ import annotations
 
 import json
 import sys
-from decimal import Decimal, InvalidOperation, getcontext
+from decimal import Decimal, InvalidOperation, Overflow, getcontext
 from pathlib import Path
 
 import click
@@ -58,6 +59,14 @@ def _decimal_flag(text, flag: str) -> Decimal:
     return value
 
 
+def _config_decimals(config: dict) -> int:
+    raw = config.get("decimals", 0)
+    try:
+        return int(str(raw))
+    except ValueError:
+        raise click.UsageError(f"config decimals must be a whole number, got {raw!r}")
+
+
 def _resolve_std(tetcy, config: dict) -> TimeStandard:
     raw = tetcy if tetcy is not None else config.get("tetcy")
     if raw is None:
@@ -87,11 +96,21 @@ def _run_load(loader, path, **kwargs):
     return data
 
 
-def _deliver(text: str, out) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8", newline="")
-    else:
-        click.echo(text, nl=False)
+def _open_out(path):
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+def _deliver(spec, rows, out, fmt: str = "csv") -> None:
+    """Stream a table to ``--out`` or, byte for byte the same, to stdout.
+
+    Callers build and check everything first, so a failing command leaves
+    ``--out`` untouched.
+    """
+    if not out:
+        report.write_table(spec, rows, sys.stdout, fmt)
+        return
+    with _open_out(out) as sink:
+        report.write_table(spec, rows, sink, fmt)
 
 
 def _parse_cm_options(entries) -> dict[str, MonMinValue]:
@@ -153,7 +172,7 @@ def cmd_cm(economies_path, tetcy, config_path, fmt, out):
     config = _load_config(config_path)
     snapshots = _run_load(ingest.load_economies, economies_path)
     spec, rows = report.build_table1(snapshots, _resolve_std(tetcy, config))
-    _deliver(report.render_table(spec, rows, _resolve_fmt(fmt, config)), out)
+    _deliver(spec, rows, out, _resolve_fmt(fmt, config))
 
 
 @cli.command("convert")
@@ -191,10 +210,15 @@ def cmd_convert(amount, currency, cm_value, economies_path, country, tetcy, deci
             "missing minute-value source: pass --cm or --economies with --country"
         )
     quote = PriceQuote("amount", "", cm.currency, _decimal_flag(amount, "--amount"))
-    places = decimals if decimals is not None else int(config.get("decimals", 0))
+    places = decimals if decimals is not None else _config_decimals(config)
     if places < 0:
         raise click.UsageError("--decimals must be >= 0")
-    minutes = to_monmin(quote, cm).monmin
+    try:
+        minutes = to_monmin(quote, cm).monmin
+    except Overflow:
+        raise click.UsageError(
+            f"--amount {quote.amount} at minute value {cm.value} exceeds the decimal range"
+        )
     try:
         rounded = round_half_away(minutes, places)
     except InvalidOperation:
@@ -232,7 +256,7 @@ def cmd_basket(basket_path, economies_path, cm_entries, tetcy, config_path, out)
     baskets = _run_load(ingest.load_basket, basket_path, known_currencies=cms.keys())
     spec, rows = report.build_basket_listing(baskets, cms)
     _note_cm_sources({b.currency.code: cms[b.currency.code] for b in baskets})
-    _deliver(report.render_table(spec, rows), out)
+    _deliver(spec, rows, out)
 
 
 @cli.command("percent")
@@ -242,7 +266,7 @@ def cmd_percent(basket_path, out):
     """Each basket item as a percent of that basket's salary."""
     baskets = _run_load(ingest.load_basket, basket_path)
     spec, rows = report.build_percent_listing(baskets)
-    _deliver(report.render_table(spec, rows), out)
+    _deliver(spec, rows, out)
 
 
 @cli.command("series")
@@ -263,16 +287,14 @@ def cmd_series(series_path, currency, tetcy, config_path, fmt, extrema, plot_pat
     )
     minutes = series_in_monmin(aggregate)
     spec, rows = report.build_table5(aggregate, minutes)
-    _deliver(report.render_table(spec, rows, _resolve_fmt(fmt, config)), out)
-    found = None
-    if extrema:
-        found = detect_extrema(minutes)
+    found = detect_extrema(minutes) if extrema else None
+    _deliver(spec, rows, out, _resolve_fmt(fmt, config))
+    if found is not None:
         click.echo(f"peaks: {' '.join(str(y) for y in found.peaks)}")
         click.echo(f"troughs: {' '.join(str(y) for y in found.troughs)}")
     if plot_path:
-        Path(plot_path).write_text(
-            report.emit_plot_data(aggregate, found, minutes), encoding="utf-8", newline=""
-        )
+        with _open_out(plot_path) as sink:
+            report.write_plot_data(aggregate, sink, found, minutes)
 
 
 @cli.command("report")
@@ -334,7 +356,7 @@ def cmd_report(
         )
         spec, rows = report.build_table5(aggregate)
 
-    _deliver(report.render_table(spec, rows, _resolve_fmt(fmt, config)), out)
+    _deliver(spec, rows, out, _resolve_fmt(fmt, config))
 
 
 def main(argv=None) -> int:

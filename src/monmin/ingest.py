@@ -13,9 +13,10 @@ monetary columns (gdp; m1 and gdp for series) into absolute units, so
 "billions" tables can be transcribed verbatim.  Other ``#`` lines are
 ignored.  A leading byte-order mark is skipped.  A quoted cell may span
 lines, but a blank or ``#`` line is never part of a cell.  Numbers must
-be finite.  Loading is all-or-nothing: any error row means the returned
-dataset is empty and the report lists every problem with its 1-based
-physical line number (a row's first line when it spans several).
+be finite, and a line that is not valid UTF-8 is an error on that line.
+Loading is all-or-nothing: any error row means the returned dataset is
+empty and the report lists every problem with its 1-based physical line
+number (a row's first line when it spans several).
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from .errors import CurrencyMismatch, NonPositiveInput
 from .series import AggregateSeries, AggregateYear
 
 _DIRECTIVE_RE = re.compile(r"^#\s*([a-z_]+)\s*=\s*(\S+)\s*$")
+_ESCAPED_RE = re.compile("[\udc80-\udcff]")  # bytes that ``surrogateescape`` could not decode
 
 _ECONOMIES_HEADER = ["country", "currency", "gdp", "population", "as_of"]
 _RATES_HEADER = ["base", "quote", "rate", "as_of"]
@@ -100,47 +102,67 @@ def _finite(text: str) -> Decimal:
 def _records(reader, numbers: list[int], errors: list[Issue]):
     """Rows of one csv reader, each with the physical line it starts on.
 
-    ``numbers[i]`` is the physical line of the i-th line fed to the
-    reader, and ``reader.line_num`` counts the lines consumed so far, so
-    the count before a row is read indexes that row's first line.
+    ``numbers`` receives the physical line of each line fed to the reader.
+    The reader never reads past the end of a row, so after each row (or
+    ``csv.Error``) it holds exactly that row's lines and is emptied again.
     """
-    first = reader.line_num
     while True:
         try:
             for cells in reader:
-                yield numbers[first], cells
-                first = reader.line_num
+                yield numbers[0], cells
+                numbers.clear()
             return
         except csv.Error as exc:
-            errors.append(Issue(numbers[first], f"MalformedRow: {exc}"))
-            first = reader.line_num
+            errors.append(Issue(numbers[0], f"MalformedRow: {exc}"))
+            numbers.clear()
 
 
-def _read_table(path, expected: list[str], optional: tuple[str, ...] = ()) -> _Scan:
-    """Scan a file: directives, then one csv reader over the remaining lines.
+def _table_lines(fh, directives, numbers: list[int], errors: list[Issue]):
+    """The file's lines for the csv reader, read one at a time.
 
-    Blank and ``#`` lines are dropped before the reader sees them, so they
-    never form part of a quoted cell.
+    Blank and ``#`` lines are dropped, so they never form part of a quoted
+    cell; ``#`` directives count only before the first line passed on.
+    Each line's number goes into ``numbers`` as it is passed on, and a
+    line that is not valid UTF-8 is an issue on that line.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"file not found: {path}")
-    directives: dict[str, tuple[int, str]] = {}
-    lines: list[str] = []
-    numbers: list[int] = []
-    with open(path, encoding="utf-8-sig", newline="") as fh:
+    with fh:
+        started = False
         for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                bad = _ESCAPED_RE.search(raw)
+                if bad:
+                    byte, column = ord(bad.group()) - 0xDC00, bad.start() + 1
+                    errors.append(Issue(
+                        lineno, f"MalformedRow: not valid UTF-8: byte 0x{byte:02X} at column {column}"
+                    ))
             text = raw.lstrip()
             if not text:
                 continue
             if text[0] == "#":
                 match = _DIRECTIVE_RE.match(text.rstrip())
-                if match and not lines:
+                if match and not started:
                     directives[match.group(1)] = (lineno, match.group(2))
                 continue
-            lines.append(raw)
+            started = True
             numbers.append(lineno)
+            yield raw
+
+
+def _read_table(path, expected: list[str], optional: tuple[str, ...] = ()) -> _Scan:
+    """Scan a file up to its header: directives, then one csv reader over the rest.
+
+    The file is read as ``rows`` is consumed, so no more than one row's
+    lines are held at a time.  Undecodable bytes are kept as lone
+    surrogates (``surrogateescape``) and reported per physical line.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"file not found: {path}")
+    directives: dict[str, tuple[int, str]] = {}
+    numbers: list[int] = []
     errors: list[Issue] = []
+    fh = open(path, encoding="utf-8-sig", errors="surrogateescape", newline="")
+    lines = _table_lines(fh, directives, numbers, errors)
     rows = _records(csv.reader(lines), numbers, errors)
     first = next(rows, None)
     if first is None:

@@ -16,10 +16,10 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation, localcontext
 from enum import Enum
 from operator import itemgetter
-from typing import Callable, Collection, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterator, Mapping, Sequence, TextIO
 
 from .core import (
     MonMinValue,
@@ -30,7 +30,7 @@ from .core import (
     cross_cm,
     invert_cm,
 )
-from .errors import CurrencyMismatch, EmptySeries, NonPositiveInput, ShapeMismatch, UnknownCurrency
+from .errors import CurrencyMismatch, NonPositiveInput, ShapeMismatch, UnknownCurrency
 from .ingest import Basket, _plain
 from .series import AggregateSeries, ExtremaReport, series_in_monmin
 
@@ -109,12 +109,21 @@ def _verbatim(value) -> str:
 def _formatter(rule: ColumnRule) -> Callable[[object], str]:
     """Compile one column's rule into a cell formatter, the quantum worked out once."""
     if rule.decimals is not None:
-        quantum = Decimal(1).scaleb(-rule.decimals)
+        decimals = rule.decimals
+        quantum = Decimal(1).scaleb(-decimals)
 
         def fixed(value) -> str:
             if type(value) is not Decimal:
                 value = as_decimal(value)
-            return str(_half_away(value, quantum))
+            try:
+                return str(_half_away(value, quantum))
+            except InvalidOperation:
+                if not value.is_finite():
+                    raise
+            # more digits than the context holds: a table cell prints them all
+            with localcontext() as ctx:
+                ctx.prec = value.adjusted() + decimals + 2
+                return str(_half_away(value, quantum))
 
         return fixed
     if rule.sig_figures is not None:
@@ -155,42 +164,50 @@ def _formatted_rows(spec: TableSpec, rows: Collection[Mapping[str, object]], tex
         yield cells
 
 
-def render_table(spec: TableSpec, rows: Collection[Mapping[str, object]], fmt: str = "csv") -> str:
-    """Render rows under a spec as CSV or aligned text.
+def write_table(
+    spec: TableSpec, rows: Collection[Mapping[str, object]], sink: TextIO, fmt: str = "csv"
+) -> None:
+    """Write rows under a spec to a text sink as CSV or aligned text.
 
-    Every row must supply exactly the spec's columns.
+    Every row must supply exactly the spec's columns.  CSV rows go out one
+    at a time as they are formatted; text output needs every cell first to
+    size its columns.
     """
     if fmt not in ("csv", "text"):
         raise ValueError(f"unknown format {fmt!r}")
     names = [c.name for c in spec.columns]
 
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+        writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(names)
         writer.writerows(_formatted_rows(spec, rows, text=False))
-        return buffer.getvalue()
+        return
 
     cells = list(_formatted_rows(spec, rows, text=True))
     widths = [
         max(len(name), *(len(row[i]) for row in cells)) if cells else len(name)
         for i, name in enumerate(names)
     ]
-    lines = []
     for row in [names] + cells:
         padded = [
             cell.rjust(widths[i]) if spec.columns[i].numeric else cell.ljust(widths[i])
             for i, cell in enumerate(row)
         ]
-        lines.append("  ".join(padded).rstrip())
-    return "\n".join(lines) + "\n"
+        sink.write("  ".join(padded).rstrip() + "\n")
+
+
+def render_table(spec: TableSpec, rows: Collection[Mapping[str, object]], fmt: str = "csv") -> str:
+    """:func:`write_table` into a string."""
+    buffer = io.StringIO()
+    write_table(spec, rows, buffer, fmt)
+    return buffer.getvalue()
 
 
 class RowView:
     """Rows made one at a time on each iteration, with their count known up front.
 
-    A listing of every quote would otherwise sit in memory as dicts while it
-    is rendered.
+    Table 1 of every country, or a listing of every quote, would otherwise
+    sit in memory as dicts while it is rendered.
     """
 
     __slots__ = ("_make", "_count")
@@ -211,7 +228,10 @@ class RowView:
 
 
 def build_table1(snapshots, std: TimeStandard = TimeStandard()):
-    """Per-country minute values from GDP and population."""
+    """Per-country minute values from GDP and population.
+
+    The rows are made while they are rendered.
+    """
     spec = TableSpec(
         TableId.T1,
         (
@@ -224,11 +244,12 @@ def build_table1(snapshots, std: TimeStandard = TimeStandard()):
             ColumnRule("source"),
         ),
     )
-    rows = []
-    for snapshot in snapshots:
-        cm = compute_cm(snapshot, std)
-        rows.append(
-            {
+    snapshots = tuple(snapshots)
+
+    def rows():
+        for snapshot in snapshots:
+            cm = compute_cm(snapshot, std)
+            yield {
                 "country": snapshot.country,
                 "currency": snapshot.currency.code,
                 "gdp": snapshot.gdp,
@@ -237,8 +258,8 @@ def build_table1(snapshots, std: TimeStandard = TimeStandard()):
                 "cm": cm.value,
                 "source": cm.source.value,
             }
-        )
-    return spec, rows
+
+    return spec, RowView(rows, len(snapshots))
 
 
 def build_table2(
@@ -541,27 +562,25 @@ def build_table5(series: AggregateSeries, minutes: Sequence[tuple[int, Decimal]]
     return spec, rows
 
 
-def emit_plot_data(
+def write_plot_data(
     series: AggregateSeries,
+    sink: TextIO,
     extrema: ExtremaReport | None = None,
     minutes: Sequence[tuple[int, Decimal]] | None = None,
-) -> str:
-    """Plot-data CSV: year, raw M1, M1 in minutes, raw GDP, full precision.
+) -> None:
+    """Write plot-data CSV to a text sink: year, raw M1, M1 in minutes, raw GDP, full precision.
 
     With an extrema report, a marker column labels peak/trough years.
     ``minutes`` may pass in :func:`series_in_monmin` of the series when the
     caller already has it.
     """
-    if not series.years:
-        raise EmptySeries("cannot emit plot data for an empty series")
     if minutes is None:
         minutes = series_in_monmin(series)
     markers: dict[int, str] = {}
     if extrema is not None:
         markers = dict.fromkeys(extrema.troughs, "trough")
         markers.update(dict.fromkeys(extrema.peaks, "peak"))
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    writer = csv.writer(sink, lineterminator="\n")
     header = ["year", "m1_currency", "m1_monmin", "gdp_currency"]
     if extrema is not None:
         header.append("extremum")
@@ -571,4 +590,14 @@ def emit_plot_data(
         if extrema is not None:
             row.append(markers.get(year, ""))
         writer.writerow(row)
+
+
+def emit_plot_data(
+    series: AggregateSeries,
+    extrema: ExtremaReport | None = None,
+    minutes: Sequence[tuple[int, Decimal]] | None = None,
+) -> str:
+    """:func:`write_plot_data` into a string."""
+    buffer = io.StringIO()
+    write_plot_data(series, buffer, extrema, minutes)
     return buffer.getvalue()

@@ -82,8 +82,6 @@ def m1_in_monmin(y: AggregateYear, std: TimeStandard = TimeStandard()) -> Decima
 
 def series_in_monmin(s: AggregateSeries) -> list[tuple[int, Decimal]]:
     """Element-wise :func:`m1_in_monmin` over a series, order preserved."""
-    if not s.years:
-        raise EmptySeries("cannot convert an empty series")
     out = []
     for y in s.years:
         try:

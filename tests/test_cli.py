@@ -3,7 +3,8 @@ from decimal import Decimal as D
 
 import pytest
 
-from conftest import FIXTURES, GOLDEN
+from conftest import FIXTURES, GOLDEN, golden_runs
+from monmin import detect_extrema, load_series, report, series_in_monmin
 from monmin.cli import main
 
 
@@ -82,6 +83,16 @@ class TestCm:
         assert code == 0
         assert out.splitlines()[0].startswith("country")
         assert "," not in out.splitlines()[1]
+
+    def test_gdp_wider_than_28_digits_prints_in_full(self, capsys, tmp_path):
+        big = tmp_path / "e.csv"
+        big.write_text("country,currency,gdp,population,as_of\nX,USD,1E+40,10,2019-01-01\n")
+        code, out, err = run(capsys, "cm", "--economies", str(big))
+        assert code == 0, err
+        assert out.splitlines()[1] == (
+            "X,USD,1" + "0" * 40 + ",10,1" + "0" * 39
+            + ",1902587519025875190258751903000000.0000000,computed_from_gdp"
+        )
 
 
 class TestConvert:
@@ -405,3 +416,144 @@ class TestNumericFlags:
         code, _, err = run(capsys, "convert", "--amount", "10", "--cm", "0.1", "--decimals", "26")
         assert code == 1
         assert err.splitlines()[-1] == "usage error: --decimals 26 needs more than 28 digits for 100"
+
+
+class TestConvertErrors:
+    def test_quotient_past_the_exponent_limit_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "convert", "--amount", "1E+999999", "--cm", "1E-999999")
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == (
+            "usage error: --amount 1E+999999 at minute value 1E-999999 exceeds the decimal range"
+        )
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["two", 2.5, True, None])
+    def test_config_decimals_not_a_whole_number_is_usage_error(self, capsys, tmp_path, value):
+        config = tmp_path / "monmin.json"
+        config.write_text(json.dumps({"decimals": value}))
+        code, out, err = run(capsys, "convert", "--amount", "1", "--cm", "1", "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == (
+            f"usage error: config decimals must be a whole number, got {value!r}"
+        )
+
+    def test_config_decimals_as_number_or_text(self, capsys, tmp_path):
+        config = tmp_path / "monmin.json"
+        for value in (2, "2"):
+            config.write_text(json.dumps({"decimals": value}))
+            code, out, _ = run(capsys, "convert", "--amount", "1", "--cm", "3", "--config", str(config))
+            assert (code, out) == (0, "0.33\n")
+
+
+def run_bytes(capsysbinary, *argv):
+    code = main(list(argv))
+    captured = capsysbinary.readouterr()
+    return code, captured.out, captured.err
+
+
+ANSI_ECONOMIES = (
+    "country,currency,gdp,population,as_of\n"
+    "A\x1b[31mland,USD,100,10,2019-01-01\n"
+    "Česko,CZK,100,10,2019-01-01\n"
+)
+
+
+class TestStreamedOutput:
+    """Tables are written straight to stdout or ``--out``: the same bytes either way."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cm", "--economies", "ANSI"],
+            ["cm", "--economies", "ANSI", "--format", "text"],
+            ["report", "--table", "1", "--economies", "ANSI"],
+            ["series", "--series", str(FIXTURES / "series_us.csv")],
+            ["percent", "--basket", str(FIXTURES / "basket_food.csv")],
+            LISTING_GOLDENS[0][2],
+        ],
+        ids=["cm", "cm-text", "report-1", "series", "percent", "basket"],
+    )
+    def test_stdout_and_out_carry_identical_bytes(self, capsysbinary, tmp_path, argv):
+        economies = tmp_path / "e.csv"
+        economies.write_text(ANSI_ECONOMIES, encoding="utf-8")
+        argv = [str(economies) if arg == "ANSI" else arg for arg in argv]
+        target = tmp_path / "out.csv"
+        code, out, _ = run_bytes(capsysbinary, *argv)
+        code2, out2, _ = run_bytes(capsysbinary, *argv, "--out", str(target))
+        assert code == code2 == 0 and out2 == b""
+        assert out == target.read_bytes()
+        if str(economies) in argv:
+            assert "A\x1b[31mland".encode() in out and "Česko".encode() in out
+
+    def test_non_utf8_input_exits_2_with_its_line(self, capsys, tmp_path):
+        bad = tmp_path / "e.csv"
+        bad.write_bytes(b"country,currency,gdp,population,as_of\n"
+                        b"A,USD,100,10,2019-01-01\nCaf\xe9,USD,100,10,2019-01-01\n")
+        code, out, err = run(capsys, "cm", "--economies", str(bad))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"{bad}:3: error: MalformedRow: not valid UTF-8: byte 0xE9 at column 4",
+            f"error: {bad}: 1 error(s)",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv,want_code",
+        [
+            (["cm", "--economies", "DIRTY"], 2),
+            (["report", "--table", "4", "--basket", str(FIXTURES / "basket_food.csv"),
+              "--cm", "USD=0.12101"], 2),
+            (["report", "--table", "4", "--basket", str(FIXTURES / "basket_food.csv")], 1),
+            (["series", "--series", "SHORT", "--extrema"], 2),
+        ],
+        ids=["cm-dirty", "report-4-unknown-currency", "report-4-no-minute-value", "series-too-short"],
+    )
+    def test_failing_command_leaves_out_untouched(self, capsys, tmp_path, argv, want_code):
+        dirty = tmp_path / "dirty.csv"
+        dirty.write_text("country,currency,gdp,population,as_of\nX,USD,100,0,2019-01-01\n")
+        short = tmp_path / "short.csv"
+        short.write_text("year,m1,gdp,population,events\n1960,1,2,3,\n1961,1,2,3,\n")
+        argv = [{"DIRTY": str(dirty), "SHORT": str(short)}.get(arg, arg) for arg in argv]
+        existing = tmp_path / "existing.csv"
+        existing.write_bytes(b"keep,me\n1,2\n")
+        absent = tmp_path / "absent.csv"
+        for target in (existing, absent):
+            code, out, _ = run(capsys, *argv, "--out", str(target))
+            assert (code, out) == (want_code, "")
+        assert existing.read_bytes() == b"keep,me\n1,2\n"
+        assert not absent.exists()
+
+
+STREAMED_GOLDENS = golden_runs() + [(name, argv) for name, _, argv in LISTING_GOLDENS]
+
+
+@pytest.mark.parametrize("name,argv", STREAMED_GOLDENS, ids=[name for name, _ in STREAMED_GOLDENS])
+def test_render_table_equals_the_bytes_write_table_writes(capsys, monkeypatch, tmp_path, name, argv):
+    """Every golden table, as the command builds it: rendered to a string or written to a file."""
+    write = report.write_table
+    calls = []
+
+    def recording(spec, rows, sink, fmt="csv"):
+        rows = list(rows)
+        calls.append((spec, rows, fmt))
+        write(spec, rows, sink, fmt)
+
+    monkeypatch.setattr(report, "write_table", recording)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    [(spec, rows, fmt)] = calls
+    target = tmp_path / "table"
+    with open(target, "w", encoding="utf-8", newline="") as sink:
+        write(spec, rows, sink, fmt)
+    assert target.read_bytes() == report.render_table(spec, rows, fmt).encode("utf-8")
+    assert target.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_emit_plot_data_equals_the_bytes_write_plot_data_writes(tmp_path):
+    series, _ = load_series(FIXTURES / "series_us.csv")
+    minutes = series_in_monmin(series)
+    extrema = detect_extrema(minutes)
+    target = tmp_path / "plot.csv"
+    with open(target, "w", encoding="utf-8", newline="") as sink:
+        report.write_plot_data(series, sink, extrema, minutes)
+    assert target.read_bytes() == report.emit_plot_data(series, extrema).encode("utf-8")
+    assert target.read_bytes() == (GOLDEN / "plot_series_us.csv").read_bytes()

@@ -166,6 +166,46 @@ class TestPhysicalLayout:
             ], loader.__name__
 
 
+class TestInvalidUtf8:
+    """A byte that is not UTF-8 is an issue on its physical line, never a traceback."""
+
+    E9 = "MalformedRow: not valid UTF-8: byte 0xE9 at column {}"
+
+    @pytest.mark.parametrize(
+        "loader,body,column",
+        [
+            (load_economies,
+             b"country,currency,gdp,population,as_of\nA,USD,100,10,2019-01-01\nCaf\xe9,USD,100,10,2019-01-01\n", 4),
+            (load_rates, b"base,quote,rate,as_of\nUSD,EUR,2,\n# f\xe9e\nEUR,USD,0.5,\n", 4),
+            (load_basket,
+             b"country,currency,item,unit,amount,role\nA,USD,Bread,kg,1,item\nA,USD,Caf\xe9,cup,2,item\n", 10),
+            (load_series, b"year,m1,gdp,population,events\n1980,1,2,3,\n1981,1,2,3,Caf\xe9\n", 15),
+        ],
+        ids=["economies", "rates", "basket", "series"],
+    )
+    def test_each_loader(self, tmp_path, loader, body, column):
+        path = tmp_path / "f.csv"
+        path.write_bytes(body)
+        data, report = loader(path)
+        assert not data
+        assert [(e.line, e.message) for e in report.errors] == [(3, self.E9.format(column))]
+
+    def test_after_a_bom_and_inside_a_multi_line_cell(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_bytes(b"\xef\xbb\xbfcountry,currency,gdp,population,as_of\n"
+                         b'"North\nCaf\xe9",USD,100,10,2019-01-01\nB,USD,abc,10,2019-01-01\n')
+        _, report = load_economies(path)
+        assert [(e.line, e.message) for e in report.errors] == [
+            (3, self.E9.format(4)), (4, "MalformedRow: [<class 'decimal.ConversionSyntax'>]"),
+        ]
+
+    def test_valid_non_ascii_text_loads(self, tmp_path):
+        path = put(tmp_path, "e.csv",
+                   "country,currency,gdp,population,as_of\nČesko,CZK,100,10,2019-01-01\n")
+        snapshots, report = load_economies(path)
+        assert report.ok and snapshots[0].country == "Česko"
+
+
 class TestLoadRates:
     def test_table2_fixture(self, fixtures):
         table, report = load_rates(fixtures / "rates_table2.csv")

@@ -1,3 +1,4 @@
+import io
 from decimal import Decimal as D
 
 from hypothesis import assume, given, settings, strategies as st
@@ -26,6 +27,7 @@ from monmin import (
     render_table,
     round_half_away,
     to_monmin,
+    write_table,
 )
 from monmin.report import format_cell
 
@@ -292,3 +294,19 @@ def test_single_verbatim_column_renders_like_per_cell_reference(values, fmt):
     spec = TableSpec(TableId.T1, (ColumnRule("a"),))
     dicts = [{"a": value} for value in values]
     assert render_table(spec, dicts, fmt) == reference_render(spec, dicts, fmt)
+
+
+@given(
+    rows=st.lists(st.tuples(verbatim_values, verbatim_values, cell_values), max_size=6),
+    decimals=st.integers(min_value=0, max_value=8),
+    fmt=st.sampled_from(["csv", "text"]),
+)
+@settings(deadline=None)
+def test_render_table_equals_the_bytes_write_table_writes(rows, decimals, fmt):
+    spec = TableSpec(TableId.T1, (ColumnRule("a"), ColumnRule("b"), ColumnRule("x", decimals=decimals)))
+    dicts = [{"a": a, "b": b, "x": x} for a, b, x in rows]
+    raw = io.BytesIO()
+    sink = io.TextIOWrapper(raw, encoding="utf-8", newline="")  # what open(path, "w", ...) gives
+    write_table(spec, dicts, sink, fmt)
+    sink.flush()
+    assert raw.getvalue() == render_table(spec, dicts, fmt).encode("utf-8")

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from datetime import date
 from decimal import Decimal as D
 
 import pytest
@@ -10,6 +12,7 @@ from monmin import (
     CmSource,
     CurrencyCode,
     CurrencyMismatch,
+    EconomySnapshot,
     MonMinValue,
     NonPositiveInput,
     ShapeMismatch,
@@ -34,6 +37,7 @@ from monmin import (
     round_half_away,
     round_significant,
     series_in_monmin,
+    write_table,
 )
 from monmin.errors import UnknownCurrency
 
@@ -86,6 +90,12 @@ class TestRenderTable:
         text = render_table(self.SPEC, [{"name": "a,b", "value": D("1.005"), "count": 7}])
         assert text == 'name,value,count\n"a,b",1.01,7\n'
 
+    def test_cells_wider_than_28_digits_print_every_digit(self):
+        for fmt in ("csv", "text"):
+            text = render_table(self.SPEC, [{"name": "x", "value": D("-1.25E+27"), "count": D("1E+40")}], fmt)
+            cells = text.splitlines()[1].replace(",", " ").split()
+            assert cells == ["x", "-125" + "0" * 25 + ".00", "1" + "0" * 40]
+
     def test_text_alignment(self):
         text = render_table(
             self.SPEC,
@@ -131,6 +141,37 @@ class TestTable1:
         assert "0.1210095" in text
         row = next(r for r in rows if r["country"] == "Czech Republic")
         assert row["source"] == "computed_from_gdp"
+
+
+    def test_rows_are_made_while_they_are_written(self, tmp_path):
+        """20k rows written to a file add no more than a row or two to the traced peak.
+
+        Held as dicts and rendered to one string first, they would add about 13 MB.
+        """
+        usd = CurrencyCode("USD")
+        as_of = date(2019, 1, 1)
+        snapshots = [
+            EconomySnapshot(f"Country {i}", usd, D(10**12 + i), 1000 + i, as_of) for i in range(20_000)
+        ]
+        target = tmp_path / "table1.csv"
+        tracemalloc.start()
+        try:
+            spec, rows = build_table1(snapshots)
+            with open(target, "w", encoding="utf-8", newline="") as sink:
+                write_table(spec, rows, sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 20_000
+        assert target.read_text(encoding="utf-8").count("\n") == 20_001
+        assert peak < 2 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+    def test_rows_replay_and_snapshots_are_taken_once(self, fixtures):
+        snapshots, _ = load_economies(fixtures / "economies_table1.csv")
+        spec, rows = build_table1(snapshots, TimeStandard())
+        first = list(rows)
+        snapshots.clear()
+        assert list(rows) == first and len(rows) == 6
 
 
 class TestTable2:
