@@ -8,6 +8,7 @@ wins over an optional JSON config file.
 """
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from decimal import Decimal, InvalidOperation, Overflow, getcontext
@@ -225,7 +226,7 @@ def cmd_convert(amount, currency, cm_value, economies_path, country, tetcy, deci
         raise click.UsageError(
             f"--decimals {places} needs more than {getcontext().prec} digits for {minutes:f}"
         )
-    click.echo(str(rounded))
+    click.echo(ingest._plain(rounded))
 
 
 @cli.command("parity")
@@ -360,7 +361,24 @@ def cmd_report(
 
 
 def main(argv=None) -> int:
-    """Run the CLI and map outcomes to exit codes (0 ok, 1 usage, 2 data)."""
+    """Run the CLI and map outcomes to exit codes (0 ok, 1 usage, 2 data).
+
+    The cyclic garbage collector is off while the command runs: the rows,
+    snapshots and quotes it builds form no reference cycles, so reference
+    counting frees them, and the collector would only rescan every live
+    object again and again as they are made.  Its previous state is restored
+    on the way out.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
@@ -376,6 +394,13 @@ def main(argv=None) -> int:
         return 1
     except (MonMinError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
+        return 2
+    except Overflow:
+        click.echo(
+            f"error: Overflow: a result exceeds the decimal range "
+            f"(largest exponent {getcontext().Emax})",
+            err=True,
+        )
         return 2
     return 0
 

@@ -37,6 +37,12 @@ MINUTES_PER_YEAR_ASTRONOMICAL = Decimal("525948.766")
 
 _CODE_RE = re.compile(r"^[A-Z0-9]{3,4}$")
 
+# The types built once per row check their input in a hand-written
+# ``__init__`` and set each slot once through this.  ``dataclass`` keeps a
+# class-defined ``__init__``, so fields, ``replace``, eq/hash/repr, pickling
+# and frozenness are still the generated ones.
+_set = object.__setattr__
+
 
 def as_decimal(value) -> Decimal:
     """Coerce int/str/float/Decimal to Decimal.
@@ -102,17 +108,24 @@ class EconomySnapshot:
     population: int
     as_of: date
 
-    def __post_init__(self):
-        object.__setattr__(self, "gdp", as_decimal(self.gdp))
-        if isinstance(self.as_of, str):
-            object.__setattr__(self, "as_of", date.fromisoformat(self.as_of))
-        if self.gdp <= 0:
-            raise NonPositiveInput(f"{self.country}: gdp must be > 0, got {self.gdp}")
-        if not isinstance(self.population, int) or self.population <= 0:
+    def __init__(
+        self, country: str, currency: CurrencyCode, gdp: Decimal, population: int, as_of: date
+    ) -> None:
+        if type(gdp) is not Decimal:
+            gdp = as_decimal(gdp)
+        if isinstance(as_of, str):
+            as_of = date.fromisoformat(as_of)
+        if gdp <= 0:
+            raise NonPositiveInput(f"{country}: gdp must be > 0, got {gdp}")
+        if not isinstance(population, int) or population <= 0:
             raise NonPositiveInput(
-                f"{self.country}: population must be a positive integer, "
-                f"got {self.population!r}"
+                f"{country}: population must be a positive integer, got {population!r}"
             )
+        _set(self, "country", country)
+        _set(self, "currency", currency)
+        _set(self, "gdp", gdp)
+        _set(self, "population", population)
+        _set(self, "as_of", as_of)
 
     def gdp_per_capita(self) -> Decimal:
         return self.gdp / self.population
@@ -134,12 +147,16 @@ class MonMinValue:
     value: Decimal
     source: CmSource = CmSource.MANUAL
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", as_decimal(self.value))
-        if self.value <= 0:
-            raise NonPositiveInput(
-                f"minute value must be > 0, got {self.value} {self.currency}"
-            )
+    def __init__(
+        self, currency: CurrencyCode, value: Decimal, source: CmSource = CmSource.MANUAL
+    ) -> None:
+        if type(value) is not Decimal:
+            value = as_decimal(value)
+        if value <= 0:
+            raise NonPositiveInput(f"minute value must be > 0, got {value} {currency}")
+        _set(self, "currency", currency)
+        _set(self, "value", value)
+        _set(self, "source", source)
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,13 +240,15 @@ class PriceQuote:
     currency: CurrencyCode
     amount: Decimal
 
-    def __post_init__(self):
-        if not isinstance(self.amount, Decimal):
-            object.__setattr__(self, "amount", as_decimal(self.amount))
-        if self.amount < 0:
-            raise NonPositiveInput(
-                f"{self.item}: amount must be >= 0, got {self.amount}"
-            )
+    def __init__(self, item: str, unit: str, currency: CurrencyCode, amount: Decimal) -> None:
+        if type(amount) is not Decimal:
+            amount = as_decimal(amount)
+        if amount < 0:
+            raise NonPositiveInput(f"{item}: amount must be >= 0, got {amount}")
+        _set(self, "item", item)
+        _set(self, "unit", unit)
+        _set(self, "currency", currency)
+        _set(self, "amount", amount)
 
 
 @dataclass(frozen=True, slots=True)
@@ -254,7 +273,7 @@ def compute_cm(econ: EconomySnapshot, std: TimeStandard = TimeStandard()) -> Mon
     Full 28-digit precision is kept; callers round only when reporting.
     """
     value = econ.gdp / econ.population / std.minutes_per_year
-    return MonMinValue(currency=econ.currency, value=value, source=CmSource.COMPUTED_FROM_GDP)
+    return MonMinValue(econ.currency, value, CmSource.COMPUTED_FROM_GDP)
 
 
 def cross_cm(ref: MonMinValue, rate: ExchangeRate) -> MonMinValue:

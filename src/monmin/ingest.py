@@ -207,11 +207,7 @@ def load_economies(path) -> tuple[list[EconomySnapshot], IngestReport]:
         country, code, gdp_text, pop_text, as_of = map(str.strip, cells)
         try:
             snapshot = EconomySnapshot(
-                country=country,
-                currency=codes[code],
-                gdp=_finite(gdp_text) * scale,
-                population=int(pop_text),
-                as_of=as_of,
+                country, codes[code], _finite(gdp_text) * scale, int(pop_text), as_of
             )
         except NonPositiveInput as exc:
             errors.append(Issue(lineno, f"NonPositiveInput: {exc}"))
@@ -305,9 +301,7 @@ def load_basket(path, known_currencies=None) -> tuple[list[Basket], IngestReport
             errors.append(Issue(lineno, f"UnknownCurrency: {code} is not in the known set"))
             continue
         try:
-            quote = PriceQuote(
-                item=item, unit=unit, currency=codes[code], amount=_finite(amount_text)
-            )
+            quote = PriceQuote(item, unit, codes[code], _finite(amount_text))
         except NonPositiveInput as exc:
             errors.append(Issue(lineno, f"NonPositiveInput: {exc}"))
             continue
@@ -356,11 +350,8 @@ def load_series(
         events = cells[4].strip() if len(cells) == 5 else ""
         try:
             year = AggregateYear(
-                year=int(year_text),
-                m1=_finite(m1_text) * scale,
-                gdp=_finite(gdp_text) * scale,
-                population=int(pop_text),
-                events=events,
+                int(year_text), _finite(m1_text) * scale, _finite(gdp_text) * scale,
+                int(pop_text), events,
             )
         except NonPositiveInput as exc:
             errors.append(Issue(lineno, f"NonPositiveInput: {exc}"))
@@ -383,7 +374,13 @@ def load_series(
 
 
 def _plain(value: Decimal) -> str:
-    return format(value, "f")
+    """Fixed-point text of a decimal, never scientific notation.
+
+    ``str`` is several times cheaper than ``format(value, "f")`` and gives
+    the same text unless it switches to an exponent.
+    """
+    text = str(value)
+    return text if "E" not in text else format(value, "f")
 
 
 def write_economies(path, snapshots) -> None:

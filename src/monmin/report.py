@@ -113,17 +113,23 @@ def _formatter(rule: ColumnRule) -> Callable[[object], str]:
         quantum = Decimal(1).scaleb(-decimals)
 
         def fixed(value) -> str:
-            if type(value) is not Decimal:
+            kind = type(value)
+            if kind is not Decimal:
+                if kind is int and not decimals:
+                    try:
+                        return str(value)  # a whole number is its own rounding
+                    except ValueError:  # more digits than int-to-text allows
+                        pass
                 value = as_decimal(value)
             try:
-                return str(_half_away(value, quantum))
+                return _plain(_half_away(value, quantum))
             except InvalidOperation:
                 if not value.is_finite():
                     raise
             # more digits than the context holds: a table cell prints them all
             with localcontext() as ctx:
                 ctx.prec = value.adjusted() + decimals + 2
-                return str(_half_away(value, quantum))
+                return _plain(_half_away(value, quantum))
 
         return fixed
     if rule.sig_figures is not None:
@@ -141,6 +147,13 @@ def format_cell(rule: ColumnRule, value) -> str:
     return _formatter(rule)(value)
 
 
+def _shape_mismatch(spec: TableSpec, names: list[str], index: int, row) -> ShapeMismatch:
+    return ShapeMismatch(
+        f"table {spec.table_id.value} row {index}: expected columns {names}, "
+        f"got {sorted(row.keys())}"
+    )
+
+
 def _formatted_rows(spec: TableSpec, rows: Collection[Mapping[str, object]], text: bool):
     """Each row's cells in column order; a row is shape-checked before it is formatted.
 
@@ -149,16 +162,18 @@ def _formatted_rows(spec: TableSpec, rows: Collection[Mapping[str, object]], tex
     as an empty cell and anything else through ``str()``.
     """
     names = [c.name for c in spec.columns]
-    name_set = set(names)
-    values = itemgetter(*names) if len(names) > 1 else lambda row: [row[n] for n in names]
+    width = len(names)
+    values = itemgetter(*names) if width > 1 else lambda row: [row[n] for n in names]
     formatters = [(i, _formatter(c)) for i, c in enumerate(spec.columns) if text or c.numeric]
     for index, row in enumerate(rows):
-        if row.keys() != name_set:
-            raise ShapeMismatch(
-                f"table {spec.table_id.value} row {index}: expected columns {names}, "
-                f"got {sorted(row.keys())}"
-            )
-        cells = list(values(row))
+        # the spec's names are distinct: the right number of keys, all found,
+        # are exactly the spec's columns
+        if len(row) != width:
+            raise _shape_mismatch(spec, names, index, row)
+        try:
+            cells = list(values(row))
+        except KeyError:
+            raise _shape_mismatch(spec, names, index, row) from None
         for i, fmt in formatters:
             cells[i] = fmt(cells[i])
         yield cells

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .core import CurrencyCode, TimeStandard, as_decimal
+from .core import CurrencyCode, TimeStandard, _set, as_decimal
 from .errors import EmptySeries, NonMonotoneYears, NonPositiveInput, TooShort
 
 
@@ -25,17 +25,24 @@ class AggregateYear:
     population: int
     events: str = ""  # pass-through annotation, never interpreted
 
-    def __post_init__(self):
-        object.__setattr__(self, "m1", as_decimal(self.m1))
-        object.__setattr__(self, "gdp", as_decimal(self.gdp))
-        if self.m1 < 0:
-            raise NonPositiveInput(f"{self.year}: m1 must be >= 0, got {self.m1}")
-        if self.gdp <= 0:
-            raise NonPositiveInput(f"{self.year}: gdp must be > 0, got {self.gdp}")
-        if self.population <= 0:
-            raise NonPositiveInput(
-                f"{self.year}: population must be > 0, got {self.population}"
-            )
+    def __init__(
+        self, year: int, m1: Decimal, gdp: Decimal, population: int, events: str = ""
+    ) -> None:
+        if type(m1) is not Decimal:
+            m1 = as_decimal(m1)
+        if type(gdp) is not Decimal:
+            gdp = as_decimal(gdp)
+        if m1 < 0:
+            raise NonPositiveInput(f"{year}: m1 must be >= 0, got {m1}")
+        if gdp <= 0:
+            raise NonPositiveInput(f"{year}: gdp must be > 0, got {gdp}")
+        if population <= 0:
+            raise NonPositiveInput(f"{year}: population must be > 0, got {population}")
+        _set(self, "year", year)
+        _set(self, "m1", m1)
+        _set(self, "gdp", gdp)
+        _set(self, "population", population)
+        _set(self, "events", events)
 
 
 @dataclass(frozen=True, slots=True)

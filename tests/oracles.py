@@ -31,14 +31,15 @@ def reference_cell(value, decimals=None, sig_figures=None):
 
     Mirrors the renderer before its per-column formatters were compiled:
     coerce (floats through ``str``), build the quantum for this value,
-    round half away from zero, and print ``0`` for a negative zero.
+    round half away from zero, print ``0`` for a negative zero, and write
+    fixed-point text, never an exponent.
     """
     from decimal import ROUND_HALF_UP, Decimal
 
     number = Decimal(str(value)) if isinstance(value, float) else Decimal(value)
     if decimals is not None:
         rounded = number.quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_UP)
-        return str(abs(rounded) if rounded == 0 else rounded)
+        return format(abs(rounded) if rounded == 0 else rounded, "f")
     if number == 0:
         return "0"
     quantum = Decimal(1).scaleb(number.adjusted() - sig_figures + 1)

@@ -1,3 +1,4 @@
+import gc
 import json
 from decimal import Decimal as D
 
@@ -557,3 +558,89 @@ def test_emit_plot_data_equals_the_bytes_write_plot_data_writes(tmp_path):
         report.write_plot_data(series, sink, extrema, minutes)
     assert target.read_bytes() == report.emit_plot_data(series, extrema).encode("utf-8")
     assert target.read_bytes() == (GOLDEN / "plot_series_us.csv").read_bytes()
+
+
+class TestFixedPointCells:
+    """Fixed-decimal cells and ``convert --decimals`` print plain digits, never an exponent."""
+
+    def test_cm_below_one_millionth(self, capsys, tmp_path):
+        tiny = tmp_path / "e.csv"
+        tiny.write_text("country,currency,gdp,population,as_of\nTiny,XBT,0.05,1,2019-01-01\n")
+        code, out, err = run(capsys, "cm", "--economies", str(tiny))
+        assert code == 0, err
+        assert out.splitlines()[1] == "Tiny,XBT,0,1,0,0.0000001,computed_from_gdp"
+
+    @pytest.mark.parametrize(
+        "cm,decimals,printed",
+        [("1000000000", "8", "0.00000000"), ("3000000", "7", "0.0000003")],
+    )
+    def test_convert_decimals(self, capsys, cm, decimals, printed):
+        code, out, err = run(capsys, "convert", "--amount", "1", "--cm", cm, "--decimals", decimals)
+        assert (code, out) == (0, printed + "\n"), err
+
+
+OVERFLOW = "error: Overflow: a result exceeds the decimal range (largest exponent 999999)"
+
+
+class TestDecimalOverflow:
+    """A result past the decimal exponent limit is a data error with a message, not a traceback.
+
+    Output is streamed, so rows written before the failing one stay written.
+    """
+
+    def test_cm_with_a_tiny_tetcy(self, capsys, tmp_path):
+        big = tmp_path / "e.csv"
+        big.write_text("country,currency,gdp,population,as_of\nBig,USD,1E+400,10,2019-01-01\n")
+        code, out, err = run(capsys, "cm", "--economies", str(big), "--tetcy", "1E-999999")
+        assert code == 2
+        assert out == "country,currency,gdp,population,gdp_per_capita,cm,source\n"
+        assert err.splitlines() == [OVERFLOW]
+
+    @pytest.mark.parametrize("cm", ["USD=9E+999999", "USD=1E-999999"], ids=["huge", "tiny"])
+    def test_report_table2(self, capsys, cm):
+        code, out, err = run(
+            capsys, "report", "--table", "2", "--rates", str(FIXTURES / "rates_table2.csv"), "--cm", cm
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [OVERFLOW]
+
+    def test_basket(self, capsys):
+        code, out, err = run(
+            capsys, "basket", "--basket", str(FIXTURES / "basket_commodities.csv"),
+            "--cm", "USD=1E-999999", "--cm", "CZK=1", "--cm", "EUR=1", "--cm", "GBP=1",
+        )
+        assert code == 2
+        assert out == "country,currency,item,unit,amount,role,monmin,cm_source\n"
+        assert err.splitlines()[-1] == OVERFLOW
+        assert "Traceback" not in err
+
+
+class TestGarbageCollectorState:
+    """``main`` runs the command with the cyclic collector off and then puts it back as it was."""
+
+    ARGVS = {
+        0: ["cm", "--economies", str(FIXTURES / "economies_table1.csv")],
+        1: ["cm"],
+        2: ["cm", "--economies", "missing.csv"],
+    }
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("want_code", [0, 1, 2])
+    def test_state_is_restored(self, capsys, monkeypatch, collecting, want_code):
+        seen = []
+        write = report.write_table
+
+        def recording(*args, **kwargs):
+            seen.append(gc.isenabled())
+            write(*args, **kwargs)
+
+        monkeypatch.setattr(report, "write_table", recording)
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            code, _, _ = run(capsys, *self.ARGVS[want_code])
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert code == want_code
+        assert seen == ([False] if want_code == 0 else [])

@@ -29,6 +29,7 @@ from monmin import (
     to_monmin,
     write_table,
 )
+from monmin.ingest import _plain
 from monmin.report import format_cell
 
 from oracles import (
@@ -172,9 +173,19 @@ def _rendered(rule, value):
 def test_fixed_decimals_formatter_matches_reference(value, decimals):
     rule = ColumnRule("x", decimals=decimals)
     expected = reference_cell(value, decimals=decimals)
-    assert str(round_half_away(value, decimals)) == expected
+    assert format(round_half_away(value, decimals), "f") == expected
     assert format_cell(rule, value) == expected
     assert _rendered(rule, value) == expected
+
+
+@given(
+    negative=st.booleans(),
+    coefficient=st.one_of(st.just(0), st.integers(min_value=0, max_value=10**30)),
+    exponent=st.integers(min_value=-30, max_value=30),
+)
+def test_plain_text_is_fixed_point(negative, coefficient, exponent):
+    value = D(f"{'-' if negative else ''}{coefficient}E{exponent}")
+    assert _plain(value) == format(value, "f")
 
 
 @given(value=cell_values, figures=st.integers(min_value=1, max_value=8))

@@ -122,6 +122,20 @@ class TestRenderTable:
                 render_table(self.SPEC, [good, {**good, "extra": 2}], fmt)
             assert str(extra.value) == expected + "['count', 'extra', 'name', 'value']"
 
+    def test_shape_mismatch_with_a_renamed_column(self):
+        renamed = {"name": "a", "value": D(1), "total": 1}
+        for fmt in ("csv", "text"):
+            with pytest.raises(ShapeMismatch) as caught:
+                render_table(self.SPEC, [renamed], fmt)
+            assert str(caught.value) == (
+                "table 1 row 0: expected columns ['name', 'value', 'count'], "
+                "got ['name', 'total', 'value']"
+            )
+
+    def test_whole_number_past_the_int_to_text_limit(self):
+        text = render_table(self.SPEC, [{"name": "x", "value": D(0), "count": 10**5000}])
+        assert text.splitlines()[1] == "x,0.00,1" + "0" * 5000
+
     def test_deterministic(self):
         rows = [{"name": "a", "value": D("1.3333"), "count": 2}]
         assert render_table(self.SPEC, rows) == render_table(self.SPEC, rows)
