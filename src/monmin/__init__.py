@@ -6,154 +6,23 @@ minutes in a year.  This package computes those values, derives them
 across exchange rates, re-prices quotes and salaries in minutes, finds
 hypothetical parity rates, and tracks the M1 money stock in minutes over
 time, with CSV ingestion and deterministic table rendering on top.
+
+Each module lists its public names in its own ``__all__``; the package
+exports exactly their union.
 """
 
-from .core import (
-    MINUTES_PER_YEAR,
-    MINUTES_PER_YEAR_ASTRONOMICAL,
-    CmSource,
-    CurrencyCode,
-    EconomySnapshot,
-    ExchangeRate,
-    MonMinPrice,
-    MonMinValue,
-    PriceQuote,
-    RateTable,
-    TimeStandard,
-    as_decimal,
-    compute_cm,
-    cross_cm,
-    from_monmin,
-    invert_cm,
-    parity_rate,
-    percent_of_salary,
-    to_monmin,
-)
-from .errors import (
-    CurrencyMismatch,
-    DuplicateCountry,
-    DuplicatePair,
-    EmptySeries,
-    IngestFailure,
-    ItemMismatch,
-    ItemMismatchWarning,
-    MalformedRow,
-    MonMinError,
-    NonMonotoneYears,
-    NonPositiveInput,
-    ShapeMismatch,
-    TooShort,
-    UnknownCurrency,
-)
-from .ingest import (
-    Basket,
-    IngestReport,
-    Issue,
-    load_basket,
-    load_economies,
-    load_rates,
-    load_series,
-    write_basket,
-    write_economies,
-    write_rates,
-    write_series,
-)
-from .report import (
-    ColumnRule,
-    TableId,
-    TableSpec,
-    build_basket_listing,
-    build_percent_listing,
-    build_table1,
-    build_table2,
-    build_table3,
-    build_table4,
-    build_table4b,
-    build_table5,
-    emit_plot_data,
-    render_table,
-    round_half_away,
-    round_significant,
-    write_plot_data,
-    write_table,
-)
-from .series import (
-    AggregateSeries,
-    AggregateYear,
-    ExtremaReport,
-    detect_extrema,
-    m1_in_monmin,
-    series_in_monmin,
-)
+from . import core, errors, ingest, report, series
+from .core import *
+from .errors import *
+from .ingest import *
+from .report import *
+from .series import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MINUTES_PER_YEAR",
-    "MINUTES_PER_YEAR_ASTRONOMICAL",
-    "AggregateSeries",
-    "AggregateYear",
-    "Basket",
-    "CmSource",
-    "ColumnRule",
-    "CurrencyCode",
-    "CurrencyMismatch",
-    "DuplicateCountry",
-    "DuplicatePair",
-    "EconomySnapshot",
-    "EmptySeries",
-    "ExchangeRate",
-    "ExtremaReport",
-    "IngestFailure",
-    "IngestReport",
-    "Issue",
-    "ItemMismatch",
-    "ItemMismatchWarning",
-    "MalformedRow",
-    "MonMinError",
-    "MonMinPrice",
-    "MonMinValue",
-    "NonMonotoneYears",
-    "NonPositiveInput",
-    "PriceQuote",
-    "RateTable",
-    "ShapeMismatch",
-    "TableId",
-    "TableSpec",
-    "TimeStandard",
-    "TooShort",
-    "UnknownCurrency",
-    "as_decimal",
-    "build_basket_listing",
-    "build_percent_listing",
-    "build_table1",
-    "build_table2",
-    "build_table3",
-    "build_table4",
-    "build_table4b",
-    "build_table5",
-    "compute_cm",
-    "cross_cm",
-    "detect_extrema",
-    "emit_plot_data",
-    "from_monmin",
-    "invert_cm",
-    "load_basket",
-    "load_economies",
-    "load_rates",
-    "load_series",
-    "m1_in_monmin",
-    "parity_rate",
-    "percent_of_salary",
-    "render_table",
-    "round_half_away",
-    "round_significant",
-    "series_in_monmin",
-    "to_monmin",
-    "write_basket",
-    "write_economies",
-    "write_plot_data",
-    "write_rates",
-    "write_series",
-    "write_table",
-]
+__all__ = []
+__all__ += core.__all__
+__all__ += errors.__all__
+__all__ += ingest.__all__
+__all__ += report.__all__
+__all__ += series.__all__

@@ -1,5 +1,11 @@
 """Exception hierarchy shared by all monmin modules."""
 
+__all__ = [
+    "CurrencyMismatch", "DuplicateCountry", "DuplicatePair", "EmptySeries", "IngestFailure",
+    "ItemMismatch", "ItemMismatchWarning", "MalformedRow", "MonMinError", "NonMonotoneYears",
+    "NonPositiveInput", "ShapeMismatch", "TooShort", "UnknownCurrency",
+]
+
 
 class MonMinError(Exception):
     """Base class for all domain errors raised by this package."""

@@ -14,9 +14,16 @@ monetary columns (gdp; m1 and gdp for series) into absolute units, so
 ignored.  A leading byte-order mark is skipped.  A quoted cell may span
 lines, but a blank or ``#`` line is never part of a cell.  Numbers must
 be finite, and a line that is not valid UTF-8 is an error on that line.
+Without a ``# scale=`` line numbers are kept exactly as written.
 Loading is all-or-nothing: any error row means the returned dataset is
 empty and the report lists every problem with its 1-based physical line
 number (a row's first line when it spans several).
+
+What a ``write_*`` function writes loads back equal.  A row with a
+carriage return in any cell, or whose first cell begins with ``#`` after
+leading whitespace, is written with every cell quoted.  A cell with a
+line, after its first, that is blank, whitespace-only or begins with
+``#`` is refused with ``ValueError``: the format cannot carry it.
 """
 from __future__ import annotations
 
@@ -24,15 +31,28 @@ import csv
 import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from .core import CurrencyCode, EconomySnapshot, ExchangeRate, PriceQuote, RateTable, TimeStandard
-from .errors import CurrencyMismatch, NonPositiveInput
+from .errors import (
+    CurrencyMismatch, DuplicateCountry, DuplicatePair, MalformedRow, MonMinError, NonMonotoneYears,
+    UnknownCurrency,
+)
 from .series import AggregateSeries, AggregateYear
+
+__all__ = [
+    "Basket", "IngestReport", "Issue", "load_basket", "load_economies", "load_rates",
+    "load_series", "write_basket", "write_economies", "write_rates", "write_series",
+]
 
 _DIRECTIVE_RE = re.compile(r"^#\s*([a-z_]+)\s*=\s*(\S+)\s*$")
 _ESCAPED_RE = re.compile("[\udc80-\udcff]")  # bytes that ``surrogateescape`` could not decode
+# A line break (as a file is read: \r\n, \r or \n) that starts a line the reader
+# drops, one that is blank or begins with "#" after leading whitespace.
+_DROPPED_LINE_RE = re.compile(r"(?:\r\n|\r(?!\n)|\n)[^\S\r\n]*(?:[#\r\n]|$)")
+_ROW_ERRORS = (MonMinError, InvalidOperation, ValueError)
 
 _ECONOMIES_HEADER = ["country", "currency", "gdp", "population", "as_of"]
 _RATES_HEADER = ["base", "quote", "rate", "as_of"]
@@ -69,18 +89,24 @@ class Basket:
 
     def __post_init__(self):
         currency = self.currency
-        quotes = self.items if self.salary is None else (*self.items, self.salary)
-        for quote in quotes:
+        for quote, _ in self.quotes():
             if quote.currency is not currency and quote.currency != currency:
                 raise CurrencyMismatch(
                     f"basket {self.country}/{currency}: {quote.item} is priced in {quote.currency}"
                 )
 
+    def quotes(self) -> Iterator[tuple[PriceQuote, str]]:
+        """Each quote with its role: the items, then the salary if any."""
+        for quote in self.items:
+            yield quote, "item"
+        if self.salary is not None:
+            yield self.salary, "salary"
+
 
 class _Scan(NamedTuple):
     directives: dict[str, tuple[int, str]]  # name -> (line, value)
     header_line: int
-    rows: Iterator[tuple[int, list[str]]]  # (first physical line, cells), read lazily
+    rows: Iterator[tuple[int, Iterator[str]]]  # (first physical line, stripped cells), read lazily
     errors: list[Issue]  # shared: csv errors land here while ``rows`` is read
 
 
@@ -92,11 +118,22 @@ class _Codes(dict):
         return code
 
 
-def _finite(text: str) -> Decimal:
+def _finite(text: str, scale: Decimal | None = None) -> Decimal:
+    """A finite number, multiplied by ``scale`` only when a scale is given.
+
+    The multiplication rounds to the context's precision, so an unscaled
+    number skips it and keeps every digit.
+    """
     value = Decimal(text)
     if not value.is_finite():
         raise ValueError(f"not a finite number: {text!r}")
-    return value
+    return value if scale is None else value * scale
+
+
+def _issue(line: int, exc: Exception) -> Issue:
+    """A row's issue: a domain error keeps its class name, a parse error is MalformedRow."""
+    kind = type(exc).__name__ if isinstance(exc, MonMinError) else "MalformedRow"
+    return Issue(line, f"{kind}: {exc}")
 
 
 def _records(reader, numbers: list[int], errors: list[Issue]):
@@ -148,12 +185,29 @@ def _table_lines(fh, directives, numbers: list[int], errors: list[Issue]):
             yield raw
 
 
+def _cells(rows, width: int, optional: int, errors: list[Issue]):
+    """Each row's first line and stripped cells; a row of another width is an issue.
+
+    Up to ``optional`` trailing cells may be missing; each reads as "".
+    """
+    expected = f"{width - optional} or {width}" if optional else str(width)
+    for lineno, cells in rows:
+        missing = width - len(cells)
+        if missing == 0:
+            yield lineno, map(str.strip, cells)
+        elif 0 < missing <= optional:
+            yield lineno, map(str.strip, cells + [""] * missing)
+        else:
+            errors.append(Issue(lineno, f"MalformedRow: expected {expected} columns, got {len(cells)}"))
+
+
 def _read_table(path, expected: list[str], optional: tuple[str, ...] = ()) -> _Scan:
     """Scan a file up to its header: directives, then one csv reader over the rest.
 
     The file is read as ``rows`` is consumed, so no more than one row's
     lines are held at a time.  Undecodable bytes are kept as lone
     surrogates (``surrogateescape``) and reported per physical line.
+    Each row comes with the width checked and its cells stripped.
     """
     path = Path(path)
     if not path.exists():
@@ -174,21 +228,23 @@ def _read_table(path, expected: list[str], optional: tuple[str, ...] = ()) -> _S
         errors.append(
             Issue(header_line, f"MalformedRow: header {header} does not match {expected}")
         )
+    rows = _cells(rows, len(expected) + len(optional), len(optional), errors)
     return _Scan(directives, header_line, rows, errors)
 
 
-def _scale_factor(scan: _Scan, errors: list[Issue]) -> Decimal:
+def _scale_factor(scan: _Scan, errors: list[Issue]) -> Decimal | None:
+    """The declared ``# scale=`` factor; None when there is none or it is bad."""
     if "scale" not in scan.directives:
-        return Decimal(1)
+        return None
     lineno, text = scan.directives["scale"]
     try:
         scale = Decimal(text)
     except InvalidOperation:
         errors.append(Issue(lineno, f"MalformedRow: bad scale factor {text!r}"))
-        return Decimal(1)
+        return None
     if scale <= 0:
         errors.append(Issue(lineno, f"NonPositiveInput: scale must be > 0, got {text}"))
-        return Decimal(1)
+        return None
     return scale
 
 
@@ -200,25 +256,15 @@ def load_economies(path) -> tuple[list[EconomySnapshot], IngestReport]:
     snapshots: list[EconomySnapshot] = []
     seen: dict[str, int] = {}
     codes = _Codes()
-    for lineno, cells in scan.rows:
-        if len(cells) != 5:
-            errors.append(Issue(lineno, f"MalformedRow: expected 5 columns, got {len(cells)}"))
-            continue
-        country, code, gdp_text, pop_text, as_of = map(str.strip, cells)
+    for lineno, (country, code, gdp_text, pop_text, as_of) in scan.rows:
         try:
             snapshot = EconomySnapshot(
-                country, codes[code], _finite(gdp_text) * scale, int(pop_text), as_of
+                country, codes[code], _finite(gdp_text, scale), int(pop_text), as_of
             )
-        except NonPositiveInput as exc:
-            errors.append(Issue(lineno, f"NonPositiveInput: {exc}"))
-            continue
-        except (InvalidOperation, ValueError) as exc:
-            errors.append(Issue(lineno, f"MalformedRow: {exc}"))
-            continue
-        if country in seen:
-            errors.append(
-                Issue(lineno, f"DuplicateCountry: {country} already defined on line {seen[country]}")
-            )
+            if country in seen:
+                raise DuplicateCountry(f"{country} already defined on line {seen[country]}")
+        except _ROW_ERRORS as exc:
+            errors.append(_issue(lineno, exc))
             continue
         seen[country] = lineno
         snapshots.append(snapshot)
@@ -235,11 +281,7 @@ def load_rates(path) -> tuple[RateTable, IngestReport]:
     rates: list[ExchangeRate] = []
     seen: dict[tuple[str, str], int] = {}
     codes = _Codes()
-    for lineno, cells in scan.rows:
-        if len(cells) != 4:
-            errors.append(Issue(lineno, f"MalformedRow: expected 4 columns, got {len(cells)}"))
-            continue
-        base, quote, rate_text, as_of = map(str.strip, cells)
+    for lineno, (base, quote, rate_text, as_of) in scan.rows:
         try:
             rate = ExchangeRate(
                 base=codes[base],
@@ -247,17 +289,11 @@ def load_rates(path) -> tuple[RateTable, IngestReport]:
                 rate=_finite(rate_text),
                 as_of=as_of or None,
             )
-        except NonPositiveInput as exc:
-            errors.append(Issue(lineno, f"NonPositiveInput: {exc}"))
-            continue
-        except (InvalidOperation, ValueError) as exc:
-            errors.append(Issue(lineno, f"MalformedRow: {exc}"))
-            continue
-        key = (rate.base.code, rate.quote.code)
-        if key in seen:
-            errors.append(
-                Issue(lineno, f"DuplicatePair: {key[0]}->{key[1]} already defined on line {seen[key]}")
-            )
+            key = (rate.base.code, rate.quote.code)
+            if key in seen:
+                raise DuplicatePair(f"{key[0]}->{key[1]} already defined on line {seen[key]}")
+        except _ROW_ERRORS as exc:
+            errors.append(_issue(lineno, exc))
             continue
         seen[key] = lineno
         rates.append(rate)
@@ -289,42 +325,35 @@ def load_basket(path, known_currencies=None) -> tuple[list[Basket], IngestReport
     errors = scan.errors
     groups: dict[tuple[str, str], list] = {}  # (country, code) -> [items, salary]
     codes = _Codes()
-    for lineno, cells in scan.rows:
-        if len(cells) != 6:
-            errors.append(Issue(lineno, f"MalformedRow: expected 6 columns, got {len(cells)}"))
-            continue
-        country, code, item, unit, amount_text, role = map(str.strip, cells)
-        if role not in ("item", "salary"):
-            errors.append(Issue(lineno, f"MalformedRow: role must be item or salary, got {role!r}"))
-            continue
-        if known is not None and code not in known:
-            errors.append(Issue(lineno, f"UnknownCurrency: {code} is not in the known set"))
-            continue
+    for lineno, (country, code, item, unit, amount_text, role) in scan.rows:
         try:
+            if role not in ("item", "salary"):
+                raise MalformedRow(f"role must be item or salary, got {role!r}")
+            if known is not None and code not in known:
+                raise UnknownCurrency(f"{code} is not in the known set")
             quote = PriceQuote(item, unit, codes[code], _finite(amount_text))
-        except NonPositiveInput as exc:
-            errors.append(Issue(lineno, f"NonPositiveInput: {exc}"))
-            continue
-        except (InvalidOperation, ValueError) as exc:
-            errors.append(Issue(lineno, f"MalformedRow: {exc}"))
-            continue
-        group = groups.get((country, code))
-        if group is None:
-            group = groups[country, code] = [[], None]
-        if role == "salary":
-            if group[1] is not None:
-                errors.append(Issue(lineno, f"MalformedRow: duplicate salary row for {country}"))
-                continue
-            group[1] = quote
-        else:
-            group[0].append(quote)
+            group = groups.get((country, code))
+            if group is None:
+                group = groups[country, code] = [[], None]
+            if role == "item":
+                group[0].append(quote)
+            elif group[1] is None:
+                group[1] = quote
+            else:
+                raise MalformedRow(f"duplicate salary row for {country}")
+        except _ROW_ERRORS as exc:
+            errors.append(_issue(lineno, exc))
     if errors:
         return [], IngestReport(0, errors=tuple(errors))
     baskets = [
         Basket(country=country, currency=codes[code], items=tuple(items), salary=salary)
         for (country, code), (items, salary) in groups.items()
     ]
-    return baskets, IngestReport(sum(len(b.items) + (1 if b.salary else 0) for b in baskets))
+    return baskets, IngestReport(_quote_count(baskets))
+
+
+def _quote_count(baskets) -> int:
+    return sum(len(b.items) + (b.salary is not None) for b in baskets)
 
 
 def load_series(
@@ -342,27 +371,16 @@ def load_series(
     scale = _scale_factor(scan, errors)
     years: list[AggregateYear] = []
     last_year: int | None = None
-    for lineno, cells in scan.rows:
-        if len(cells) not in (4, 5):
-            errors.append(Issue(lineno, f"MalformedRow: expected 4 or 5 columns, got {len(cells)}"))
-            continue
-        year_text, m1_text, gdp_text, pop_text = map(str.strip, cells[:4])
-        events = cells[4].strip() if len(cells) == 5 else ""
+    for lineno, (year_text, m1_text, gdp_text, pop_text, events) in scan.rows:
         try:
             year = AggregateYear(
-                int(year_text), _finite(m1_text) * scale, _finite(gdp_text) * scale,
+                int(year_text), _finite(m1_text, scale), _finite(gdp_text, scale),
                 int(pop_text), events,
             )
-        except NonPositiveInput as exc:
-            errors.append(Issue(lineno, f"NonPositiveInput: {exc}"))
-            continue
-        except (InvalidOperation, ValueError) as exc:
-            errors.append(Issue(lineno, f"MalformedRow: {exc}"))
-            continue
-        if last_year is not None and year.year <= last_year:
-            errors.append(
-                Issue(lineno, f"NonMonotoneYears: {year.year} does not follow {last_year}")
-            )
+            if last_year is not None and year.year <= last_year:
+                raise NonMonotoneYears(f"{year.year} does not follow {last_year}")
+        except _ROW_ERRORS as exc:
+            errors.append(_issue(lineno, exc))
             continue
         last_year = year.year
         years.append(year)
@@ -383,37 +401,55 @@ def _plain(value: Decimal) -> str:
     return text if "E" not in text else format(value, "f")
 
 
-def write_economies(path, snapshots) -> None:
+def _text(value) -> str:
+    """One written cell: fixed-point text for a decimal, "" for None, else ``str``."""
+    if isinstance(value, Decimal):
+        return _plain(value)
+    return "" if value is None else str(value)
+
+
+def _write(path, header: list[str], rows) -> None:
+    """Write the header, then each row of values, so that the file loads back equal.
+
+    A row whose first cell begins with ``#`` would read as a comment, and a
+    lone carriage return is a line break to the reader but is not quoted by
+    ``csv``: such a row has every cell quoted.  A cell with a later line
+    that is blank or begins with ``#`` raises ``ValueError``, since the
+    reader drops such lines; the rows before it are already written.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
-        out.writerow(_ECONOMIES_HEADER)
-        for s in snapshots:
-            out.writerow([s.country, s.currency.code, _plain(s.gdp), s.population, s.as_of.isoformat()])
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        out.writerow(header)
+        for number, row in enumerate(rows, start=1):
+            cells = [_text(value) for value in row]
+            for column, cell in zip(header, cells):
+                if _DROPPED_LINE_RE.search(cell):
+                    raise ValueError(
+                        f"record {number}, column {column!r}: {cell!r} has a line that is"
+                        " blank or begins with '#', which the file format cannot carry"
+                    )
+            if cells[0].lstrip()[:1] == "#" or any("\r" in cell for cell in cells):
+                quoted.writerow(cells)
+            else:
+                out.writerow(cells)
+
+
+def write_economies(path, snapshots) -> None:
+    _write(path, _ECONOMIES_HEADER, map(attrgetter(*_ECONOMIES_HEADER), snapshots))
 
 
 def write_rates(path, table: RateTable) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(_RATES_HEADER)
-        for r in table:
-            out.writerow([r.base.code, r.quote.code, _plain(r.rate), r.as_of.isoformat() if r.as_of else ""])
+    _write(path, _RATES_HEADER, map(attrgetter(*_RATES_HEADER), table))
 
 
 def write_basket(path, baskets) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(_BASKET_HEADER)
-        for b in baskets:
-            for q in b.items:
-                out.writerow([b.country, b.currency.code, q.item, q.unit, _plain(q.amount), "item"])
-            if b.salary is not None:
-                s = b.salary
-                out.writerow([b.country, b.currency.code, s.item, s.unit, _plain(s.amount), "salary"])
+    _write(path, _BASKET_HEADER, (
+        (b.country, b.currency, quote.item, quote.unit, quote.amount, role)
+        for b in baskets for quote, role in b.quotes()
+    ))
 
 
 def write_series(path, series: AggregateSeries) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(_SERIES_HEADER + ["events"])
-        for y in series.years:
-            out.writerow([y.year, _plain(y.m1), _plain(y.gdp), y.population, y.events])
+    header = _SERIES_HEADER + ["events"]
+    _write(path, header, map(attrgetter(*header), series.years))

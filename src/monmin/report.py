@@ -31,8 +31,15 @@ from .core import (
     invert_cm,
 )
 from .errors import CurrencyMismatch, NonPositiveInput, ShapeMismatch, UnknownCurrency
-from .ingest import Basket, _plain
+from .ingest import Basket, _plain, _quote_count
 from .series import AggregateSeries, ExtremaReport, series_in_monmin
+
+__all__ = [
+    "ColumnRule", "TableId", "TableSpec", "build_basket_listing", "build_percent_listing",
+    "build_table1", "build_table2", "build_table3", "build_table4", "build_table4b",
+    "build_table5", "emit_plot_data", "render_table", "round_half_away", "round_significant",
+    "write_plot_data", "write_table",
+]
 
 _BILLION = Decimal("1e9")
 
@@ -461,18 +468,6 @@ def build_table4b(baskets: Sequence[Basket]):
     return spec, rows
 
 
-def _quotes(basket: Basket):
-    """A basket's quotes with their role: the items, then the salary if any."""
-    for quote in basket.items:
-        yield quote, "item"
-    if basket.salary is not None:
-        yield basket.salary, "salary"
-
-
-def _quote_count(baskets: Sequence[Basket]) -> int:
-    return sum(len(b.items) + (b.salary is not None) for b in baskets)
-
-
 def build_basket_listing(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
     """Every quote of every basket in minutes, with its minute value's provenance.
 
@@ -497,7 +492,7 @@ def build_basket_listing(baskets: Sequence[Basket], cms: Mapping[str, MonMinValu
     def rows():
         for basket, cm in zip(baskets, values):
             country, code, value, source = basket.country, basket.currency.code, cm.value, cm.source.value
-            for quote, role in _quotes(basket):
+            for quote, role in basket.quotes():
                 yield {
                     "country": country,
                     "currency": code,
@@ -533,7 +528,7 @@ def build_percent_listing(baskets: Sequence[Basket]):
     def rows():
         for basket, salary in zip(baskets, salaries):
             country, code = basket.country, basket.currency.code
-            for quote, _ in _quotes(basket):
+            for quote, _ in basket.quotes():
                 yield {
                     "country": country,
                     "currency": code,

@@ -14,6 +14,11 @@ from decimal import Decimal
 from .core import CurrencyCode, TimeStandard, _set, as_decimal
 from .errors import EmptySeries, NonMonotoneYears, NonPositiveInput, TooShort
 
+__all__ = [
+    "AggregateSeries", "AggregateYear", "ExtremaReport", "detect_extrema", "m1_in_monmin",
+    "series_in_monmin",
+]
+
 
 @dataclass(frozen=True, slots=True)
 class AggregateYear:

@@ -1,11 +1,16 @@
+import csv
+import json
 from decimal import Decimal as D
 
 import pytest
 
 from monmin import (
+    AggregateSeries,
+    AggregateYear,
     Basket,
     CurrencyCode,
     CurrencyMismatch,
+    EconomySnapshot,
     PriceQuote,
     TimeStandard,
     load_basket,
@@ -392,3 +397,72 @@ class TestRoundTrips:
         write_series(out, first)
         second, report = load_series(out)
         assert report.ok and second == first
+
+
+class TestIssueGoldens:
+    """Every issue each loader emits, pinned byte for byte: one dirty fixture per format."""
+
+    LOADS = {
+        "economies": (load_economies, {}),
+        "rates": (load_rates, {}),
+        # "usd" passes the known-set check, so the code check still runs on it
+        "basket": (load_basket, {"known_currencies": ["USD", "EUR", "usd"]}),
+        "series": (load_series, {}),
+    }
+
+    @pytest.mark.parametrize("fmt", LOADS)
+    def test_issues_match_golden(self, fixtures, golden_dir, fmt):
+        loader, kwargs = self.LOADS[fmt]
+        limit = csv.field_size_limit(64)  # so a short cell can raise csv.Error
+        try:
+            data, report = loader(fixtures / f"dirty_{fmt}.csv", **kwargs)
+        finally:
+            csv.field_size_limit(limit)
+        assert not data and not report.warnings and report.records_accepted == 0
+        got = "".join(json.dumps(list(issue)) + "\n" for issue in report.errors)
+        assert got == (golden_dir / f"ingest_{fmt}.issues").read_text(encoding="utf-8")
+
+
+class TestWriterCarriesEveryCell:
+    """What a writer writes loads back equal, or the writer refuses the cell."""
+
+    @staticmethod
+    def economy(country, gdp="100"):
+        return EconomySnapshot(country, CurrencyCode("USD"), D(gdp), 10, "2019-01-01")
+
+    @pytest.mark.parametrize("country", ["#1 Land", "a\rb"])
+    def test_hash_first_cell_and_carriage_return_round_trip(self, tmp_path, country):
+        first = [self.economy("A"), self.economy(country), self.economy("Z")]
+        out = tmp_path / "e.csv"
+        write_economies(out, first)
+        second, report = load_economies(out)
+        assert report.ok and second == first
+
+    def test_hash_first_cell_of_a_basket_round_trips(self, tmp_path):
+        usd = CurrencyCode("USD")
+        first = [Basket("#1 Land", usd, (PriceQuote("Bread", "kg", usd, D(2)),),
+                        PriceQuote("Wage", "month", usd, D(3000)))]
+        out = tmp_path / "b.csv"
+        write_basket(out, first)
+        second, report = load_basket(out)
+        assert report.ok and second == first
+
+    @pytest.mark.parametrize("country", ["a\n\nb", "a\n \nb", "a\n#b", "a\r\r\nb", "a\n  # b"])
+    def test_cell_with_a_blank_or_hash_line_is_refused(self, tmp_path, country):
+        out = tmp_path / "e.csv"
+        with pytest.raises(ValueError, match="record 2, column 'country'"):
+            write_economies(out, [self.economy("A"), self.economy(country)])
+
+    def test_hash_line_in_a_later_column_is_refused(self, tmp_path):
+        usd = CurrencyCode("USD")
+        series = AggregateSeries(usd, (AggregateYear(1980, 1, 2, 3, "war\n# years"),))
+        with pytest.raises(ValueError, match="record 1, column 'events'"):
+            write_series(tmp_path / "s.csv", series)
+
+    def test_numbers_without_a_scale_are_kept_exactly(self, tmp_path):
+        wide = "123456789012345678901234567890"
+        first = [self.economy("A", wide)]
+        out = tmp_path / "e.csv"
+        write_economies(out, first)
+        second, report = load_economies(out)
+        assert report.ok and second == first and str(second[0].gdp) == wide

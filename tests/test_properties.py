@@ -1,9 +1,15 @@
+import dataclasses
 import io
+import re
+import tempfile
 from decimal import Decimal as D
+from pathlib import Path
 
 from hypothesis import assume, given, settings, strategies as st
 
 from monmin import (
+    AggregateSeries,
+    AggregateYear,
     Basket,
     ColumnRule,
     CurrencyCode,
@@ -11,6 +17,7 @@ from monmin import (
     ExchangeRate,
     MonMinValue,
     PriceQuote,
+    RateTable,
     TableId,
     TableSpec,
     TimeStandard,
@@ -22,11 +29,19 @@ from monmin import (
     compute_cm,
     cross_cm,
     detect_extrema,
+    load_basket,
+    load_economies,
+    load_rates,
+    load_series,
     parity_rate,
     percent_of_salary,
     render_table,
     round_half_away,
     to_monmin,
+    write_basket,
+    write_economies,
+    write_rates,
+    write_series,
     write_table,
 )
 from monmin.ingest import _plain
@@ -321,3 +336,126 @@ def test_render_table_equals_the_bytes_write_table_writes(rows, decimals, fmt):
     write_table(spec, dicts, sink, fmt)
     sink.flush()
     assert raw.getvalue() == render_table(spec, dicts, fmt).encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# file round trips: what a writer writes loads back equal
+
+_LINE_BREAK = re.compile("\r\n|\r|\n")  # as a file is read
+
+
+def _carried(text):
+    """A later line that is blank or begins with "#" is dropped by the reader; writers refuse it."""
+    return all(line.lstrip()[:1] not in ("", "#") for line in _LINE_BREAK.split(text)[1:])
+
+
+# Printable and multi-line text with the characters CSV and the reader treat
+# specially; loaders strip every cell, so no leading or trailing whitespace.
+cell_texts = st.text(
+    st.one_of(st.sampled_from('#,"\r\n \té€'), st.characters(codec="utf-8", exclude_categories=("Cs", "Cc"))),
+    max_size=12,
+).map(str.strip).filter(_carried)
+codes = st.from_regex(r"[A-Z0-9]{3,4}", fullmatch=True).map(CurrencyCode)
+scales = st.builds(lambda c, e: D(f"{c}E{e}"), st.integers(1, 10**6), st.integers(-12, 12))
+
+
+def _round_trip(write, load, value, **kwargs):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.csv"
+        write(path, value)
+        loaded, report = load(path, **kwargs)
+        assert report.ok, report.errors
+        return loaded, path.read_bytes().decode("utf-8")
+
+
+economy_lists = st.lists(
+    st.builds(EconomySnapshot, cell_texts, codes, _long_decimals(min_coefficient=1),
+              st.integers(1, 10**12), st.dates()),
+    max_size=5, unique_by=lambda s: s.country,
+)
+
+
+@st.composite
+def rate_tables(draw):
+    pairs = draw(st.lists(st.tuples(codes, codes).filter(lambda p: p[0] != p[1]),
+                          max_size=5, unique_by=lambda p: (p[0].code, p[1].code)))
+    return RateTable(
+        ExchangeRate(base, quote, draw(_long_decimals(min_coefficient=1)), draw(st.none() | st.dates()))
+        for base, quote in pairs
+    )
+
+
+@st.composite
+def basket_lists(draw):
+    keys = draw(st.lists(st.tuples(cell_texts, codes), max_size=4, unique_by=lambda k: (k[0], k[1].code)))
+    baskets = []
+    for country, currency in keys:
+        quote = st.builds(PriceQuote, cell_texts, cell_texts, st.just(currency), _long_decimals())
+        items = tuple(draw(st.lists(quote, max_size=3)))
+        salary = draw(st.none() | quote) if items else draw(quote)
+        baskets.append(Basket(country, currency, items, salary))
+    return baskets
+
+
+@st.composite
+def series_values(draw):
+    years = sorted(draw(st.lists(st.integers(-5000, 5000), min_size=1, max_size=5, unique=True)))
+    return AggregateSeries(CurrencyCode("USD"), tuple(
+        AggregateYear(year, draw(_long_decimals()), draw(_long_decimals(min_coefficient=1)),
+                      draw(st.integers(1, 10**12)), draw(cell_texts))
+        for year in years
+    ))
+
+
+@given(snapshots=economy_lists)
+@settings(deadline=None)
+def test_economies_load_back_equal(snapshots):
+    assert _round_trip(write_economies, load_economies, snapshots)[0] == snapshots
+
+
+@given(table=rate_tables())
+@settings(deadline=None)
+def test_rates_load_back_equal(table):
+    loaded = _round_trip(write_rates, load_rates, table)[0]
+    assert loaded == table and list(loaded) == list(table)
+
+
+@given(baskets=basket_lists())
+@settings(deadline=None)
+def test_baskets_load_back_equal(baskets):
+    assert _round_trip(write_basket, load_basket, baskets)[0] == baskets
+
+
+@given(series=series_values())
+@settings(deadline=None)
+def test_series_loads_back_equal(series):
+    assert _round_trip(write_series, load_series, series)[0] == series
+
+
+def _scaled_load(load, text, scale, bom):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.csv"
+        path.write_bytes((("\ufeff" if bom else "") + f"# scale={scale}\n" + text).encode("utf-8"))
+        loaded, report = load(path)
+        assert report.ok, report.errors
+        return loaded
+
+
+@given(snapshots=economy_lists, scale=scales, bom=st.booleans())
+@settings(deadline=None)
+def test_economies_scale_line_multiplies_gdp(snapshots, scale, bom):
+    text = _round_trip(write_economies, load_economies, snapshots)[1]
+    scaled = [dataclasses.replace(s, gdp=s.gdp * scale) for s in snapshots]
+    want = _round_trip(write_economies, load_economies, scaled)[0]
+    assert _scaled_load(load_economies, text, scale, bom) == want == scaled
+
+
+@given(series=series_values(), scale=scales, bom=st.booleans())
+@settings(deadline=None)
+def test_series_scale_line_multiplies_m1_and_gdp(series, scale, bom):
+    text = _round_trip(write_series, load_series, series)[1]
+    scaled = dataclasses.replace(series, years=tuple(
+        dataclasses.replace(y, m1=y.m1 * scale, gdp=y.gdp * scale) for y in series.years
+    ))
+    want = _round_trip(write_series, load_series, scaled)[0]
+    assert _scaled_load(load_series, text, scale, bom) == want == scaled
