@@ -30,10 +30,25 @@ from .errors import (
 )
 
 __all__ = [
-    "MINUTES_PER_YEAR", "MINUTES_PER_YEAR_ASTRONOMICAL", "CmSource", "CurrencyCode",
-    "EconomySnapshot", "ExchangeRate", "MonMinPrice", "MonMinValue", "PriceQuote", "RateTable",
-    "TimeStandard", "as_decimal", "compute_cm", "cross_cm", "from_monmin", "invert_cm",
-    "parity_rate", "percent_of_salary", "to_monmin",
+    "MINUTES_PER_YEAR",
+    "MINUTES_PER_YEAR_ASTRONOMICAL",
+    "CmSource",
+    "CurrencyCode",
+    "EconomySnapshot",
+    "ExchangeRate",
+    "MonMinPrice",
+    "MonMinValue",
+    "PriceQuote",
+    "RateTable",
+    "TimeStandard",
+    "as_decimal",
+    "compute_cm",
+    "cross_cm",
+    "from_monmin",
+    "invert_cm",
+    "parity_rate",
+    "percent_of_salary",
+    "to_monmin",
 ]
 
 #: Postulated minutes in a year (365 d x 24 h x 60 min).

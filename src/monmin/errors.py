@@ -1,9 +1,20 @@
 """Exception hierarchy shared by all monmin modules."""
 
 __all__ = [
-    "CurrencyMismatch", "DuplicateCountry", "DuplicatePair", "EmptySeries", "IngestFailure",
-    "ItemMismatch", "ItemMismatchWarning", "MalformedRow", "MonMinError", "NonMonotoneYears",
-    "NonPositiveInput", "ShapeMismatch", "TooShort", "UnknownCurrency",
+    "CurrencyMismatch",
+    "DuplicateCountry",
+    "DuplicatePair",
+    "EmptySeries",
+    "IngestFailure",
+    "ItemMismatch",
+    "ItemMismatchWarning",
+    "MalformedRow",
+    "MonMinError",
+    "NonMonotoneYears",
+    "NonPositiveInput",
+    "ShapeMismatch",
+    "TooShort",
+    "UnknownCurrency",
 ]
 
 

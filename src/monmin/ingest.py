@@ -19,11 +19,13 @@ Loading is all-or-nothing: any error row means the returned dataset is
 empty and the report lists every problem with its 1-based physical line
 number (a row's first line when it spans several).
 
-What a ``write_*`` function writes loads back equal.  A row with a
-carriage return in any cell, or whose first cell begins with ``#`` after
-leading whitespace, is written with every cell quoted.  A cell with a
-line, after its first, that is blank, whitespace-only or begins with
-``#`` is refused with ``ValueError``: the format cannot carry it.
+What a ``write_*`` function writes loads back equal, except that every
+cell loads back stripped of leading and trailing whitespace.  A row with
+a carriage return in any cell, or whose first cell begins with ``#``
+after leading whitespace, is written with every cell quoted.  A cell
+with a line, after its first, that is blank, whitespace-only or begins
+with ``#`` is refused with ``ValueError``: the format cannot carry it.
+The refused write then removes the file, so no partial file is left.
 """
 from __future__ import annotations
 
@@ -43,15 +45,25 @@ from .errors import (
 from .series import AggregateSeries, AggregateYear
 
 __all__ = [
-    "Basket", "IngestReport", "Issue", "load_basket", "load_economies", "load_rates",
-    "load_series", "write_basket", "write_economies", "write_rates", "write_series",
+    "Basket",
+    "IngestReport",
+    "Issue",
+    "load_basket",
+    "load_economies",
+    "load_rates",
+    "load_series",
+    "write_basket",
+    "write_economies",
+    "write_rates",
+    "write_series",
 ]
 
 _DIRECTIVE_RE = re.compile(r"^#\s*([a-z_]+)\s*=\s*(\S+)\s*$")
 _ESCAPED_RE = re.compile("[\udc80-\udcff]")  # bytes that ``surrogateescape`` could not decode
 # A line break (as a file is read: \r\n, \r or \n) that starts a line the reader
-# drops, one that is blank or begins with "#" after leading whitespace.
-_DROPPED_LINE_RE = re.compile(r"(?:\r\n|\r(?!\n)|\n)[^\S\r\n]*(?:[#\r\n]|$)")
+# drops, one that is blank or begins with "#" after leading whitespace.  A cell
+# that ends in a line break is not caught: its closing quote follows on that line.
+_DROPPED_LINE_RE = re.compile(r"(?:\r\n|\r(?!\n)|\n)[^\S\r\n]*[#\r\n]")
 _ROW_ERRORS = (MonMinError, InvalidOperation, ValueError)
 
 _ECONOMIES_HEADER = ["country", "currency", "gdp", "population", "as_of"]
@@ -101,6 +113,11 @@ class Basket:
             yield quote, "item"
         if self.salary is not None:
             yield self.salary, "salary"
+
+    @property
+    def quote_count(self) -> int:
+        """How many quotes :meth:`quotes` yields."""
+        return len(self.items) + (self.salary is not None)
 
 
 class _Scan(NamedTuple):
@@ -349,11 +366,7 @@ def load_basket(path, known_currencies=None) -> tuple[list[Basket], IngestReport
         Basket(country=country, currency=codes[code], items=tuple(items), salary=salary)
         for (country, code), (items, salary) in groups.items()
     ]
-    return baskets, IngestReport(_quote_count(baskets))
-
-
-def _quote_count(baskets) -> int:
-    return sum(len(b.items) + (b.salary is not None) for b in baskets)
+    return baskets, IngestReport(sum(b.quote_count for b in baskets))
 
 
 def load_series(
@@ -415,24 +428,30 @@ def _write(path, header: list[str], rows) -> None:
     lone carriage return is a line break to the reader but is not quoted by
     ``csv``: such a row has every cell quoted.  A cell with a later line
     that is blank or begins with ``#`` raises ``ValueError``, since the
-    reader drops such lines; the rows before it are already written.
+    reader drops such lines.  Any failure removes the file, so the rows
+    written before it never load as a complete file.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        out.writerow(header)
-        for number, row in enumerate(rows, start=1):
-            cells = [_text(value) for value in row]
-            for column, cell in zip(header, cells):
-                if _DROPPED_LINE_RE.search(cell):
-                    raise ValueError(
-                        f"record {number}, column {column!r}: {cell!r} has a line that is"
-                        " blank or begins with '#', which the file format cannot carry"
-                    )
-            if cells[0].lstrip()[:1] == "#" or any("\r" in cell for cell in cells):
-                quoted.writerow(cells)
-            else:
-                out.writerow(cells)
+    fh = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            out = csv.writer(fh, lineterminator="\n")
+            quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+            out.writerow(header)
+            for number, row in enumerate(rows, start=1):
+                cells = [_text(value) for value in row]
+                for column, cell in zip(header, cells):
+                    if _DROPPED_LINE_RE.search(cell):
+                        raise ValueError(
+                            f"record {number}, column {column!r}: {cell!r} has a later line that"
+                            " is blank or begins with '#', which the file format cannot carry"
+                        )
+                if cells[0].lstrip()[:1] == "#" or any("\r" in cell for cell in cells):
+                    quoted.writerow(cells)
+                else:
+                    out.writerow(cells)
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def write_economies(path, snapshots) -> None:

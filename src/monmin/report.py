@@ -31,14 +31,27 @@ from .core import (
     invert_cm,
 )
 from .errors import CurrencyMismatch, NonPositiveInput, ShapeMismatch, UnknownCurrency
-from .ingest import Basket, _plain, _quote_count
+from .ingest import Basket, _plain
 from .series import AggregateSeries, ExtremaReport, series_in_monmin
 
 __all__ = [
-    "ColumnRule", "TableId", "TableSpec", "build_basket_listing", "build_percent_listing",
-    "build_table1", "build_table2", "build_table3", "build_table4", "build_table4b",
-    "build_table5", "emit_plot_data", "render_table", "round_half_away", "round_significant",
-    "write_plot_data", "write_table",
+    "ColumnRule",
+    "TableId",
+    "TableSpec",
+    "build_basket_listing",
+    "build_percent_listing",
+    "build_table1",
+    "build_table2",
+    "build_table3",
+    "build_table4",
+    "build_table4b",
+    "build_table5",
+    "emit_plot_data",
+    "render_table",
+    "round_half_away",
+    "round_significant",
+    "write_plot_data",
+    "write_table",
 ]
 
 _BILLION = Decimal("1e9")
@@ -409,18 +422,19 @@ def build_table3(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
     return spec, rows
 
 
-def build_table4(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
-    """Food-basket prices and salaries in minutes, one column per country."""
+def _country_columns(table_id: TableId, baskets: Sequence[Basket], decimals: int):
+    """The baskets' countries, each allowed once, and a spec: item, unit, a column per country."""
     countries = [b.country for b in baskets]
     if len(countries) != len(set(countries)):
-        raise ShapeMismatch("table 4 needs one basket per country")
-    spec = TableSpec(
-        TableId.T4,
-        tuple(
-            [ColumnRule("item"), ColumnRule("unit")]
-            + [ColumnRule(country, decimals=0) for country in countries]
-        ),
-    )
+        raise ShapeMismatch(f"table {table_id.value} needs one basket per country")
+    columns = [ColumnRule("item"), ColumnRule("unit")]
+    columns += [ColumnRule(country, decimals=decimals) for country in countries]
+    return countries, TableSpec(table_id, tuple(columns))
+
+
+def build_table4(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
+    """Food-basket prices and salaries in minutes, one column per country."""
+    countries, spec = _country_columns(TableId.T4, baskets, decimals=0)
     values = [_cm_for(b, cms).value for b in baskets]
     rows = []
     for (item, unit), quotes in _aligned_quotes(baskets):
@@ -441,19 +455,10 @@ def build_table4(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
 
 def build_table4b(baskets: Sequence[Basket]):
     """Basket items as percent of the salary; minute values cancel out."""
-    countries = [b.country for b in baskets]
-    if len(countries) != len(set(countries)):
-        raise ShapeMismatch("table 4b needs one basket per country")
+    countries, spec = _country_columns(TableId.T4B, baskets, decimals=2)
     for basket in baskets:
         if basket.salary is None:
             raise ShapeMismatch(f"basket {basket.country} has no salary row")
-    spec = TableSpec(
-        TableId.T4B,
-        tuple(
-            [ColumnRule("item"), ColumnRule("unit")]
-            + [ColumnRule(country, decimals=2) for country in countries]
-        ),
-    )
     salaries = [_salary_minutes(b) for b in baskets]
     rows = []
     for (item, unit), quotes in _aligned_quotes(baskets):
@@ -504,7 +509,7 @@ def build_basket_listing(baskets: Sequence[Basket], cms: Mapping[str, MonMinValu
                     "cm_source": source,
                 }
 
-    return spec, RowView(rows, _quote_count(baskets))
+    return spec, RowView(rows, sum(b.quote_count for b in baskets))
 
 
 def build_percent_listing(baskets: Sequence[Basket]):
@@ -537,7 +542,7 @@ def build_percent_listing(baskets: Sequence[Basket]):
                     "percent": 100 * (quote.amount / 1) / salary,
                 }
 
-    return spec, RowView(rows, _quote_count(baskets))
+    return spec, RowView(rows, sum(b.quote_count for b in baskets))
 
 
 def build_table5(series: AggregateSeries, minutes: Sequence[tuple[int, Decimal]] | None = None):

@@ -15,7 +15,11 @@ from .core import CurrencyCode, TimeStandard, _set, as_decimal
 from .errors import EmptySeries, NonMonotoneYears, NonPositiveInput, TooShort
 
 __all__ = [
-    "AggregateSeries", "AggregateYear", "ExtremaReport", "detect_extrema", "m1_in_monmin",
+    "AggregateSeries",
+    "AggregateYear",
+    "ExtremaReport",
+    "detect_extrema",
+    "m1_in_monmin",
     "series_in_monmin",
 ]
 

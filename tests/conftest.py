@@ -1,21 +1,9 @@
-import os
 from pathlib import Path
 
 import pytest
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def pytest_configure(config):
-    # CI sets HYPOTHESIS_PROFILE=ci so that a failing property prints the
-    # blob that reproduces it on another machine.  Imported here, not at the
-    # top: perfbench loads this module for golden_runs(), and importing
-    # hypothesis there would raise the benchmark process's memory.
-    from hypothesis import settings
-
-    settings.register_profile("ci", print_blob=True, deadline=None)
-    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

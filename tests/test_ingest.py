@@ -453,6 +453,21 @@ class TestWriterCarriesEveryCell:
         with pytest.raises(ValueError, match="record 2, column 'country'"):
             write_economies(out, [self.economy("A"), self.economy(country)])
 
+    @pytest.mark.parametrize("country", ["a\n\nb", "a\n#b"])
+    def test_refused_write_leaves_no_file(self, tmp_path, country):
+        out = tmp_path / "e.csv"
+        out.write_text("country,currency,gdp,population,as_of\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="record 2, column 'country'"):
+            write_economies(out, [self.economy("A"), self.economy(country), self.economy("Z")])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("country", ["a\n", "a\n ", "a\r", " A", "A ", "\tA\n"])
+    def test_surrounding_whitespace_loads_back_stripped(self, tmp_path, country):
+        out = tmp_path / "e.csv"
+        write_economies(out, [self.economy(country), self.economy("Z")])
+        second, report = load_economies(out)
+        assert report.ok and second == [self.economy(country.strip()), self.economy("Z")]
+
     def test_hash_line_in_a_later_column_is_refused(self, tmp_path):
         usd = CurrencyCode("USD")
         series = AggregateSeries(usd, (AggregateYear(1980, 1, 2, 3, "war\n# years"),))

@@ -5,6 +5,7 @@ import tempfile
 from decimal import Decimal as D
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from monmin import (
@@ -411,6 +412,25 @@ def series_values(draw):
 @settings(deadline=None)
 def test_economies_load_back_equal(snapshots):
     assert _round_trip(write_economies, load_economies, snapshots)[0] == snapshots
+
+
+def _writable(text):
+    """A writer refuses a later line that begins with "#", or a blank one that is not the last."""
+    lines = _LINE_BREAK.split(text)[1:]
+    return (all(line.lstrip()[:1] != "#" for line in lines)
+            and all(line.strip() for line in lines[:-1]))
+
+
+@given(text=st.text(st.sampled_from('a#,"\r\n \t'), max_size=8))
+@settings(deadline=None)
+def test_writer_refuses_what_the_reader_drops_and_cells_load_back_stripped(text):
+    snapshot = EconomySnapshot(text, CurrencyCode("USD"), D(1), 1, "2019-01-01")
+    if not _writable(text):
+        with tempfile.TemporaryDirectory() as tmp, pytest.raises(ValueError):
+            write_economies(Path(tmp) / "f.csv", [snapshot])
+        return
+    loaded = _round_trip(write_economies, load_economies, [snapshot])[0]
+    assert loaded == [dataclasses.replace(snapshot, country=text.strip())]
 
 
 @given(table=rate_tables())
