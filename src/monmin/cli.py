@@ -2,15 +2,20 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error.  Results are
 streamed to stdout or ``--out``, the same bytes either way, diagnostics
-to stderr.  ``MONMIN_TETCY`` overrides the default minutes-per-year
-constant; an explicit ``--tetcy`` flag wins over the environment, which
-wins over an optional JSON config file.
+to stderr; an output file is replaced only when the command succeeds.
+``MONMIN_TETCY`` overrides the default minutes-per-year constant; an
+explicit ``--tetcy`` flag wins over the environment, which wins over an
+optional JSON config file.
 """
 from __future__ import annotations
 
 import gc
 import json
+import os
+import stat
 import sys
+import tempfile
+from contextlib import contextmanager
 from decimal import Decimal, InvalidOperation, Overflow, getcontext
 from pathlib import Path
 
@@ -97,15 +102,52 @@ def _run_load(loader, path, **kwargs):
     return data
 
 
+@contextmanager
 def _open_out(path):
-    return open(path, "w", encoding="utf-8", newline="")
+    """A text sink for ``--out`` or ``--plot-data`` that takes the place of ``path`` on success.
+
+    It writes a temporary file beside the target and moves it over the
+    target with ``os.replace`` when the block ends without error; on an
+    error the temporary file is removed, so an existing file keeps its
+    bytes and an absent one is not created.  A replaced file keeps its
+    permission bits, and a new one gets those ``open(path, "w")`` gives.
+    A target that exists and is not a regular file (``/dev/stdout``, a
+    FIFO) is written in place.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8", newline="") as sink:
+            yield sink
+        return
+    if mode is None:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    target = os.path.realpath(path)  # through a symlink, replace the file it names
+    folder, name = os.path.split(target)
+    try:
+        fd, temp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=folder)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as sink:
+            os.chmod(temp, stat.S_IMODE(mode))
+            yield sink
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def _deliver(spec, rows, out, fmt: str = "csv") -> None:
     """Stream a table to ``--out`` or, byte for byte the same, to stdout.
 
-    Callers build and check everything first, so a failing command leaves
-    ``--out`` untouched.
+    ``--out`` is replaced only once every row is written, so a command
+    that fails, before its first row or during a later one, leaves it as
+    it was.
     """
     if not out:
         report.write_table(spec, rows, sys.stdout, fmt)

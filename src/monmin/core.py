@@ -110,6 +110,10 @@ class TimeStandard:
 
     def __post_init__(self):
         object.__setattr__(self, "minutes_per_year", as_decimal(self.minutes_per_year))
+        if not self.minutes_per_year.is_finite():
+            raise NonPositiveInput(
+                f"minutes_per_year must be finite, got {self.minutes_per_year}"
+            )
         if self.minutes_per_year <= 0:
             raise NonPositiveInput(
                 f"minutes_per_year must be > 0, got {self.minutes_per_year}"
@@ -137,6 +141,8 @@ class EconomySnapshot:
             gdp = as_decimal(gdp)
         if isinstance(as_of, str):
             as_of = date.fromisoformat(as_of)
+        if not gdp.is_finite():
+            raise NonPositiveInput(f"{country}: gdp must be finite, got {gdp}")
         if gdp <= 0:
             raise NonPositiveInput(f"{country}: gdp must be > 0, got {gdp}")
         if not isinstance(population, int) or population <= 0:
@@ -174,6 +180,8 @@ class MonMinValue:
     ) -> None:
         if type(value) is not Decimal:
             value = as_decimal(value)
+        if not value.is_finite():
+            raise NonPositiveInput(f"minute value must be finite, got {value} {currency}")
         if value <= 0:
             raise NonPositiveInput(f"minute value must be > 0, got {value} {currency}")
         _set(self, "currency", currency)
@@ -194,6 +202,10 @@ class ExchangeRate:
         object.__setattr__(self, "rate", as_decimal(self.rate))
         if isinstance(self.as_of, str):
             object.__setattr__(self, "as_of", date.fromisoformat(self.as_of))
+        if not self.rate.is_finite():
+            raise NonPositiveInput(
+                f"rate {self.base}->{self.quote} must be finite, got {self.rate}"
+            )
         if self.rate <= 0:
             raise NonPositiveInput(
                 f"rate {self.base}->{self.quote} must be > 0, got {self.rate}"
@@ -265,6 +277,8 @@ class PriceQuote:
     def __init__(self, item: str, unit: str, currency: CurrencyCode, amount: Decimal) -> None:
         if type(amount) is not Decimal:
             amount = as_decimal(amount)
+        if not amount.is_finite():
+            raise NonPositiveInput(f"{item}: amount must be finite, got {amount}")
         if amount < 0:
             raise NonPositiveInput(f"{item}: amount must be >= 0, got {amount}")
         _set(self, "item", item)
@@ -283,6 +297,8 @@ class MonMinPrice:
 
     def __post_init__(self):
         object.__setattr__(self, "monmin", as_decimal(self.monmin))
+        if not self.monmin.is_finite():
+            raise NonPositiveInput(f"{self.item}: minute price must be finite, got {self.monmin}")
         if self.monmin < 0:
             raise NonPositiveInput(
                 f"{self.item}: minute price must be >= 0, got {self.monmin}"

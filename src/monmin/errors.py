@@ -23,7 +23,7 @@ class MonMinError(Exception):
 
 
 class NonPositiveInput(MonMinError):
-    """A quantity that must be positive (or non-negative) is not."""
+    """A quantity that must be finite and positive (or non-negative) is not."""
 
 
 class CurrencyMismatch(MonMinError):

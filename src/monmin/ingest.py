@@ -135,6 +135,14 @@ class _Codes(dict):
         return code
 
 
+class _Texts(dict):
+    """Per-file cache so each distinct text is held as one object."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = text
+        return text
+
+
 def _finite(text: str, scale: Decimal | None = None) -> Decimal:
     """A finite number, multiplied by ``scale`` only when a scale is given.
 
@@ -336,19 +344,21 @@ def load_basket(path, known_currencies=None) -> tuple[list[Basket], IngestReport
 
     When ``known_currencies`` is given, rows in other currencies are
     rejected with UnknownCurrency.  At most one salary row per group.
+    Equal item or unit texts share one ``str`` object across the file.
     """
     known = None if known_currencies is None else {str(c) for c in known_currencies}
     scan = _read_table(path, _BASKET_HEADER)
     errors = scan.errors
     groups: dict[tuple[str, str], list] = {}  # (country, code) -> [items, salary]
     codes = _Codes()
+    texts = _Texts()
     for lineno, (country, code, item, unit, amount_text, role) in scan.rows:
         try:
             if role not in ("item", "salary"):
                 raise MalformedRow(f"role must be item or salary, got {role!r}")
             if known is not None and code not in known:
                 raise UnknownCurrency(f"{code} is not in the known set")
-            quote = PriceQuote(item, unit, codes[code], _finite(amount_text))
+            quote = PriceQuote(texts[item], texts[unit], codes[code], _finite(amount_text))
             group = groups.get((country, code))
             if group is None:
                 group = groups[country, code] = [[], None]

@@ -9,15 +9,20 @@ Builders assemble the six standard report tables (per-country minute
 values, cross-rate minute values, commodity and food baskets in minutes,
 percent-of-salary, and the yearly M1 series), the two basket listings
 (every quote in minutes, every quote as a percent of its salary) and the
-plot-data file for the series figure.
+plot-data file for the series figure.  Every builder checks its input
+before it returns.  All of them except table 2, which is as small as its
+rate table, return a :class:`RowView`: each row is made when it is read,
+so a table is never held as dicts while it is written.
 """
 from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation, localcontext
 from enum import Enum
+from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, Collection, Iterator, Mapping, Sequence, TextIO
 
@@ -55,6 +60,7 @@ __all__ = [
 ]
 
 _BILLION = Decimal("1e9")
+_HUNDRED = Decimal(100)
 
 
 class TableId(Enum):
@@ -239,23 +245,40 @@ def render_table(spec: TableSpec, rows: Collection[Mapping[str, object]], fmt: s
 
 
 class RowView:
-    """Rows made one at a time on each iteration, with their count known up front.
+    """A table's rows, each made when it is read, with their count known up front.
 
-    Table 1 of every country, or a listing of every quote, would otherwise
-    sit in memory as dicts while it is rendered.
+    ``row(i)`` makes row ``i`` from the builder's source, so indexing
+    (negative indices and slices too) makes only the rows asked for.
+    Iteration uses ``rows()`` when the builder gives a cheaper way through
+    every row, and ``row`` for each index otherwise.  Each read makes the
+    rows again, so a view can be read any number of times.
     """
 
-    __slots__ = ("_make", "_count")
+    __slots__ = ("_row", "_count", "_rows")
 
-    def __init__(self, make: Callable[[], Iterator[dict]], count: int):
-        self._make = make
+    def __init__(
+        self,
+        row: Callable[[int], dict],
+        count: int,
+        rows: Callable[[], Iterator[dict]] | None = None,
+    ):
+        self._row = row
         self._count = count
+        self._rows = rows
 
     def __len__(self) -> int:
         return self._count
 
     def __iter__(self) -> Iterator[dict]:
-        return self._make()
+        if self._rows is not None:
+            return self._rows()
+        return map(self._row, range(self._count))
+
+    def __getitem__(self, index):
+        picked = range(self._count)[index]
+        if isinstance(picked, range):
+            return [self._row(i) for i in picked]
+        return self._row(picked)
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +286,7 @@ class RowView:
 
 
 def build_table1(snapshots, std: TimeStandard = TimeStandard()):
-    """Per-country minute values from GDP and population.
-
-    The rows are made while they are rendered.
-    """
+    """Per-country minute values from GDP and population."""
     spec = TableSpec(
         TableId.T1,
         (
@@ -281,20 +301,19 @@ def build_table1(snapshots, std: TimeStandard = TimeStandard()):
     )
     snapshots = tuple(snapshots)
 
-    def rows():
-        for snapshot in snapshots:
-            cm = compute_cm(snapshot, std)
-            yield {
-                "country": snapshot.country,
-                "currency": snapshot.currency.code,
-                "gdp": snapshot.gdp,
-                "population": snapshot.population,
-                "gdp_per_capita": snapshot.gdp_per_capita(),
-                "cm": cm.value,
-                "source": cm.source.value,
-            }
+    def make(snapshot):
+        cm = compute_cm(snapshot, std)
+        return {
+            "country": snapshot.country,
+            "currency": snapshot.currency.code,
+            "gdp": snapshot.gdp,
+            "population": snapshot.population,
+            "gdp_per_capita": snapshot.gdp_per_capita(),
+            "cm": cm.value,
+            "source": cm.source.value,
+        }
 
-    return spec, RowView(rows, len(snapshots))
+    return spec, RowView(lambda i: make(snapshots[i]), len(snapshots), lambda: map(make, snapshots))
 
 
 def build_table2(
@@ -350,22 +369,26 @@ def build_table2(
     return spec, rows
 
 
-def _aligned_quotes(baskets: Sequence[Basket]):
-    """Items of the first basket, each resolved in every basket."""
+def _aligned_amounts(baskets: Sequence[Basket]):
+    """The first basket's (item, unit) labels, and each basket's amounts in that order.
+
+    Each basket's lookup dict is dropped before the next one is built, and
+    a column holds the basket's own amounts, so no figure is copied.
+    """
     if not baskets:
-        return []
+        return [], []
     order = [(q.item, q.unit) for q in baskets[0].items]
-    lookup = []
+    keys = set(order)
+    columns = []
     for basket in baskets:
-        index = {(q.item, q.unit): q for q in basket.items}
-        missing = [key for key in order if key not in index]
-        if missing or len(basket.items) != len(order):
+        index = {(q.item, q.unit): q.amount for q in basket.items}
+        if len(basket.items) != len(order) or not index.keys() >= keys:
             raise ShapeMismatch(
                 f"basket {basket.country}/{basket.currency} does not carry the "
                 f"same items as {baskets[0].country}/{baskets[0].currency}"
             )
-        lookup.append(index)
-    return [(key, [index[key] for index in lookup]) for key in order]
+        columns.append([index[key] for key in order])
+    return order, columns
 
 
 def _cm_for(basket: Basket, cms: Mapping[str, MonMinValue]) -> MonMinValue:
@@ -412,14 +435,18 @@ def build_table3(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
     columns += [ColumnRule(name, decimals=0) for name in minutes]
     spec = TableSpec(TableId.T3, tuple(columns))
     values = [_cm_for(b, cms).value for b in baskets]
-    rows = []
-    for (item, unit), quotes in _aligned_quotes(baskets):
-        row = {"item": item, "unit": unit}
-        for price, minute, quote, value in zip(prices, minutes, quotes, values):
-            row[price] = quote.amount
-            row[minute] = quote.amount / value
-        rows.append(row)
-    return spec, rows
+    labels, amounts = _aligned_amounts(baskets)
+
+    def row(i):
+        item, unit = labels[i]
+        cells = {"item": item, "unit": unit}
+        for price, minute, column, value in zip(prices, minutes, amounts, values):
+            amount = column[i]
+            cells[price] = amount
+            cells[minute] = amount / value
+        return cells
+
+    return spec, RowView(row, len(labels))
 
 
 def _country_columns(table_id: TableId, baskets: Sequence[Basket], decimals: int):
@@ -436,21 +463,23 @@ def build_table4(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
     """Food-basket prices and salaries in minutes, one column per country."""
     countries, spec = _country_columns(TableId.T4, baskets, decimals=0)
     values = [_cm_for(b, cms).value for b in baskets]
-    rows = []
-    for (item, unit), quotes in _aligned_quotes(baskets):
-        row = {"item": item, "unit": unit}
-        for country, quote, value in zip(countries, quotes, values):
-            row[country] = quote.amount / value
-        rows.append(row)
+    labels, amounts = _aligned_amounts(baskets)
     salaries = [b.salary for b in baskets]
     if any(s is not None for s in salaries):
         if any(s is None for s in salaries):
             raise ShapeMismatch("either every basket carries a salary row or none does")
-        row = {"item": salaries[0].item, "unit": salaries[0].unit}
-        for country, salary, value in zip(countries, salaries, values):
-            row[country] = salary.amount / value
-        rows.append(row)
-    return spec, rows
+        labels.append((salaries[0].item, salaries[0].unit))
+        for column, salary in zip(amounts, salaries):
+            column.append(salary.amount)
+
+    def row(i):
+        item, unit = labels[i]
+        cells = {"item": item, "unit": unit}
+        for country, column, value in zip(countries, amounts, values):
+            cells[country] = column[i] / value
+        return cells
+
+    return spec, RowView(row, len(labels))
 
 
 def build_table4b(baskets: Sequence[Basket]):
@@ -460,25 +489,51 @@ def build_table4b(baskets: Sequence[Basket]):
         if basket.salary is None:
             raise ShapeMismatch(f"basket {basket.country} has no salary row")
     salaries = [_salary_minutes(b) for b in baskets]
-    rows = []
-    for (item, unit), quotes in _aligned_quotes(baskets):
-        row = {"item": item, "unit": unit}
-        for country, quote, salary in zip(countries, quotes, salaries):
-            row[country] = 100 * (quote.amount / 1) / salary
-        rows.append(row)
-    row = {"item": baskets[0].salary.item, "unit": baskets[0].salary.unit}
-    for country in countries:
-        row[country] = Decimal(100)
-    rows.append(row)
-    return spec, rows
+    labels, amounts = _aligned_amounts(baskets)
+    items = len(labels)
+    if baskets:
+        labels.append((baskets[0].salary.item, baskets[0].salary.unit))
+
+    def row(i):
+        item, unit = labels[i]
+        cells = {"item": item, "unit": unit}
+        if i == items:
+            cells.update(dict.fromkeys(countries, _HUNDRED))
+            return cells
+        for country, column, salary in zip(countries, amounts, salaries):
+            cells[country] = 100 * (column[i] / 1) / salary
+        return cells
+
+    return spec, RowView(row, len(labels))
+
+
+def _quote_rows(baskets: Sequence[Basket], contexts: Sequence[tuple], make: Callable) -> RowView:
+    """A row per quote of every basket, in :meth:`Basket.quotes` order.
+
+    ``make(context, quote, role)`` makes the row of a quote from its
+    basket's entry in ``contexts``.  An indexed row finds its basket by
+    bisection over the baskets' quote counts.
+    """
+    ends = list(accumulate(b.quote_count for b in baskets))
+
+    def row(index):
+        k = bisect_right(ends, index)
+        basket = baskets[k]
+        j = index - ends[k] + basket.quote_count
+        if j < len(basket.items):
+            return make(contexts[k], basket.items[j], "item")
+        return make(contexts[k], basket.salary, "salary")
+
+    def rows():
+        for basket, context in zip(baskets, contexts):
+            for quote, role in basket.quotes():
+                yield make(context, quote, role)
+
+    return RowView(row, ends[-1] if ends else 0, rows)
 
 
 def build_basket_listing(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
-    """Every quote of every basket in minutes, with its minute value's provenance.
-
-    The minute values are looked up and checked before this returns; the
-    rows are made while they are rendered.
-    """
+    """Every quote of every basket in minutes, with its minute value's provenance."""
     spec = TableSpec(
         TableId.BASKET,
         (
@@ -492,31 +547,31 @@ def build_basket_listing(baskets: Sequence[Basket], cms: Mapping[str, MonMinValu
             ColumnRule("cm_source"),
         ),
     )
-    values = [_cm_for(b, cms) for b in baskets]
+    contexts = []
+    for basket in baskets:
+        cm = _cm_for(basket, cms)
+        contexts.append((basket.country, basket.currency.code, cm.value, cm.source.value))
 
-    def rows():
-        for basket, cm in zip(baskets, values):
-            country, code, value, source = basket.country, basket.currency.code, cm.value, cm.source.value
-            for quote, role in basket.quotes():
-                yield {
-                    "country": country,
-                    "currency": code,
-                    "item": quote.item,
-                    "unit": quote.unit,
-                    "amount": _plain(quote.amount),
-                    "role": role,
-                    "monmin": quote.amount / value,
-                    "cm_source": source,
-                }
+    def make(context, quote, role):
+        country, code, value, source = context
+        return {
+            "country": country,
+            "currency": code,
+            "item": quote.item,
+            "unit": quote.unit,
+            "amount": _plain(quote.amount),
+            "role": role,
+            "monmin": quote.amount / value,
+            "cm_source": source,
+        }
 
-    return spec, RowView(rows, sum(b.quote_count for b in baskets))
+    return spec, _quote_rows(baskets, contexts, make)
 
 
 def build_percent_listing(baskets: Sequence[Basket]):
     """Every quote of every basket, its salary included, as a percent of that salary.
 
-    The first basket without a positive salary, in basket order, raises
-    before this returns; the rows are made while they are rendered.
+    The first basket without a positive salary, in basket order, raises.
     """
     spec = TableSpec(
         TableId.PERCENT,
@@ -528,21 +583,19 @@ def build_percent_listing(baskets: Sequence[Basket]):
             ColumnRule("percent", decimals=2),
         ),
     )
-    salaries = [_salary_minutes(b) for b in baskets]
+    contexts = [(b.country, b.currency.code, _salary_minutes(b)) for b in baskets]
 
-    def rows():
-        for basket, salary in zip(baskets, salaries):
-            country, code = basket.country, basket.currency.code
-            for quote, _ in basket.quotes():
-                yield {
-                    "country": country,
-                    "currency": code,
-                    "item": quote.item,
-                    "unit": quote.unit,
-                    "percent": 100 * (quote.amount / 1) / salary,
-                }
+    def make(context, quote, role):
+        country, code, salary = context
+        return {
+            "country": country,
+            "currency": code,
+            "item": quote.item,
+            "unit": quote.unit,
+            "percent": 100 * (quote.amount / 1) / salary,
+        }
 
-    return spec, RowView(rows, sum(b.quote_count for b in baskets))
+    return spec, _quote_rows(baskets, contexts, make)
 
 
 def build_table5(series: AggregateSeries, minutes: Sequence[tuple[int, Decimal]] | None = None):
@@ -563,18 +616,19 @@ def build_table5(series: AggregateSeries, minutes: Sequence[tuple[int, Decimal]]
     )
     if minutes is None:
         minutes = series_in_monmin(series)
-    rows = []
-    for y, (_, value) in zip(series.years, minutes):
-        rows.append(
-            {
-                "year": y.year,
-                "m1_billions": y.m1 / _BILLION,
-                "m1_monmin_billions": value / _BILLION,
-                "gdp_billions": y.gdp / _BILLION,
-                "events": y.events,
-            }
-        )
-    return spec, rows
+    years = series.years
+
+    def row(i):
+        y = years[i]
+        return {
+            "year": y.year,
+            "m1_billions": y.m1 / _BILLION,
+            "m1_monmin_billions": minutes[i][1] / _BILLION,
+            "gdp_billions": y.gdp / _BILLION,
+            "events": y.events,
+        }
+
+    return spec, RowView(row, min(len(years), len(minutes)))
 
 
 def write_plot_data(

@@ -41,6 +41,10 @@ class AggregateYear:
             m1 = as_decimal(m1)
         if type(gdp) is not Decimal:
             gdp = as_decimal(gdp)
+        if not m1.is_finite():
+            raise NonPositiveInput(f"{year}: m1 must be finite, got {m1}")
+        if not gdp.is_finite():
+            raise NonPositiveInput(f"{year}: gdp must be finite, got {gdp}")
         if m1 < 0:
             raise NonPositiveInput(f"{year}: m1 must be >= 0, got {m1}")
         if gdp <= 0:

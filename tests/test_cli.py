@@ -1,5 +1,7 @@
 import gc
 import json
+import os
+import stat
 from decimal import Decimal as D
 
 import pytest
@@ -585,7 +587,7 @@ OVERFLOW = "error: Overflow: a result exceeds the decimal range (largest exponen
 class TestDecimalOverflow:
     """A result past the decimal exponent limit is a data error with a message, not a traceback.
 
-    Output is streamed, so rows written before the failing one stay written.
+    Output is streamed, so rows written to stdout before the failing one stay written.
     """
 
     def test_cm_with_a_tiny_tetcy(self, capsys, tmp_path):
@@ -613,6 +615,74 @@ class TestDecimalOverflow:
         assert out == "country,currency,item,unit,amount,role,monmin,cm_source\n"
         assert err.splitlines()[-1] == OVERFLOW
         assert "Traceback" not in err
+
+
+class TestOutputFileReplacedOnSuccess:
+    """``--out`` is written to a temporary file beside it, which replaces it only on success."""
+
+    TABLE4 = ["report", "--table", "4", "--basket", str(FIXTURES / "basket_food.csv"),
+              "--cm", "EUR=0.07772", "--cm", "GBP=0.014548", "--cm", "JPY=8.2873",
+              "--cm", "CNY=0.0347", "--cm", "CZK=0.95198"]
+
+    @pytest.mark.parametrize("command", ["report-4", "cm", "basket"])
+    def test_overflow_after_the_header_leaves_out_as_it_was(self, capsys, tmp_path, command):
+        big = tmp_path / "big.csv"
+        big.write_text("country,currency,gdp,population,as_of\nBig,USD,1E+400,10,2019-01-01\n")
+        argv = {
+            "report-4": [*self.TABLE4, "--cm", "USD=1E-999999"],
+            "cm": ["cm", "--economies", str(big), "--tetcy", "1E-999999"],
+            "basket": ["basket", "--basket", str(FIXTURES / "basket_commodities.csv"),
+                       "--cm", "USD=1E-999999", "--cm", "CZK=1", "--cm", "EUR=1", "--cm", "GBP=1"],
+        }[command]
+        existing = tmp_path / "existing.csv"
+        existing.write_bytes(b"keep,me\n1,2\n")
+        absent = tmp_path / "absent.csv"
+        for target in (existing, absent):
+            code, out, err = run(capsys, *argv, "--out", str(target))
+            assert (code, out) == (2, "")
+            assert err.splitlines()[-1] == OVERFLOW
+        assert existing.read_bytes() == b"keep,me\n1,2\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv", "existing.csv"]
+
+    def test_a_new_file_gets_the_mode_open_gives_and_a_replaced_one_keeps_its_own(
+        self, capsys, tmp_path
+    ):
+        argv = [*self.TABLE4, "--cm", "USD=0.12101"]
+        reference, new, kept = tmp_path / "reference", tmp_path / "new.csv", tmp_path / "kept.csv"
+        kept.write_text("old\n")
+        os.chmod(kept, 0o604)
+        umask = os.umask(0o027)
+        try:
+            open(reference, "w").close()
+            results = [run(capsys, *argv, "--out", str(target)) for target in (new, kept)]
+        finally:
+            os.umask(umask)
+        assert [code for code, _, _ in results] == [0, 0]
+        assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode) == 0o640
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o604
+        assert kept.read_bytes() == new.read_bytes() == (GOLDEN / "table4.csv").read_bytes()
+
+    def test_a_symlink_stays_and_the_file_it_names_is_replaced(self, capsys, tmp_path):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("old\n")
+        link.symlink_to(real)
+        code, _, _ = run(capsys, *self.TABLE4, "--cm", "USD=0.12101", "--out", str(link))
+        assert code == 0 and link.is_symlink()
+        assert real.read_bytes() == (GOLDEN / "table4.csv").read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_fifo_is_written_in_place(self, capsys, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # the table fits the pipe's buffer
+        try:
+            code, _, _ = run(capsys, "report", "--table", "4b", "--basket",
+                             str(FIXTURES / "basket_food.csv"), "--out", str(fifo))
+            data = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert code == 0 and stat.S_ISFIFO(fifo.stat().st_mode)
+        assert data == (GOLDEN / "table4b.csv").read_bytes()
 
 
 class TestGarbageCollectorState:

@@ -16,7 +16,10 @@ from decimal import Decimal as D, InvalidOperation
 
 import pytest
 
-from monmin import CmSource, CurrencyCode, EconomySnapshot, MonMinValue, NonPositiveInput, PriceQuote
+from monmin import (
+    CmSource, CurrencyCode, EconomySnapshot, ExchangeRate, MonMinPrice, MonMinValue, NonPositiveInput,
+    PriceQuote, TimeStandard,
+)
 from monmin.series import AggregateYear
 
 USD = CurrencyCode("USD")
@@ -169,3 +172,30 @@ def test_rejections_keep_their_type_and_text(make, error, message):
     with pytest.raises(error) as caught:
         make()
     assert str(caught.value) == message
+
+
+NON_FINITE = ["Infinity", "-Infinity", "NaN", "sNaN"]
+
+
+@pytest.mark.parametrize("text", NON_FINITE)
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda v: EconomySnapshot("X", USD, v, 10, "2019-01-01"), "X: gdp must be finite, got {}"),
+        (lambda v: MonMinValue(USD, v), "minute value must be finite, got {} USD"),
+        (lambda v: PriceQuote("Gold", "1 oz", USD, v), "Gold: amount must be finite, got {}"),
+        (lambda v: AggregateYear(1960, v, D(1), 10), "1960: m1 must be finite, got {}"),
+        (lambda v: AggregateYear(1960, D(1), v, 10), "1960: gdp must be finite, got {}"),
+        (lambda v: ExchangeRate(USD, CurrencyCode("EUR"), v), "rate USD->EUR must be finite, got {}"),
+        (lambda v: MonMinPrice("Gold", USD, v), "Gold: minute price must be finite, got {}"),
+        (lambda v: TimeStandard(v), "minutes_per_year must be finite, got {}"),
+    ],
+    ids=["EconomySnapshot", "MonMinValue", "PriceQuote", "AggregateYear.m1", "AggregateYear.gdp",
+         "ExchangeRate", "MonMinPrice", "TimeStandard"],
+)
+def test_non_finite_numbers_are_rejected_by_name(make, message, text):
+    """As text or as a Decimal, a non-finite number names its field and value."""
+    for value in (text, D(text)):
+        with pytest.raises(NonPositiveInput) as caught:
+            make(value)
+        assert str(caught.value) == message.format(D(text))

@@ -316,6 +316,16 @@ class TestLoadBasket:
         _, report = load_basket(path)
         assert "duplicate salary" in report.errors[0].message
 
+    def test_equal_texts_share_one_object(self, fixtures):
+        baskets, _ = load_basket(fixtures / "basket_food.csv")
+        first = baskets[0].items + (baskets[0].salary,)
+        for basket in baskets[1:]:
+            for quote, ours in zip(basket.items + (basket.salary,), first):
+                assert quote.item is ours.item and quote.unit is ours.unit
+        units = {}
+        for quote in first:
+            assert units.setdefault(quote.unit, quote.unit) is quote.unit
+
     def test_quoted_item_names_with_commas(self, tmp_path):
         path = put(tmp_path, "b.csv",
                    'country,currency,item,unit,amount,role\n'

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 from datetime import date
@@ -8,6 +9,7 @@ import pytest
 from monmin import (
     AggregateSeries,
     AggregateYear,
+    Basket,
     ColumnRule,
     CmSource,
     CurrencyCode,
@@ -15,6 +17,7 @@ from monmin import (
     EconomySnapshot,
     MonMinValue,
     NonPositiveInput,
+    PriceQuote,
     ShapeMismatch,
     TableId,
     TableSpec,
@@ -373,6 +376,104 @@ class TestTable5AndPlotData:
         for row in rows:
             year, marker = row.split(",")[0], row.split(",")[-1]
             assert marker == expected.get(int(year), ""), year
+
+
+class TestRowsMadeOnRead:
+    """Tables 3, 4, 4b and 5 make each row when it is read, like table 1 and the listings."""
+
+    def tables(self, fixtures):
+        commodities, _ = load_basket(fixtures / "basket_commodities.csv")
+        food, _ = load_basket(fixtures / "basket_food.csv")
+        series, _ = load_series(fixtures / "series_us.csv")
+        table3_cms = {code: manual(code, value) for code, value in TABLE3_CM.items()}
+        table4_cms = {code: manual(code, value) for _, code, value in TABLE4_COUNTRIES}
+        return {
+            "3": (build_table3(commodities, table3_cms), 6),
+            "4": (build_table4(food, table4_cms), 28),
+            "4b": (build_table4b(food), 28),
+            "5": (build_table5(series), 57),
+        }
+
+    @pytest.mark.parametrize("table", ["3", "4", "4b", "5"])
+    def test_sized_replayable_and_indexable(self, fixtures, table):
+        (spec, rows), count = self.tables(fixtures)[table]
+        assert not isinstance(rows, (list, tuple))
+        first, second = list(rows), list(rows)
+        assert len(rows) == len(first) == count
+        assert first == second
+        assert [rows[i] for i in range(count)] == first
+        assert rows[-1] == first[-1] and rows[-count] == first[0]
+        assert rows[1:4] == first[1:4] and rows[::-5] == first[::-5]
+        for index in (count, -count - 1):
+            with pytest.raises(IndexError):
+                rows[index]
+        assert render_table(spec, rows) == render_table(spec, first)
+
+    def test_listings_and_table1_index_like_their_rows(self, fixtures):
+        snapshots, _ = load_economies(fixtures / "economies_table1.csv")
+        food, _ = load_basket(fixtures / "basket_food.csv")
+        cms = {code: manual(code, value) for _, code, value in TABLE4_COUNTRIES}
+        for _, rows in (build_table1(snapshots), build_basket_listing(food, cms),
+                        build_percent_listing(food)):
+            every = list(rows)
+            assert [rows[i] for i in range(len(rows))] == every
+            assert rows[-1] == every[-1] and rows[-len(rows)] == every[0]
+
+    def test_checks_run_before_the_builder_returns(self, fixtures):
+        food, _ = load_basket(fixtures / "basket_food.csv")
+        cms = {code: manual(code, value) for _, code, value in TABLE4_COUNTRIES}
+        short = [food[0], dataclasses.replace(food[1], items=food[1].items[:-1])]
+        for build in (lambda b: build_table3(b, cms), lambda b: build_table4(b, cms), build_table4b):
+            with pytest.raises(ShapeMismatch, match="does not carry the same items"):
+                build(short)
+        del cms["JPY"]
+        with pytest.raises(UnknownCurrency, match="JPY"):
+            build_table4(food, cms)
+
+    def test_table4_written_to_a_file_holds_no_table(self, tmp_path):
+        """100 baskets of 200 items: 20k minute prices, about 3 MB if held as Decimals in dicts."""
+        baskets = []
+        for k in range(100):
+            code = CurrencyCode(f"C{k:03d}")
+            items = tuple(
+                PriceQuote(f"Item {m}", "kg", code, D(f"{1000 + m * 7 + k}.25")) for m in range(200)
+            )
+            salary = PriceQuote("Salary", "month", code, D(250_000 + k))
+            baskets.append(Basket(f"Country {k}", code, items, salary))
+        cms = {b.currency.code: manual(b.currency.code, f"0.{k + 1:03d}7") for k, b in enumerate(baskets)}
+        target = tmp_path / "table4.csv"
+        tracemalloc.start()
+        try:
+            spec, rows = build_table4(baskets, cms)
+            with open(target, "w", encoding="utf-8", newline="") as sink:
+                write_table(spec, rows, sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 201
+        assert target.read_text(encoding="utf-8").count("\n") == 202
+        assert peak < 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+    def test_table5_written_to_a_file_holds_no_table(self, tmp_path):
+        """20k years: about 12 MB if held as dicts of Decimals."""
+        years = [
+            AggregateYear(1000 + i, D(10**12 + i * 7919), D(10**13 + i), 300_000_000 + i, "")
+            for i in range(20_000)
+        ]
+        series = AggregateSeries(CurrencyCode("USD"), years)
+        minutes = series_in_monmin(series)
+        target = tmp_path / "table5.csv"
+        tracemalloc.start()
+        try:
+            spec, rows = build_table5(series, minutes)
+            with open(target, "w", encoding="utf-8", newline="") as sink:
+                write_table(spec, rows, sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 20_000
+        assert target.read_text(encoding="utf-8").count("\n") == 20_001
+        assert peak < 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 class TestSpecValidation:
