@@ -14,8 +14,7 @@ import json
 import os
 import stat
 import sys
-import tempfile
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from decimal import Decimal, InvalidOperation, Overflow, getcontext
 from pathlib import Path
 
@@ -106,13 +105,14 @@ def _run_load(loader, path, **kwargs):
 def _open_out(path):
     """A text sink for ``--out`` or ``--plot-data`` that takes the place of ``path`` on success.
 
-    It writes a temporary file beside the target and moves it over the
-    target with ``os.replace`` when the block ends without error; on an
-    error the temporary file is removed, so an existing file keeps its
-    bytes and an absent one is not created.  A replaced file keeps its
-    permission bits, and a new one gets those ``open(path, "w")`` gives.
-    A target that exists and is not a regular file (``/dev/stdout``, a
-    FIFO) is written in place.
+    It writes a new file beside the target and moves it over the target
+    with ``os.replace`` when the block ends without error; on an error the
+    new file is removed, so an existing file keeps its bytes and an absent
+    one is not created.  A target the user may not write fails as
+    ``open(path, "w")`` would.  A new file gets the mode ``open(path, "w")``
+    gives it, and a replaced one keeps its permission bits.  A target that
+    exists and is not a regular file (``/dev/stdout``, a FIFO) is written
+    in place.
     """
     try:
         mode = os.stat(path).st_mode
@@ -122,19 +122,23 @@ def _open_out(path):
         with open(path, "w", encoding="utf-8", newline="") as sink:
             yield sink
         return
-    if mode is None:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
+    if mode is not None:
+        os.close(os.open(path, os.O_WRONLY))  # the write check of open(path, "w"), no truncation
     target = os.path.realpath(path)  # through a symlink, replace the file it names
     folder, name = os.path.split(target)
-    try:
-        fd, temp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=folder)
-    except OSError as exc:
-        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+    while True:
+        temp = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.tmp")
+        try:
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # less the umask
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
     try:
         with open(fd, "w", encoding="utf-8", newline="") as sink:
-            os.chmod(temp, stat.S_IMODE(mode))
+            if mode is not None:
+                os.chmod(temp, stat.S_IMODE(mode))
             yield sink
         os.replace(temp, target)
     except BaseException:
@@ -331,13 +335,15 @@ def cmd_series(series_path, currency, tetcy, config_path, fmt, extrema, plot_pat
     minutes = series_in_monmin(aggregate)
     spec, rows = report.build_table5(aggregate, minutes)
     found = detect_extrema(minutes) if extrema else None
-    _deliver(spec, rows, out, _resolve_fmt(fmt, config))
-    if found is not None:
-        click.echo(f"peaks: {' '.join(str(y) for y in found.peaks)}")
-        click.echo(f"troughs: {' '.join(str(y) for y in found.troughs)}")
-    if plot_path:
-        with _open_out(plot_path) as sink:
-            report.write_plot_data(aggregate, sink, found, minutes)
+    with ExitStack() as files:  # both files are opened first and replaced only on success
+        table = files.enter_context(_open_out(out)) if out else sys.stdout
+        plot = files.enter_context(_open_out(plot_path)) if plot_path else None
+        report.write_table(spec, rows, table, _resolve_fmt(fmt, config))
+        if found is not None:
+            click.echo(f"peaks: {' '.join(str(y) for y in found.peaks)}")
+            click.echo(f"troughs: {' '.join(str(y) for y in found.troughs)}")
+        if plot is not None:
+            report.write_plot_data(aggregate, plot, found, minutes)
 
 
 @cli.command("report")

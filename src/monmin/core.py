@@ -81,6 +81,22 @@ def as_decimal(value) -> Decimal:
     raise TypeError(f"cannot convert {type(value).__name__} to Decimal")
 
 
+def _finite_decimal(value, label: str, subject=None) -> Decimal:
+    """``value`` as a Decimal, refused with NonPositiveInput unless it is finite.
+
+    The message names the value's ``label``, after ``subject:`` when one
+    is given, and the value itself: ``Gold: amount must be finite, got NaN``.
+    The types built once per row call this only for a value that is not
+    already a finite Decimal, which keeps a function call off their rows.
+    """
+    if type(value) is not Decimal:
+        value = as_decimal(value)
+    if not value.is_finite():
+        name = label if subject is None else f"{subject}: {label}"
+        raise NonPositiveInput(f"{name} must be finite, got {value}")
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class CurrencyCode:
     """ISO-style currency identifier, e.g. USD or CZK.
@@ -109,11 +125,9 @@ class TimeStandard:
     minutes_per_year: Decimal = MINUTES_PER_YEAR
 
     def __post_init__(self):
-        object.__setattr__(self, "minutes_per_year", as_decimal(self.minutes_per_year))
-        if not self.minutes_per_year.is_finite():
-            raise NonPositiveInput(
-                f"minutes_per_year must be finite, got {self.minutes_per_year}"
-            )
+        object.__setattr__(
+            self, "minutes_per_year", _finite_decimal(self.minutes_per_year, "minutes_per_year")
+        )
         if self.minutes_per_year <= 0:
             raise NonPositiveInput(
                 f"minutes_per_year must be > 0, got {self.minutes_per_year}"
@@ -137,12 +151,10 @@ class EconomySnapshot:
     def __init__(
         self, country: str, currency: CurrencyCode, gdp: Decimal, population: int, as_of: date
     ) -> None:
-        if type(gdp) is not Decimal:
-            gdp = as_decimal(gdp)
+        if type(gdp) is not Decimal or not gdp.is_finite():
+            gdp = _finite_decimal(gdp, "gdp", country)
         if isinstance(as_of, str):
             as_of = date.fromisoformat(as_of)
-        if not gdp.is_finite():
-            raise NonPositiveInput(f"{country}: gdp must be finite, got {gdp}")
         if gdp <= 0:
             raise NonPositiveInput(f"{country}: gdp must be > 0, got {gdp}")
         if not isinstance(population, int) or population <= 0:
@@ -178,10 +190,8 @@ class MonMinValue:
     def __init__(
         self, currency: CurrencyCode, value: Decimal, source: CmSource = CmSource.MANUAL
     ) -> None:
-        if type(value) is not Decimal:
-            value = as_decimal(value)
-        if not value.is_finite():
-            raise NonPositiveInput(f"minute value must be finite, got {value} {currency}")
+        if type(value) is not Decimal or not value.is_finite():
+            value = _finite_decimal(value, "minute value", currency)
         if value <= 0:
             raise NonPositiveInput(f"minute value must be > 0, got {value} {currency}")
         _set(self, "currency", currency)
@@ -199,13 +209,11 @@ class ExchangeRate:
     as_of: date | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "rate", as_decimal(self.rate))
+        object.__setattr__(
+            self, "rate", _finite_decimal(self.rate, f"rate {self.base}->{self.quote}")
+        )
         if isinstance(self.as_of, str):
             object.__setattr__(self, "as_of", date.fromisoformat(self.as_of))
-        if not self.rate.is_finite():
-            raise NonPositiveInput(
-                f"rate {self.base}->{self.quote} must be finite, got {self.rate}"
-            )
         if self.rate <= 0:
             raise NonPositiveInput(
                 f"rate {self.base}->{self.quote} must be > 0, got {self.rate}"
@@ -275,10 +283,8 @@ class PriceQuote:
     amount: Decimal
 
     def __init__(self, item: str, unit: str, currency: CurrencyCode, amount: Decimal) -> None:
-        if type(amount) is not Decimal:
-            amount = as_decimal(amount)
-        if not amount.is_finite():
-            raise NonPositiveInput(f"{item}: amount must be finite, got {amount}")
+        if type(amount) is not Decimal or not amount.is_finite():
+            amount = _finite_decimal(amount, "amount", item)
         if amount < 0:
             raise NonPositiveInput(f"{item}: amount must be >= 0, got {amount}")
         _set(self, "item", item)
@@ -296,9 +302,7 @@ class MonMinPrice:
     monmin: Decimal
 
     def __post_init__(self):
-        object.__setattr__(self, "monmin", as_decimal(self.monmin))
-        if not self.monmin.is_finite():
-            raise NonPositiveInput(f"{self.item}: minute price must be finite, got {self.monmin}")
+        object.__setattr__(self, "monmin", _finite_decimal(self.monmin, "minute price", self.item))
         if self.monmin < 0:
             raise NonPositiveInput(
                 f"{self.item}: minute price must be >= 0, got {self.monmin}"

@@ -247,31 +247,22 @@ def render_table(spec: TableSpec, rows: Collection[Mapping[str, object]], fmt: s
 class RowView:
     """A table's rows, each made when it is read, with their count known up front.
 
-    ``row(i)`` makes row ``i`` from the builder's source, so indexing
-    (negative indices and slices too) makes only the rows asked for.
-    Iteration uses ``rows()`` when the builder gives a cheaper way through
-    every row, and ``row`` for each index otherwise.  Each read makes the
-    rows again, so a view can be read any number of times.
+    ``row(i)`` makes row ``i`` from the builder's source; iteration calls
+    it for each index in turn, and indexing (negative indices and slices
+    too) only for the rows asked for.  Each read makes the rows again, so
+    a view can be read any number of times.
     """
 
-    __slots__ = ("_row", "_count", "_rows")
+    __slots__ = ("_row", "_count")
 
-    def __init__(
-        self,
-        row: Callable[[int], dict],
-        count: int,
-        rows: Callable[[], Iterator[dict]] | None = None,
-    ):
+    def __init__(self, row: Callable[[int], dict], count: int):
         self._row = row
         self._count = count
-        self._rows = rows
 
     def __len__(self) -> int:
         return self._count
 
     def __iter__(self) -> Iterator[dict]:
-        if self._rows is not None:
-            return self._rows()
         return map(self._row, range(self._count))
 
     def __getitem__(self, index):
@@ -301,7 +292,8 @@ def build_table1(snapshots, std: TimeStandard = TimeStandard()):
     )
     snapshots = tuple(snapshots)
 
-    def make(snapshot):
+    def row(i):
+        snapshot = snapshots[i]
         cm = compute_cm(snapshot, std)
         return {
             "country": snapshot.country,
@@ -313,7 +305,7 @@ def build_table1(snapshots, std: TimeStandard = TimeStandard()):
             "source": cm.source.value,
         }
 
-    return spec, RowView(lambda i: make(snapshots[i]), len(snapshots), lambda: map(make, snapshots))
+    return spec, RowView(row, len(snapshots))
 
 
 def build_table2(
@@ -511,25 +503,25 @@ def _quote_rows(baskets: Sequence[Basket], contexts: Sequence[tuple], make: Call
     """A row per quote of every basket, in :meth:`Basket.quotes` order.
 
     ``make(context, quote, role)`` makes the row of a quote from its
-    basket's entry in ``contexts``.  An indexed row finds its basket by
-    bisection over the baskets' quote counts.
+    basket's entry in ``contexts``.  Row ``i`` is in the basket of the row
+    made before it when rows are read in order, and is found by bisection
+    over the baskets' running quote counts otherwise.
     """
     ends = list(accumulate(b.quote_count for b in baskets))
+    starts = [0, *ends[:-1]]
+    last = [0]  # the basket of the row made last
 
     def row(index):
-        k = bisect_right(ends, index)
+        k = last[0]
+        if not starts[k] <= index < ends[k]:
+            k = last[0] = bisect_right(ends, index)
         basket = baskets[k]
-        j = index - ends[k] + basket.quote_count
+        j = index - starts[k]
         if j < len(basket.items):
             return make(contexts[k], basket.items[j], "item")
         return make(contexts[k], basket.salary, "salary")
 
-    def rows():
-        for basket, context in zip(baskets, contexts):
-            for quote, role in basket.quotes():
-                yield make(context, quote, role)
-
-    return RowView(row, ends[-1] if ends else 0, rows)
+    return RowView(row, ends[-1] if ends else 0)
 
 
 def build_basket_listing(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .core import CurrencyCode, TimeStandard, _set, as_decimal
+from .core import CurrencyCode, TimeStandard, _finite_decimal, _set
 from .errors import EmptySeries, NonMonotoneYears, NonPositiveInput, TooShort
 
 __all__ = [
@@ -37,14 +37,10 @@ class AggregateYear:
     def __init__(
         self, year: int, m1: Decimal, gdp: Decimal, population: int, events: str = ""
     ) -> None:
-        if type(m1) is not Decimal:
-            m1 = as_decimal(m1)
-        if type(gdp) is not Decimal:
-            gdp = as_decimal(gdp)
-        if not m1.is_finite():
-            raise NonPositiveInput(f"{year}: m1 must be finite, got {m1}")
-        if not gdp.is_finite():
-            raise NonPositiveInput(f"{year}: gdp must be finite, got {gdp}")
+        if type(m1) is not Decimal or not m1.is_finite():
+            m1 = _finite_decimal(m1, "m1", year)
+        if type(gdp) is not Decimal or not gdp.is_finite():
+            gdp = _finite_decimal(gdp, "gdp", year)
         if m1 < 0:
             raise NonPositiveInput(f"{year}: m1 must be >= 0, got {m1}")
         if gdp <= 0:

@@ -670,6 +670,41 @@ class TestOutputFileReplacedOnSuccess:
         assert code == 0 and link.is_symlink()
         assert real.read_bytes() == (GOLDEN / "table4.csv").read_bytes()
 
+    def test_a_read_only_file_is_refused_as_open_refuses_it(self, capsys, tmp_path):
+        kept = tmp_path / "kept.csv"
+        kept.write_bytes(b"keep,me\n")
+        os.chmod(kept, 0o444)
+        try:
+            os.close(os.open(kept, os.O_WRONLY))
+        except PermissionError:
+            pass
+        else:
+            pytest.skip("this user may write a read-only file (root, for one)")
+        code, out, err = run(capsys, *self.TABLE4, "--cm", "USD=0.12101", "--out", str(kept))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"error: [Errno 13] Permission denied: '{kept}'"
+        assert kept.read_bytes() == b"keep,me\n"
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o444
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
+
+    @pytest.mark.parametrize("missing", ["--out", "--plot-data"])
+    def test_series_replaces_neither_file_when_the_other_cannot_be_written(
+        self, capsys, tmp_path, missing
+    ):
+        kept = tmp_path / "kept.csv"
+        kept.write_bytes(b"keep,me\n")
+        nowhere = tmp_path / "no" / "such.csv"
+        paths = {"--out": nowhere, "--plot-data": kept} if missing == "--out" else {
+            "--out": kept, "--plot-data": nowhere}
+        code, out, err = run(
+            capsys, "series", "--series", str(FIXTURES / "series_us.csv"), "--extrema",
+            "--out", str(paths["--out"]), "--plot-data", str(paths["--plot-data"]),
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: [Errno 2] No such file or directory: '{nowhere}'"]
+        assert kept.read_bytes() == b"keep,me\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_a_fifo_is_written_in_place(self, capsys, tmp_path):
         fifo = tmp_path / "fifo"

@@ -182,7 +182,7 @@ NON_FINITE = ["Infinity", "-Infinity", "NaN", "sNaN"]
     "make,message",
     [
         (lambda v: EconomySnapshot("X", USD, v, 10, "2019-01-01"), "X: gdp must be finite, got {}"),
-        (lambda v: MonMinValue(USD, v), "minute value must be finite, got {} USD"),
+        (lambda v: MonMinValue(USD, v), "USD: minute value must be finite, got {}"),
         (lambda v: PriceQuote("Gold", "1 oz", USD, v), "Gold: amount must be finite, got {}"),
         (lambda v: AggregateYear(1960, v, D(1), 10), "1960: m1 must be finite, got {}"),
         (lambda v: AggregateYear(1960, D(1), v, 10), "1960: gdp must be finite, got {}"),

@@ -418,6 +418,7 @@ class TestRowsMadeOnRead:
             every = list(rows)
             assert [rows[i] for i in range(len(rows))] == every
             assert rows[-1] == every[-1] and rows[-len(rows)] == every[0]
+            assert rows[::-1] == every[::-1] and rows[1::7] == every[1::7]
 
     def test_checks_run_before_the_builder_returns(self, fixtures):
         food, _ = load_basket(fixtures / "basket_food.csv")
