@@ -285,7 +285,8 @@ def cmd_parity(rate, ref_value, local_value, item):
     current = ExchangeRate(CurrencyCode("REF"), CurrencyCode("LOC"), _decimal_flag(rate, "--rate"))
     ref_price = MonMinPrice(item, CurrencyCode("REF"), _decimal_flag(ref_value, "--ref"))
     local_price = MonMinPrice(item, CurrencyCode("LOC"), _decimal_flag(local_value, "--local"))
-    click.echo(str(round_half_away(parity_rate(current, ref_price, local_price), 3)))
+    rate = parity_rate(current, ref_price, local_price)
+    click.echo(report.format_cell(report.ColumnRule("rate", decimals=3), rate))
 
 
 @cli.command("basket")

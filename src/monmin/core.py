@@ -7,10 +7,11 @@ and the pure operations on them: computing per-economy minute values,
 deriving them across exchange rates, re-pricing quotes in minutes,
 hypothetical parity rates, and salary normalization.
 
-All arithmetic is `decimal.Decimal` at the interpreter's default 28-digit
-precision; nothing here rounds for display (that is the report layer's
-job).  Every type is a frozen value, every operation a pure function, so
-everything is safe to share across threads.
+All arithmetic is `decimal.Decimal` under the caller's context, which is
+the interpreter's default 28-digit precision unless the caller changes it.
+Nothing here rounds for display: the report layer does, under its own
+context, whatever the caller's.  Every type is a frozen value, every
+operation a pure function, so everything is safe to share across threads.
 """
 from __future__ import annotations
 

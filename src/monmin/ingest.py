@@ -32,7 +32,7 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Context, Decimal, InvalidOperation
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -161,18 +161,31 @@ def _issue(line: int, exc: Exception) -> Issue:
     return Issue(line, f"{kind}: {exc}")
 
 
-def _records(reader, numbers: list[int], errors: list[Issue]):
-    """Rows of one csv reader, each with the physical line it starts on.
+def _records(reader, numbers: list[int], errors: list[Issue], width: int, optional: int):
+    """Each row's first physical line and stripped cells, the header's too.
 
     ``numbers`` receives the physical line of each line fed to the reader.
     The reader never reads past the end of a row, so after each row (or
     ``csv.Error``) it holds exactly that row's lines and is emptied again.
+    A row after the header of another width is an issue, except that up
+    to ``optional`` trailing cells may be missing; each reads as "".
     """
+    counts = f"{width - optional} or {width}" if optional else str(width)
+    wrong_width = f"MalformedRow: expected {counts} columns, got "
+    header = True
     while True:
         try:
             for cells in reader:
-                yield numbers[0], cells
+                lineno = numbers[0]
                 numbers.clear()
+                missing = width - len(cells)
+                if missing == 0 or header:
+                    yield lineno, map(str.strip, cells)
+                elif 0 < missing <= optional:
+                    yield lineno, map(str.strip, cells + [""] * missing)
+                else:
+                    errors.append(Issue(lineno, wrong_width + str(len(cells))))
+                header = False
             return
         except csv.Error as exc:
             errors.append(Issue(numbers[0], f"MalformedRow: {exc}"))
@@ -210,22 +223,6 @@ def _table_lines(fh, directives, numbers: list[int], errors: list[Issue]):
             yield raw
 
 
-def _cells(rows, width: int, optional: int, errors: list[Issue]):
-    """Each row's first line and stripped cells; a row of another width is an issue.
-
-    Up to ``optional`` trailing cells may be missing; each reads as "".
-    """
-    expected = f"{width - optional} or {width}" if optional else str(width)
-    for lineno, cells in rows:
-        missing = width - len(cells)
-        if missing == 0:
-            yield lineno, map(str.strip, cells)
-        elif 0 < missing <= optional:
-            yield lineno, map(str.strip, cells + [""] * missing)
-        else:
-            errors.append(Issue(lineno, f"MalformedRow: expected {expected} columns, got {len(cells)}"))
-
-
 def _read_table(path, expected: list[str], optional: tuple[str, ...] = ()) -> _Scan:
     """Scan a file up to its header: directives, then one csv reader over the rest.
 
@@ -242,18 +239,17 @@ def _read_table(path, expected: list[str], optional: tuple[str, ...] = ()) -> _S
     errors: list[Issue] = []
     fh = open(path, encoding="utf-8-sig", errors="surrogateescape", newline="")
     lines = _table_lines(fh, directives, numbers, errors)
-    rows = _records(csv.reader(lines), numbers, errors)
+    rows = _records(csv.reader(lines), numbers, errors, len(expected) + len(optional), len(optional))
     first = next(rows, None)
     if first is None:
         errors.append(Issue(1, "MalformedRow: missing header row"))
         return _Scan(directives, 0, rows, errors)
     header_line, cells = first
-    header = [c.strip() for c in cells]
+    header = list(cells)
     if header != expected and header != expected + list(optional):
         errors.append(
             Issue(header_line, f"MalformedRow: header {header} does not match {expected}")
         )
-    rows = _cells(rows, len(expected) + len(optional), len(optional), errors)
     return _Scan(directives, header_line, rows, errors)
 
 
@@ -414,13 +410,16 @@ def load_series(
     return AggregateSeries(currency=currency, years=tuple(years), std=std), IngestReport(len(years))
 
 
+_sci_text = Context(capitals=1).to_sci_string  # ``str``, with "E" whatever the caller's context
+
+
 def _plain(value: Decimal) -> str:
     """Fixed-point text of a decimal, never scientific notation.
 
-    ``str`` is several times cheaper than ``format(value, "f")`` and gives
-    the same text unless it switches to an exponent.
+    Scientific text is several times cheaper than ``format(value, "f")``
+    and the same unless it switches to an exponent.
     """
-    text = str(value)
+    text = _sci_text(value)
     return text if "E" not in text else format(value, "f")
 
 

@@ -1,9 +1,13 @@
 """Deterministic table rendering with per-column rounding rules.
 
 Computation upstream keeps full precision; every figure is rounded here,
-exactly once, with half-away-from-zero ties.  Two output variants exist:
-CSV for machines and aligned text for humans.  Identical inputs always
-produce byte-identical output.
+exactly once, with half-away-from-zero ties, by one ``quantize`` under
+this module's own display context.  So the caller's ``decimal`` context
+(precision, rounding mode, traps, exponent letter) changes no cell, and a
+cell wider than 28 digits prints every digit.  The arithmetic that makes
+a row's figures, in the builders below, still runs under the caller's
+context.  Two output variants exist: CSV for machines and aligned text
+for humans.  Identical inputs always produce byte-identical output.
 
 Builders assemble the six standard report tables (per-country minute
 values, cross-rate minute values, commodity and food baskets in minutes,
@@ -20,7 +24,7 @@ import csv
 import io
 from bisect import bisect_right
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal, InvalidOperation, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_UP, Context, Decimal
 from enum import Enum
 from itertools import accumulate
 from operator import itemgetter
@@ -109,23 +113,24 @@ class TableSpec:
             raise ValueError(f"duplicate column names in table {self.table_id.value}")
 
 
-def _half_away(value: Decimal, quantum: Decimal) -> Decimal:
-    rounded = value.quantize(quantum, ROUND_HALF_UP)
-    return rounded if rounded else abs(rounded)  # avoid "-0.00"
+# Display rounding only: wide enough to print every digit of a cell, whatever
+# the caller's context.  No arithmetic runs under it, and its flags are never read.
+_CELLS = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def round_half_away(value: Decimal, decimals: int) -> Decimal:
-    """Round to a fixed number of decimals, ties away from zero."""
-    return _half_away(as_decimal(value), Decimal(1).scaleb(-decimals))
+    """Round to a fixed number of decimals, ties away from zero, under the caller's context."""
+    rounded = as_decimal(value).quantize(Decimal(1).scaleb(-decimals), ROUND_HALF_UP)
+    return rounded if rounded else rounded.copy_abs()  # avoid "-0.00"
 
 
 def round_significant(value: Decimal, figures: int) -> Decimal:
-    """Round to a number of significant digits, ties away from zero."""
+    """Round to a number of significant digits, ties away from zero, under the display context."""
     value = as_decimal(value)
     if value == 0:
         return Decimal(0)
-    quantum = Decimal(1).scaleb(value.adjusted() - figures + 1)
-    return value.quantize(quantum, rounding=ROUND_HALF_UP)
+    quantum = Decimal(1).scaleb(value.adjusted() - figures + 1, _CELLS)
+    return value.quantize(quantum, ROUND_HALF_UP, _CELLS)
 
 
 def _verbatim(value) -> str:
@@ -136,7 +141,7 @@ def _formatter(rule: ColumnRule) -> Callable[[object], str]:
     """Compile one column's rule into a cell formatter, the quantum worked out once."""
     if rule.decimals is not None:
         decimals = rule.decimals
-        quantum = Decimal(1).scaleb(-decimals)
+        quantum = Decimal(1).scaleb(-decimals, _CELLS)
 
         def fixed(value) -> str:
             kind = type(value)
@@ -147,15 +152,8 @@ def _formatter(rule: ColumnRule) -> Callable[[object], str]:
                     except ValueError:  # more digits than int-to-text allows
                         pass
                 value = as_decimal(value)
-            try:
-                return _plain(_half_away(value, quantum))
-            except InvalidOperation:
-                if not value.is_finite():
-                    raise
-            # more digits than the context holds: a table cell prints them all
-            with localcontext() as ctx:
-                ctx.prec = value.adjusted() + decimals + 2
-                return _plain(_half_away(value, quantum))
+            rounded = value.quantize(quantum, ROUND_HALF_UP, _CELLS)
+            return _plain(rounded if rounded else rounded.copy_abs())  # avoid "-0.00"
 
         return fixed
     if rule.sig_figures is not None:
@@ -477,9 +475,6 @@ def build_table4(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
 def build_table4b(baskets: Sequence[Basket]):
     """Basket items as percent of the salary; minute values cancel out."""
     countries, spec = _country_columns(TableId.T4B, baskets, decimals=2)
-    for basket in baskets:
-        if basket.salary is None:
-            raise ShapeMismatch(f"basket {basket.country} has no salary row")
     salaries = [_salary_minutes(b) for b in baskets]
     labels, amounts = _aligned_amounts(baskets)
     items = len(labels)

@@ -170,6 +170,10 @@ class TestParity:
         code, _, err = run(capsys, "parity", "--rate", "1", "--ref", "1", "--local", "0")
         assert code == 2
 
+    def test_rate_wider_than_28_digits_prints_every_digit(self, capsys):
+        code, out, err = run(capsys, "parity", "--rate", "1E+30", "--ref", "1", "--local", "1")
+        assert (code, out, err) == (0, "1" + "0" * 30 + ".000\n", "")
+
 
 class TestBasketAndPercent:
     def test_basket_listing(self, capsys, fixtures):
@@ -379,6 +383,21 @@ class TestPercentErrors:
     )
     def test_first_failing_basket_in_file_order(self, capsys, tmp_path, rows, message):
         code, out, err = run(capsys, "percent", "--basket", write_basket_file(tmp_path / "b.csv", rows))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            (["A,USD,Bread,kg,1.50,item", "A,USD,Salary,month,0.00,salary", "B,EUR,Bread,kg,2.00,item"],
+             "salary must be > 0, got 0.00"),
+            (["B,EUR,Bread,kg,2.00,item", "A,USD,Bread,kg,1.50,item", "A,USD,Salary,month,0,salary"],
+             "basket B has no salary row"),
+        ],
+        ids=["zero-salary-first", "missing-salary-first"],
+    )
+    def test_table4b_blames_the_same_basket(self, capsys, tmp_path, rows, message):
+        path = write_basket_file(tmp_path / "b.csv", rows)
+        code, out, err = run(capsys, "report", "--table", "4b", "--basket", path)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 

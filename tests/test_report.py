@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import random
 import tracemalloc
 from datetime import date
@@ -147,6 +148,47 @@ class TestRenderTable:
         # 0.4445 -> 0.44 in one step; a 3-then-2 double rounding would give 0.45
         text = render_table(self.SPEC, [{"name": "x", "value": D("0.4445"), "count": 0}])
         assert "0.44" in text
+
+
+class TestRenderUnderCallerContext:
+    """Cells round under report's own context: the caller's does not reach them."""
+
+    SPEC = TableSpec(
+        TableId.T1,
+        (
+            ColumnRule("name"),
+            ColumnRule("whole", decimals=0),
+            ColumnRule("cm", decimals=7),
+            ColumnRule("sig", sig_figures=6),
+        ),
+    )
+    ROWS = [
+        {"name": "a", "whole": D("2.5"), "cm": D("0.1242022112657979514986909670"), "sig": D("0.13497135")},
+        {"name": "b", "whole": D("1E+40"), "cm": D("-0.00000004"), "sig": D("123456.789")},
+        {"name": "c", "whole": D("-0.4"), "cm": D("9.5E-8"), "sig": D("1E+40")},
+    ]
+
+    @pytest.mark.parametrize(
+        "context",
+        [
+            decimal.Context(prec=6),
+            decimal.Context(rounding=decimal.ROUND_FLOOR),
+            decimal.Context(traps=[decimal.Inexact]),
+            decimal.Context(traps=[decimal.Rounded]),
+            decimal.Context(capitals=0),
+        ],
+        ids=["prec-6", "round-floor", "trap-inexact", "trap-rounded", "lower-case-exponent"],
+    )
+    def test_identical_bytes(self, context):
+        expected = {fmt: render_table(self.SPEC, self.ROWS, fmt) for fmt in ("csv", "text")}
+        with decimal.localcontext(context):
+            assert {fmt: render_table(self.SPEC, self.ROWS, fmt) for fmt in expected} == expected
+        assert expected["csv"].splitlines() == [
+            "name,whole,cm,sig",
+            "a,3,0.1242022,0.134971",
+            "b,1" + "0" * 40 + ",0.0000000,123457",
+            "c,0,0.0000001,1" + "0" * 40,
+        ]
 
 
 class TestTable1:
