@@ -198,9 +198,12 @@ def _gather_cms(cm_entries, economies_path, std: TimeStandard) -> dict[str, MonM
 
 
 def _note_cm_sources(values: dict[str, MonMinValue]) -> None:
+    """One stderr line per minute value used: fixed-point, or scientific past 30 zeros."""
     for code in values:
         cm = values[code]
-        click.echo(f"cm {code}={format(cm.value, 'f')} source={cm.source.value}", err=True)
+        value = cm.value
+        text = format(value, "f") if abs(value.adjusted()) <= 30 else str(value)
+        click.echo(f"cm {code}={text} source={cm.source.value}", err=True)
 
 
 @click.group()

@@ -60,11 +60,19 @@ MINUTES_PER_YEAR_ASTRONOMICAL = Decimal("525948.766")
 
 _CODE_RE = re.compile(r"^[A-Z0-9]{3,4}$")
 
-# The types built once per row check their input in a hand-written
-# ``__init__`` and set each slot once through this.  ``dataclass`` keeps a
-# class-defined ``__init__``, so fields, ``replace``, eq/hash/repr, pickling
-# and frozenness are still the generated ones.
-_set = object.__setattr__
+_ZERO = Decimal(0)
+
+
+def _slot_setters(cls, *names):
+    """The setter of each named slot, taken once: it writes past a frozen ``__setattr__``.
+
+    The types built once per row check their input in a hand-written
+    ``__init__`` and set each slot once through these, which is cheaper
+    than ``object.__setattr__`` by name.  ``dataclass`` keeps a
+    class-defined ``__init__``, so fields, ``replace``, eq/hash/repr,
+    pickling and frozenness are still the generated ones.
+    """
+    return tuple(getattr(cls, name).__set__ for name in names)
 
 
 def as_decimal(value) -> Decimal:
@@ -156,20 +164,25 @@ class EconomySnapshot:
             gdp = _finite_decimal(gdp, "gdp", country)
         if isinstance(as_of, str):
             as_of = date.fromisoformat(as_of)
-        if gdp <= 0:
+        if gdp <= _ZERO:
             raise NonPositiveInput(f"{country}: gdp must be > 0, got {gdp}")
         if not isinstance(population, int) or population <= 0:
             raise NonPositiveInput(
                 f"{country}: population must be a positive integer, got {population!r}"
             )
-        _set(self, "country", country)
-        _set(self, "currency", currency)
-        _set(self, "gdp", gdp)
-        _set(self, "population", population)
-        _set(self, "as_of", as_of)
+        _snapshot_country(self, country)
+        _snapshot_currency(self, currency)
+        _snapshot_gdp(self, gdp)
+        _snapshot_population(self, population)
+        _snapshot_as_of(self, as_of)
 
     def gdp_per_capita(self) -> Decimal:
         return self.gdp / self.population
+
+
+_snapshot_country, _snapshot_currency, _snapshot_gdp, _snapshot_population, _snapshot_as_of = (
+    _slot_setters(EconomySnapshot, "country", "currency", "gdp", "population", "as_of")
+)
 
 
 class CmSource(Enum):
@@ -193,11 +206,14 @@ class MonMinValue:
     ) -> None:
         if type(value) is not Decimal or not value.is_finite():
             value = _finite_decimal(value, "minute value", currency)
-        if value <= 0:
+        if value <= _ZERO:
             raise NonPositiveInput(f"minute value must be > 0, got {value} {currency}")
-        _set(self, "currency", currency)
-        _set(self, "value", value)
-        _set(self, "source", source)
+        _cm_currency(self, currency)
+        _cm_value(self, value)
+        _cm_source(self, source)
+
+
+_cm_currency, _cm_value, _cm_source = _slot_setters(MonMinValue, "currency", "value", "source")
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,12 +302,17 @@ class PriceQuote:
     def __init__(self, item: str, unit: str, currency: CurrencyCode, amount: Decimal) -> None:
         if type(amount) is not Decimal or not amount.is_finite():
             amount = _finite_decimal(amount, "amount", item)
-        if amount < 0:
+        if amount < _ZERO:
             raise NonPositiveInput(f"{item}: amount must be >= 0, got {amount}")
-        _set(self, "item", item)
-        _set(self, "unit", unit)
-        _set(self, "currency", currency)
-        _set(self, "amount", amount)
+        _quote_item(self, item)
+        _quote_unit(self, unit)
+        _quote_currency(self, currency)
+        _quote_amount(self, amount)
+
+
+_quote_item, _quote_unit, _quote_currency, _quote_amount = _slot_setters(
+    PriceQuote, "item", "unit", "currency", "amount"
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -314,6 +335,8 @@ def compute_cm(econ: EconomySnapshot, std: TimeStandard = TimeStandard()) -> Mon
     """Minute value of an economy: gdp / population / minutes_per_year.
 
     Full 28-digit precision is kept; callers round only when reporting.
+    :func:`monmin.report.build_table1` makes the same division in each row,
+    without building a :class:`MonMinValue`.
     """
     value = econ.gdp / econ.population / std.minutes_per_year
     return MonMinValue(econ.currency, value, CmSource.COMPUTED_FROM_GDP)

@@ -16,7 +16,11 @@ percent-of-salary, and the yearly M1 series), the two basket listings
 plot-data file for the series figure.  Every builder checks its input
 before it returns.  All of them except table 2, which is as small as its
 rate table, return a :class:`RowView`: each row is made when it is read,
-so a table is never held as dicts while it is written.
+so a table is never held while it is written.  A view hands the writer
+each row's values as a tuple in column order, with no dict between them;
+reading a view (iterating or indexing it) still gives each row as a dict,
+made from the same tuple.  Rows given as mappings, such as table 2's
+list, are shape-checked and then formatted by the same loop.
 """
 from __future__ import annotations
 
@@ -24,18 +28,29 @@ import csv
 import io
 from bisect import bisect_right
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_UP, Context, Decimal
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    ROUND_HALF_UP,
+    Context,
+    Decimal,
+    DivisionByZero,
+    InvalidOperation,
+    Overflow,
+)
 from enum import Enum
 from itertools import accumulate
-from operator import itemgetter
+from operator import itemgetter, truediv
 from typing import Callable, Collection, Iterator, Mapping, Sequence, TextIO
 
 from .core import (
+    _ZERO,
+    CmSource,
     MonMinValue,
     RateTable,
     TimeStandard,
     as_decimal,
-    compute_cm,
     cross_cm,
     invert_cm,
 )
@@ -65,6 +80,7 @@ __all__ = [
 
 _BILLION = Decimal("1e9")
 _HUNDRED = Decimal(100)
+_INFINITY = Decimal("Infinity")
 
 
 class TableId(Enum):
@@ -115,7 +131,17 @@ class TableSpec:
 
 # Display rounding only: wide enough to print every digit of a cell, whatever
 # the caller's context.  No arithmetic runs under it, and its flags are never read.
-_CELLS = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+# Every field is named, so nothing is taken from ``decimal.DefaultContext``.
+_CELLS = Context(
+    prec=MAX_PREC,
+    rounding=ROUND_HALF_UP,
+    Emin=MIN_EMIN,
+    Emax=MAX_EMAX,
+    capitals=1,
+    clamp=0,
+    flags=[],
+    traps=[InvalidOperation, DivisionByZero, Overflow],
+)
 
 
 def round_half_away(value: Decimal, decimals: int) -> Decimal:
@@ -178,26 +204,38 @@ def _shape_mismatch(spec: TableSpec, names: list[str], index: int, row) -> Shape
     )
 
 
-def _formatted_rows(spec: TableSpec, rows: Collection[Mapping[str, object]], text: bool):
-    """Each row's cells in column order; a row is shape-checked before it is formatted.
-
-    Numeric columns always run their formatter.  Verbatim columns are
-    formatted only for text output: ``csv.writer`` already prints ``None``
-    as an empty cell and anything else through ``str()``.
-    """
-    names = [c.name for c in spec.columns]
+def _checked_values(spec: TableSpec, names: list[str], rows: Collection[Mapping[str, object]]):
+    """Each mapping's values in column order, once it is shown to hold exactly those columns."""
     width = len(names)
     values = itemgetter(*names) if width > 1 else lambda row: [row[n] for n in names]
-    formatters = [(i, _formatter(c)) for i, c in enumerate(spec.columns) if text or c.numeric]
     for index, row in enumerate(rows):
         # the spec's names are distinct: the right number of keys, all found,
         # are exactly the spec's columns
         if len(row) != width:
             raise _shape_mismatch(spec, names, index, row)
         try:
-            cells = list(values(row))
+            yield values(row)
         except KeyError:
             raise _shape_mismatch(spec, names, index, row) from None
+
+
+def _formatted_rows(spec: TableSpec, rows, text: bool):
+    """Each row's cells in column order.
+
+    A :class:`RowView` made for the spec's columns hands over its values
+    as they are made; any other rows are mappings, shape-checked first.
+    Numeric columns always run their formatter.  Verbatim columns are
+    formatted only for text output: ``csv.writer`` already prints ``None``
+    as an empty cell and anything else through ``str()``.
+    """
+    names = [c.name for c in spec.columns]
+    formatters = [(i, _formatter(c)) for i, c in enumerate(spec.columns) if text or c.numeric]
+    if isinstance(rows, RowView) and rows.names == tuple(names):
+        ordered = rows.values()
+    else:
+        ordered = _checked_values(spec, names, rows)
+    for values in ordered:
+        cells = list(values)
         for i, fmt in formatters:
             cells[i] = fmt(cells[i])
         yield cells
@@ -245,20 +283,30 @@ def render_table(spec: TableSpec, rows: Collection[Mapping[str, object]], fmt: s
 class RowView:
     """A table's rows, each made when it is read, with their count known up front.
 
-    ``row(i)`` makes row ``i`` from the builder's source; iteration calls
-    it for each index in turn, and indexing (negative indices and slices
-    too) only for the rows asked for.  Each read makes the rows again, so
-    a view can be read any number of times.
+    ``make(i)`` makes row ``i``'s values as a tuple in the order of the
+    spec's columns, which :attr:`names` holds.  :func:`write_table` takes
+    those tuples as they are made.  Reading the view gives dicts of the
+    same values: iteration makes every row in turn, and indexing
+    (negative indices and slices too) only the rows asked for.  Each read
+    makes the rows again, so a view can be read any number of times.
     """
 
-    __slots__ = ("_row", "_count")
+    __slots__ = ("names", "_make", "_count")
 
-    def __init__(self, row: Callable[[int], dict], count: int):
-        self._row = row
+    def __init__(self, spec: TableSpec, make: Callable[[int], tuple], count: int):
+        self.names = tuple(c.name for c in spec.columns)
+        self._make = make
         self._count = count
 
     def __len__(self) -> int:
         return self._count
+
+    def values(self) -> Iterator[tuple]:
+        """Every row's values in column order, each tuple made as it is reached."""
+        return map(self._make, range(self._count))
+
+    def _row(self, index: int) -> dict:
+        return dict(zip(self.names, self._make(index)))
 
     def __iter__(self) -> Iterator[dict]:
         return map(self._row, range(self._count))
@@ -275,7 +323,15 @@ class RowView:
 
 
 def build_table1(snapshots, std: TimeStandard = TimeStandard()):
-    """Per-country minute values from GDP and population."""
+    """Per-country minute values from GDP and population.
+
+    A row divides ``gdp / population`` once, for the per-capita column,
+    and that quotient by the minutes per year for ``cm``: the division
+    :func:`compute_cm` makes, left to right, so the same figure to the last
+    digit, with no :class:`MonMinValue` made per row.  A ``cm`` that is not
+    positive and finite is refused with the minute value's own message
+    when its row is made.
+    """
     spec = TableSpec(
         TableId.T1,
         (
@@ -289,21 +345,27 @@ def build_table1(snapshots, std: TimeStandard = TimeStandard()):
         ),
     )
     snapshots = tuple(snapshots)
+    minutes = std.minutes_per_year
+    source = CmSource.COMPUTED_FROM_GDP
+    label = source.value
 
-    def row(i):
+    def make(i):
         snapshot = snapshots[i]
-        cm = compute_cm(snapshot, std)
-        return {
-            "country": snapshot.country,
-            "currency": snapshot.currency.code,
-            "gdp": snapshot.gdp,
-            "population": snapshot.population,
-            "gdp_per_capita": snapshot.gdp_per_capita(),
-            "cm": cm.value,
-            "source": cm.source.value,
-        }
+        per_capita = snapshot.gdp / snapshot.population
+        cm = per_capita / minutes
+        if not _ZERO < cm < _INFINITY:
+            MonMinValue(snapshot.currency, cm, source)  # raises its refusal
+        return (
+            snapshot.country,
+            snapshot.currency.code,
+            snapshot.gdp,
+            snapshot.population,
+            per_capita,
+            cm,
+            label,
+        )
 
-    return spec, RowView(row, len(snapshots))
+    return spec, RowView(spec, make, len(snapshots))
 
 
 def build_table2(
@@ -427,31 +489,26 @@ def build_table3(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
     values = [_cm_for(b, cms).value for b in baskets]
     labels, amounts = _aligned_amounts(baskets)
 
-    def row(i):
-        item, unit = labels[i]
-        cells = {"item": item, "unit": unit}
-        for price, minute, column, value in zip(prices, minutes, amounts, values):
-            amount = column[i]
-            cells[price] = amount
-            cells[minute] = amount / value
-        return cells
+    def make(i):
+        raw = [column[i] for column in amounts]
+        return (*labels[i], *raw, *map(truediv, raw, values))
 
-    return spec, RowView(row, len(labels))
+    return spec, RowView(spec, make, len(labels))
 
 
 def _country_columns(table_id: TableId, baskets: Sequence[Basket], decimals: int):
-    """The baskets' countries, each allowed once, and a spec: item, unit, a column per country."""
+    """A spec of item, unit and a column per basket's country, each country allowed once."""
     countries = [b.country for b in baskets]
     if len(countries) != len(set(countries)):
         raise ShapeMismatch(f"table {table_id.value} needs one basket per country")
     columns = [ColumnRule("item"), ColumnRule("unit")]
     columns += [ColumnRule(country, decimals=decimals) for country in countries]
-    return countries, TableSpec(table_id, tuple(columns))
+    return TableSpec(table_id, tuple(columns))
 
 
 def build_table4(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
     """Food-basket prices and salaries in minutes, one column per country."""
-    countries, spec = _country_columns(TableId.T4, baskets, decimals=0)
+    spec = _country_columns(TableId.T4, baskets, decimals=0)
     values = [_cm_for(b, cms).value for b in baskets]
     labels, amounts = _aligned_amounts(baskets)
     salaries = [b.salary for b in baskets]
@@ -462,43 +519,38 @@ def build_table4(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
         for column, salary in zip(amounts, salaries):
             column.append(salary.amount)
 
-    def row(i):
-        item, unit = labels[i]
-        cells = {"item": item, "unit": unit}
-        for country, column, value in zip(countries, amounts, values):
-            cells[country] = column[i] / value
-        return cells
+    def make(i):
+        return (*labels[i], *[column[i] / value for column, value in zip(amounts, values)])
 
-    return spec, RowView(row, len(labels))
+    return spec, RowView(spec, make, len(labels))
 
 
 def build_table4b(baskets: Sequence[Basket]):
     """Basket items as percent of the salary; minute values cancel out."""
-    countries, spec = _country_columns(TableId.T4B, baskets, decimals=2)
+    spec = _country_columns(TableId.T4B, baskets, decimals=2)
     salaries = [_salary_minutes(b) for b in baskets]
     labels, amounts = _aligned_amounts(baskets)
     items = len(labels)
+    hundreds = [_HUNDRED] * len(baskets)
     if baskets:
         labels.append((baskets[0].salary.item, baskets[0].salary.unit))
 
-    def row(i):
-        item, unit = labels[i]
-        cells = {"item": item, "unit": unit}
+    def make(i):
         if i == items:
-            cells.update(dict.fromkeys(countries, _HUNDRED))
-            return cells
-        for country, column, salary in zip(countries, amounts, salaries):
-            cells[country] = 100 * (column[i] / 1) / salary
-        return cells
+            return (*labels[i], *hundreds)
+        percents = [100 * (column[i] / 1) / salary for column, salary in zip(amounts, salaries)]
+        return (*labels[i], *percents)
 
-    return spec, RowView(row, len(labels))
+    return spec, RowView(spec, make, len(labels))
 
 
-def _quote_rows(baskets: Sequence[Basket], contexts: Sequence[tuple], make: Callable) -> RowView:
+def _quote_rows(
+    spec: TableSpec, baskets: Sequence[Basket], contexts: Sequence[tuple], make: Callable
+) -> RowView:
     """A row per quote of every basket, in :meth:`Basket.quotes` order.
 
-    ``make(context, quote, role)`` makes the row of a quote from its
-    basket's entry in ``contexts``.  Row ``i`` is in the basket of the row
+    ``make(context, quote, role)`` makes the values of a quote's row from
+    its basket's entry in ``contexts``.  Row ``i`` is in the basket of the row
     made before it when rows are read in order, and is found by bisection
     over the baskets' running quote counts otherwise.
     """
@@ -516,7 +568,7 @@ def _quote_rows(baskets: Sequence[Basket], contexts: Sequence[tuple], make: Call
             return make(contexts[k], basket.items[j], "item")
         return make(contexts[k], basket.salary, "salary")
 
-    return RowView(row, ends[-1] if ends else 0)
+    return RowView(spec, row, ends[-1] if ends else 0)
 
 
 def build_basket_listing(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
@@ -541,18 +593,10 @@ def build_basket_listing(baskets: Sequence[Basket], cms: Mapping[str, MonMinValu
 
     def make(context, quote, role):
         country, code, value, source = context
-        return {
-            "country": country,
-            "currency": code,
-            "item": quote.item,
-            "unit": quote.unit,
-            "amount": _plain(quote.amount),
-            "role": role,
-            "monmin": quote.amount / value,
-            "cm_source": source,
-        }
+        amount = quote.amount
+        return (country, code, quote.item, quote.unit, _plain(amount), role, amount / value, source)
 
-    return spec, _quote_rows(baskets, contexts, make)
+    return spec, _quote_rows(spec, baskets, contexts, make)
 
 
 def build_percent_listing(baskets: Sequence[Basket]):
@@ -574,15 +618,9 @@ def build_percent_listing(baskets: Sequence[Basket]):
 
     def make(context, quote, role):
         country, code, salary = context
-        return {
-            "country": country,
-            "currency": code,
-            "item": quote.item,
-            "unit": quote.unit,
-            "percent": 100 * (quote.amount / 1) / salary,
-        }
+        return (country, code, quote.item, quote.unit, 100 * (quote.amount / 1) / salary)
 
-    return spec, _quote_rows(baskets, contexts, make)
+    return spec, _quote_rows(spec, baskets, contexts, make)
 
 
 def build_table5(series: AggregateSeries, minutes: Sequence[tuple[int, Decimal]] | None = None):
@@ -605,17 +643,11 @@ def build_table5(series: AggregateSeries, minutes: Sequence[tuple[int, Decimal]]
         minutes = series_in_monmin(series)
     years = series.years
 
-    def row(i):
+    def make(i):
         y = years[i]
-        return {
-            "year": y.year,
-            "m1_billions": y.m1 / _BILLION,
-            "m1_monmin_billions": minutes[i][1] / _BILLION,
-            "gdp_billions": y.gdp / _BILLION,
-            "events": y.events,
-        }
+        return (y.year, y.m1 / _BILLION, minutes[i][1] / _BILLION, y.gdp / _BILLION, y.events)
 
-    return spec, RowView(row, min(len(years), len(minutes)))
+    return spec, RowView(spec, make, min(len(years), len(minutes)))
 
 
 def write_plot_data(

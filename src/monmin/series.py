@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .core import CurrencyCode, TimeStandard, _finite_decimal, _set
+from .core import _ZERO, CurrencyCode, TimeStandard, _finite_decimal, _slot_setters
 from .errors import EmptySeries, NonMonotoneYears, NonPositiveInput, TooShort
 
 __all__ = [
@@ -41,17 +41,22 @@ class AggregateYear:
             m1 = _finite_decimal(m1, "m1", year)
         if type(gdp) is not Decimal or not gdp.is_finite():
             gdp = _finite_decimal(gdp, "gdp", year)
-        if m1 < 0:
+        if m1 < _ZERO:
             raise NonPositiveInput(f"{year}: m1 must be >= 0, got {m1}")
-        if gdp <= 0:
+        if gdp <= _ZERO:
             raise NonPositiveInput(f"{year}: gdp must be > 0, got {gdp}")
         if population <= 0:
             raise NonPositiveInput(f"{year}: population must be > 0, got {population}")
-        _set(self, "year", year)
-        _set(self, "m1", m1)
-        _set(self, "gdp", gdp)
-        _set(self, "population", population)
-        _set(self, "events", events)
+        _year_year(self, year)
+        _year_m1(self, m1)
+        _year_gdp(self, gdp)
+        _year_population(self, population)
+        _year_events(self, events)
+
+
+_year_year, _year_m1, _year_gdp, _year_population, _year_events = _slot_setters(
+    AggregateYear, "year", "m1", "gdp", "population", "events"
+)
 
 
 @dataclass(frozen=True, slots=True)

@@ -7,8 +7,8 @@ from decimal import Decimal as D
 import pytest
 
 from conftest import FIXTURES, GOLDEN, golden_runs
-from monmin import detect_extrema, load_series, report, series_in_monmin
-from monmin.cli import main
+from monmin import CurrencyCode, MonMinValue, detect_extrema, load_series, report, series_in_monmin
+from monmin.cli import _note_cm_sources, main
 
 
 def run(capsys, *argv):
@@ -634,6 +634,37 @@ class TestDecimalOverflow:
         assert out == "country,currency,item,unit,amount,role,monmin,cm_source\n"
         assert err.splitlines()[-1] == OVERFLOW
         assert "Traceback" not in err
+
+    def test_minute_value_note_stays_short(self, capsys):
+        """The ``cm CODE=...`` note of a tiny minute value is not a million zeros long."""
+        code, _, err = run(
+            capsys, "report", "--table", "4", "--basket", str(FIXTURES / "basket_food.csv"),
+            "--economies", economies_arg(FIXTURES), "--cm", "USD=1E-999999",
+        )
+        assert code == 2
+        assert len(err.encode()) < 4096
+        assert "cm USD=1E-999999 source=manual" in err.splitlines()
+        assert err.splitlines()[-1] == OVERFLOW
+
+
+class TestMinuteValueNotes:
+    """Each minute value used is noted in fixed point unless that takes more than 30 zeros."""
+
+    @pytest.mark.parametrize(
+        "value,text",
+        [
+            ("0.12101", "0.12101"),
+            ("1E-30", "0." + "0" * 29 + "1"),
+            ("9.5E+30", "95" + "0" * 29),
+            ("1E-31", "1E-31"),
+            ("1E+31", "1E+31"),
+            ("2.5E-999999", "2.5E-999999"),
+        ],
+    )
+    def test_note(self, capsys, value, text):
+        cms = {"USD": MonMinValue(CurrencyCode("USD"), D(value))}
+        _note_cm_sources(cms)
+        assert capsys.readouterr().err == f"cm USD={text} source=manual\n"
 
 
 class TestOutputFileReplacedOnSuccess:

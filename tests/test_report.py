@@ -1,12 +1,17 @@
 import dataclasses
 import decimal
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from datetime import date
 from decimal import Decimal as D
+from pathlib import Path
 
 import pytest
 
+import monmin
 from monmin import (
     AggregateSeries,
     AggregateYear,
@@ -190,6 +195,21 @@ class TestRenderUnderCallerContext:
             "c,0,0.0000001,1" + "0" * 40,
         ]
 
+    def test_default_context_changed_before_import(self):
+        """The display context takes no field from ``decimal.DefaultContext``."""
+        script = (
+            "import decimal\n"
+            "decimal.DefaultContext.traps[decimal.Inexact] = True\n"
+            "decimal.DefaultContext.rounding = decimal.ROUND_FLOOR\n"
+            "from monmin.report import ColumnRule, format_cell\n"
+            "print(format_cell(ColumnRule('x', decimals=2), decimal.Decimal('1.005')))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(monmin.__file__).parent.parent)}
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert (result.returncode, result.stdout) == (0, "1.01\n"), result.stderr
+
 
 class TestTable1:
     def test_czech_row_prints_7_decimals(self, fixtures):
@@ -224,6 +244,21 @@ class TestTable1:
         assert len(rows) == 20_000
         assert target.read_text(encoding="utf-8").count("\n") == 20_001
         assert peak < 2 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+    def test_minute_value_that_underflows_to_zero_is_refused(self):
+        tiny = EconomySnapshot("Tiny", CurrencyCode("USD"), D("1E-999999"), 10**30, date(2019, 1, 1))
+        spec, rows = build_table1([tiny])
+        with pytest.raises(NonPositiveInput) as caught:
+            render_table(spec, rows)
+        assert str(caught.value) == "minute value must be > 0, got 0E-1000026 USD"
+
+    def test_minute_value_that_overflows_to_infinity_is_refused(self):
+        big = EconomySnapshot("Big", CurrencyCode("USD"), D("1E+400"), 10, date(2019, 1, 1))
+        spec, rows = build_table1([big], TimeStandard(D("1E-999999")))
+        with decimal.localcontext(decimal.Context(traps=[decimal.InvalidOperation])):
+            with pytest.raises(NonPositiveInput) as caught:
+                render_table(spec, rows)
+        assert str(caught.value) == "USD: minute value must be finite, got Infinity"
 
     def test_rows_replay_and_snapshots_are_taken_once(self, fixtures):
         snapshots, _ = load_economies(fixtures / "economies_table1.csv")
@@ -517,6 +552,45 @@ class TestRowsMadeOnRead:
         assert len(rows) == 20_000
         assert target.read_text(encoding="utf-8").count("\n") == 20_001
         assert peak < 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+class TestViewsRenderLikeTheirRows:
+    """A view hands the writer its values in column order; its rows as dicts render the same."""
+
+    def views(self, fixtures):
+        snapshots, _ = load_economies(fixtures / "economies_table1.csv")
+        commodities, _ = load_basket(fixtures / "basket_commodities.csv")
+        food, _ = load_basket(fixtures / "basket_food.csv")
+        series, _ = load_series(fixtures / "series_us.csv")
+        table3_cms = {code: manual(code, value) for code, value in TABLE3_CM.items()}
+        table4_cms = {code: manual(code, value) for _, code, value in TABLE4_COUNTRIES}
+        return {
+            "1": build_table1(snapshots),
+            "3": build_table3(commodities, table3_cms),
+            "4": build_table4(food, table4_cms),
+            "4b": build_table4b(food),
+            "5": build_table5(series),
+            "basket": build_basket_listing(food, table4_cms),
+            "percent": build_percent_listing(food),
+        }
+
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    @pytest.mark.parametrize("table", ["1", "3", "4", "4b", "5", "basket", "percent"])
+    def test_view_and_dicts_render_alike(self, fixtures, table, fmt):
+        spec, view = self.views(fixtures)[table]
+        dicts = [dict(row) for row in view]
+        assert [list(row) for row in dicts] == [[c.name for c in spec.columns]] * len(dicts)
+        assert render_table(spec, view, fmt) == render_table(spec, dicts, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_view_with_other_names_is_a_shape_mismatch(self, fixtures, fmt):
+        spec, view = self.views(fixtures)["1"]
+        renamed = TableSpec(spec.table_id, (ColumnRule("nation"), *spec.columns[1:]))
+        with pytest.raises(ShapeMismatch, match=r"table 1 row 0: expected columns \['nation'"):
+            render_table(renamed, view, fmt)
+        shorter = TableSpec(spec.table_id, spec.columns[:-1])
+        with pytest.raises(ShapeMismatch, match="table 1 row 0"):
+            render_table(shorter, view, fmt)
 
 
 class TestSpecValidation:
