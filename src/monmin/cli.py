@@ -34,7 +34,6 @@ from .core import (
     to_monmin,
 )
 from .errors import CurrencyMismatch, IngestFailure, MonMinError, ShapeMismatch
-from .report import round_half_away
 from .series import detect_extrema, series_in_monmin
 
 _TETCY_HELP = "Minutes per year (default 525600; env MONMIN_TETCY)."
@@ -47,6 +46,8 @@ def _load_config(path) -> dict:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise click.UsageError(f"config file not found: {path}")
+    except UnicodeDecodeError as exc:
+        raise click.UsageError(f"config file {path} is not valid UTF-8: {exc}")
     except json.JSONDecodeError as exc:
         raise click.UsageError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
@@ -62,6 +63,13 @@ def _decimal_flag(text, flag: str) -> Decimal:
     if not value.is_finite():
         raise click.UsageError(f"{flag} expects a finite decimal number, got {text!r}")
     return value
+
+
+def _currency_flag(text: str, flag: str) -> CurrencyCode:
+    try:
+        return CurrencyCode(text.upper())
+    except ValueError as exc:
+        raise click.UsageError(f"{flag} {text!r}: {exc}")
 
 
 def _config_decimals(config: dict) -> int:
@@ -105,15 +113,19 @@ def _run_load(loader, path, **kwargs):
 def _open_out(path):
     """A text sink for ``--out`` or ``--plot-data`` that takes the place of ``path`` on success.
 
-    It writes a new file beside the target and moves it over the target
-    with ``os.replace`` when the block ends without error; on an error the
-    new file is removed, so an existing file keeps its bytes and an absent
-    one is not created.  A target the user may not write fails as
+    With no path it is stdout, which gets the same bytes.  Otherwise it
+    writes a new file beside the target and moves it over the target with
+    ``os.replace`` when the block ends without error; on an error the new
+    file is removed, so an existing file keeps its bytes and an absent one
+    is not created.  A target the user may not write fails as
     ``open(path, "w")`` would.  A new file gets the mode ``open(path, "w")``
     gives it, and a replaced one keeps its permission bits.  A target that
     exists and is not a regular file (``/dev/stdout``, a FIFO) is written
     in place.
     """
+    if not path:
+        yield sys.stdout
+        return
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
@@ -146,20 +158,6 @@ def _open_out(path):
         raise
 
 
-def _deliver(spec, rows, out, fmt: str = "csv") -> None:
-    """Stream a table to ``--out`` or, byte for byte the same, to stdout.
-
-    ``--out`` is replaced only once every row is written, so a command
-    that fails, before its first row or during a later one, leaves it as
-    it was.
-    """
-    if not out:
-        report.write_table(spec, rows, sys.stdout, fmt)
-        return
-    with _open_out(out) as sink:
-        report.write_table(spec, rows, sink, fmt)
-
-
 def _parse_cm_options(entries) -> dict[str, MonMinValue]:
     values: dict[str, MonMinValue] = {}
     for raw in entries:
@@ -190,19 +188,20 @@ def _cms_from_economies(path, std: TimeStandard) -> dict[str, MonMinValue]:
 
 
 def _gather_cms(cm_entries, economies_path, std: TimeStandard) -> dict[str, MonMinValue]:
+    manual = _parse_cm_options(cm_entries)  # checked before the file is read
     values = _cms_from_economies(economies_path, std) if economies_path else {}
-    values.update(_parse_cm_options(cm_entries))  # explicit flags win
+    values.update(manual)  # explicit flags win
     if not values:
         raise click.UsageError("missing minute-value source: pass --cm CODE=VALUE or --economies")
     return values
 
 
 def _note_cm_sources(values: dict[str, MonMinValue]) -> None:
-    """One stderr line per minute value used: fixed-point, or scientific past 30 zeros."""
+    """One stderr line per minute value used: fixed-point, or scientific with "E" past 30 zeros."""
     for code in values:
         cm = values[code]
         value = cm.value
-        text = format(value, "f") if abs(value.adjusted()) <= 30 else str(value)
+        text = format(value, "f") if abs(value.adjusted()) <= 30 else ingest._sci_text(value)
         click.echo(f"cm {code}={text} source={cm.source.value}", err=True)
 
 
@@ -220,9 +219,10 @@ def cli():
 def cmd_cm(economies_path, tetcy, config_path, fmt, out):
     """Per-country Monetary Minute values from an economies file."""
     config = _load_config(config_path)
+    std, fmt = _resolve_std(tetcy, config), _resolve_fmt(fmt, config)
     snapshots = _run_load(ingest.load_economies, economies_path)
-    spec, rows = report.build_table1(snapshots, _resolve_std(tetcy, config))
-    _deliver(spec, rows, out, _resolve_fmt(fmt, config))
+    with _open_out(out) as sink:
+        report.write_table(*report.build_table1(snapshots, std), sink, fmt)
 
 
 @cli.command("convert")
@@ -238,10 +238,14 @@ def cmd_convert(amount, currency, cm_value, economies_path, country, tetcy, deci
     """Convert a currency price into Monetary Minutes."""
     config = _load_config(config_path)
     std = _resolve_std(tetcy, config)
+    code = _currency_flag(currency or "XXX", "--currency")
+    amount = _decimal_flag(amount, "--amount")
+    places = decimals if decimals is not None else _config_decimals(config)
+    if places < 0:
+        raise click.UsageError("--decimals must be >= 0")
     if cm_value is not None and economies_path:
         raise click.UsageError("use either --cm or --economies, not both")
     if cm_value is not None:
-        code = CurrencyCode((currency or "XXX").upper())
         cm = MonMinValue(code, _decimal_flag(cm_value, "--cm"), CmSource.MANUAL)
     elif economies_path:
         if not country:
@@ -250,32 +254,21 @@ def cmd_convert(amount, currency, cm_value, economies_path, country, tetcy, deci
         snapshot = next((s for s in snapshots if s.country == country), None)
         if snapshot is None:
             raise MonMinError(f"country {country!r} not found in {economies_path}")
-        if currency and snapshot.currency.code != currency.upper():
-            raise CurrencyMismatch(
-                f"{country} is in {snapshot.currency}, not {currency.upper()}"
-            )
+        if currency and snapshot.currency != code:
+            raise CurrencyMismatch(f"{country} is in {snapshot.currency}, not {code}")
         cm = compute_cm(snapshot, std)
     else:
         raise click.UsageError(
             "missing minute-value source: pass --cm or --economies with --country"
         )
-    quote = PriceQuote("amount", "", cm.currency, _decimal_flag(amount, "--amount"))
-    places = decimals if decimals is not None else _config_decimals(config)
-    if places < 0:
-        raise click.UsageError("--decimals must be >= 0")
+    quote = PriceQuote("amount", "", cm.currency, amount)
     try:
         minutes = to_monmin(quote, cm).monmin
     except Overflow:
         raise click.UsageError(
             f"--amount {quote.amount} at minute value {cm.value} exceeds the decimal range"
         )
-    try:
-        rounded = round_half_away(minutes, places)
-    except InvalidOperation:
-        raise click.UsageError(
-            f"--decimals {places} needs more than {getcontext().prec} digits for {minutes:f}"
-        )
-    click.echo(ingest._plain(rounded))
+    click.echo(report.format_cell(report.ColumnRule("monmin", decimals=places), minutes))
 
 
 @cli.command("parity")
@@ -307,7 +300,8 @@ def cmd_basket(basket_path, economies_path, cm_entries, tetcy, config_path, out)
     baskets = _run_load(ingest.load_basket, basket_path, known_currencies=cms.keys())
     spec, rows = report.build_basket_listing(baskets, cms)
     _note_cm_sources({b.currency.code: cms[b.currency.code] for b in baskets})
-    _deliver(spec, rows, out)
+    with _open_out(out) as sink:
+        report.write_table(spec, rows, sink)
 
 
 @cli.command("percent")
@@ -316,8 +310,8 @@ def cmd_basket(basket_path, economies_path, cm_entries, tetcy, config_path, out)
 def cmd_percent(basket_path, out):
     """Each basket item as a percent of that basket's salary."""
     baskets = _run_load(ingest.load_basket, basket_path)
-    spec, rows = report.build_percent_listing(baskets)
-    _deliver(spec, rows, out)
+    with _open_out(out) as sink:
+        report.write_table(*report.build_percent_listing(baskets), sink)
 
 
 @cli.command("series")
@@ -332,17 +326,16 @@ def cmd_percent(basket_path, out):
 def cmd_series(series_path, currency, tetcy, config_path, fmt, extrema, plot_path, out):
     """Yearly M1 in Monetary Minutes: table, optional extrema and plot data."""
     config = _load_config(config_path)
-    std = _resolve_std(tetcy, config)
-    aggregate = _run_load(
-        ingest.load_series, series_path, currency=CurrencyCode(currency.upper()), std=std
-    )
+    std, fmt = _resolve_std(tetcy, config), _resolve_fmt(fmt, config)
+    code = _currency_flag(currency, "--currency")
+    aggregate = _run_load(ingest.load_series, series_path, currency=code, std=std)
     minutes = series_in_monmin(aggregate)
     spec, rows = report.build_table5(aggregate, minutes)
     found = detect_extrema(minutes) if extrema else None
     with ExitStack() as files:  # both files are opened first and replaced only on success
-        table = files.enter_context(_open_out(out)) if out else sys.stdout
+        table = files.enter_context(_open_out(out))
         plot = files.enter_context(_open_out(plot_path)) if plot_path else None
-        report.write_table(spec, rows, table, _resolve_fmt(fmt, config))
+        report.write_table(spec, rows, table, fmt)
         if found is not None:
             click.echo(f"peaks: {' '.join(str(y) for y in found.peaks)}")
             click.echo(f"troughs: {' '.join(str(y) for y in found.troughs)}")
@@ -368,7 +361,7 @@ def cmd_report(
 ):
     """Render one of the standard tables (1, 2, 3, 4, 4b, 5)."""
     config = _load_config(config_path)
-    std = _resolve_std(tetcy, config)
+    std, fmt = _resolve_std(tetcy, config), _resolve_fmt(fmt, config)
 
     if table_id == "1":
         if not economies_path:
@@ -378,12 +371,12 @@ def cmd_report(
     elif table_id == "2":
         if not rates_path:
             raise click.UsageError("table 2 needs --rates")
+        cms = _parse_cm_options(cm_entries)
         rates = _run_load(ingest.load_rates, rates_path)
         bases = {rate.base.code for rate in rates}
         if len(bases) != 1:
             raise ShapeMismatch(f"table 2 needs a single-base rate table, got bases {sorted(bases)}")
         base_code = bases.pop()
-        cms = _parse_cm_options(cm_entries)
         base_cm = cms.pop(base_code, None)
         if base_cm is None:
             raise click.UsageError(f"table 2 needs --cm {base_code}=<value> for the base currency")
@@ -404,12 +397,12 @@ def cmd_report(
     else:
         if not series_path:
             raise click.UsageError("table 5 needs --series")
-        aggregate = _run_load(
-            ingest.load_series, series_path, currency=CurrencyCode(currency.upper()), std=std
-        )
+        code = _currency_flag(currency, "--currency")
+        aggregate = _run_load(ingest.load_series, series_path, currency=code, std=std)
         spec, rows = report.build_table5(aggregate)
 
-    _deliver(spec, rows, out, _resolve_fmt(fmt, config))
+    with _open_out(out) as sink:
+        report.write_table(spec, rows, sink, fmt)
 
 
 def main(argv=None) -> int:

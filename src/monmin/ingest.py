@@ -127,20 +127,15 @@ class _Scan(NamedTuple):
     errors: list[Issue]  # shared: csv errors land here while ``rows`` is read
 
 
-class _Codes(dict):
-    """Per-file cache so each distinct currency code is validated once."""
+class _Once(dict):
+    """Per-file cache: ``make(text)`` runs once per distinct text, and a hit is a dict lookup."""
 
-    def __missing__(self, text: str) -> CurrencyCode:
-        code = self[text] = CurrencyCode(text)
-        return code
+    def __init__(self, make):
+        self.make = make
 
-
-class _Texts(dict):
-    """Per-file cache so each distinct text is held as one object."""
-
-    def __missing__(self, text: str) -> str:
-        self[text] = text
-        return text
+    def __missing__(self, text: str):
+        value = self[text] = self.make(text)
+        return value
 
 
 def _finite(text: str, scale: Decimal | None = None) -> Decimal:
@@ -276,7 +271,7 @@ def load_economies(path) -> tuple[list[EconomySnapshot], IngestReport]:
     scale = _scale_factor(scan, errors)
     snapshots: list[EconomySnapshot] = []
     seen: dict[str, int] = {}
-    codes = _Codes()
+    codes = _Once(CurrencyCode)
     for lineno, (country, code, gdp_text, pop_text, as_of) in scan.rows:
         try:
             snapshot = EconomySnapshot(
@@ -301,7 +296,7 @@ def load_rates(path) -> tuple[RateTable, IngestReport]:
     warnings: list[Issue] = []
     rates: list[ExchangeRate] = []
     seen: dict[tuple[str, str], int] = {}
-    codes = _Codes()
+    codes = _Once(CurrencyCode)
     for lineno, (base, quote, rate_text, as_of) in scan.rows:
         try:
             rate = ExchangeRate(
@@ -346,8 +341,8 @@ def load_basket(path, known_currencies=None) -> tuple[list[Basket], IngestReport
     scan = _read_table(path, _BASKET_HEADER)
     errors = scan.errors
     groups: dict[tuple[str, str], list] = {}  # (country, code) -> [items, salary]
-    codes = _Codes()
-    texts = _Texts()
+    codes = _Once(CurrencyCode)
+    texts = _Once(str)
     for lineno, (country, code, item, unit, amount_text, role) in scan.rows:
         try:
             if role not in ("item", "salary"):

@@ -145,8 +145,9 @@ _CELLS = Context(
 
 
 def round_half_away(value: Decimal, decimals: int) -> Decimal:
-    """Round to a fixed number of decimals, ties away from zero, under the caller's context."""
-    rounded = as_decimal(value).quantize(Decimal(1).scaleb(-decimals), ROUND_HALF_UP)
+    """Round to a fixed number of decimals, ties away from zero, under the display context."""
+    quantum = Decimal(1).scaleb(-decimals, _CELLS)
+    rounded = as_decimal(value).quantize(quantum, ROUND_HALF_UP, _CELLS)
     return rounded if rounded else rounded.copy_abs()  # avoid "-0.00"
 
 

@@ -1,3 +1,4 @@
+import decimal
 import gc
 import json
 import os
@@ -323,6 +324,77 @@ class TestConfigFile:
         )
         assert code == 1
 
+    def test_config_not_utf8_is_usage_error(self, capsys, fixtures, tmp_path):
+        config = tmp_path / "monmin.json"
+        config.write_bytes(b"\xff\xfe{\x00}\x00")
+        code, out, err = run(
+            capsys, "cm", "--economies", economies_arg(fixtures), "--config", str(config)
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1].startswith(f"usage error: config file {config} is not valid UTF-8: ")
+        assert "Traceback" not in err
+
+
+class TestSettingsBeforeFiles:
+    """Every command checks its settings before it reads an input file."""
+
+    @pytest.mark.parametrize("setting", ["tetcy", "config-format"])
+    def test_cm_and_report_agree(self, capsys, tmp_path, setting):
+        missing = str(tmp_path / "missing.csv")
+        if setting == "tetcy":
+            extra, message = ["--tetcy", "abc"], "usage error: --tetcy expects a decimal number, got 'abc'"
+        else:
+            config = tmp_path / "monmin.json"
+            config.write_text(json.dumps({"format": "xml"}))
+            extra, message = ["--config", str(config)], "usage error: format must be csv or text, got 'xml'"
+        outcomes = [
+            run(capsys, *argv, "--economies", missing, *extra)
+            for argv in (["cm"], ["report", "--table", "1"])
+        ]
+        for code, out, err in outcomes:
+            assert (code, out, err.splitlines()[-1]) == (1, "", message)
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["basket", "--basket", str(FIXTURES / "basket_food.csv"), "--cm", "USD=abc", "--economies"], "--cm"),
+            (["convert", "--amount", "abc", "--country", "X", "--economies"], "--amount"),
+            (["report", "--table", "2", "--cm", "USD=abc", "--rates"], "--cm"),
+        ],
+        ids=["basket-cm", "convert-amount", "report-2-cm"],
+    )
+    def test_flag_before_the_input_file(self, capsys, tmp_path, argv, flag):
+        code, _, err = run(capsys, *argv, str(tmp_path / "missing.csv"))
+        assert (code, err.splitlines()[-1]) == (1, f"usage error: {flag} expects a decimal number, got 'abc'")
+
+    @pytest.mark.parametrize(
+        "command", [["series"], ["report", "--table", "5"]], ids=["series", "report-5"]
+    )
+    def test_series_config_format_before_the_file(self, capsys, tmp_path, command):
+        config = tmp_path / "monmin.json"
+        config.write_text(json.dumps({"format": "xml"}))
+        code, _, err = run(
+            capsys, *command, "--series", str(tmp_path / "missing.csv"), "--config", str(config)
+        )
+        assert (code, err.splitlines()[-1]) == (1, "usage error: format must be csv or text, got 'xml'")
+
+
+class TestCurrencyFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["convert", "--amount", "1", "--cm", "1", "--currency", "x"],
+            ["series", "--series", str(FIXTURES / "series_us.csv"), "--currency", "usd1x"],
+            ["report", "--table", "5", "--series", str(FIXTURES / "series_us.csv"), "--currency", ""],
+        ],
+        ids=["convert", "series", "report-5"],
+    )
+    def test_malformed_currency_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1].startswith(f"usage error: --currency {argv[-1]!r}: ")
+        assert "Traceback" not in err
+
 
 # The listings' golden files are checked here, not through golden_runs():
 # that list is also what the benchmark's paper-tables workload runs.
@@ -402,7 +474,7 @@ class TestPercentErrors:
 
 
 class TestNumericFlags:
-    """Non-finite numbers and unroundable --decimals are usage errors naming the flag."""
+    """Non-finite numbers are usage errors naming the flag; --decimals prints every digit."""
 
     @pytest.mark.parametrize(
         "argv,flag",
@@ -415,10 +487,9 @@ class TestNumericFlags:
             (["basket", "--basket", str(FIXTURES / "basket_commodities.csv"), "--cm", "USD=NaN"], "--cm"),
             (["cm", "--economies", str(FIXTURES / "economies_table1.csv"), "--tetcy", "NaN"], "--tetcy"),
             (["cm", "--economies", str(FIXTURES / "economies_table1.csv"), "--tetcy", "Infinity"], "--tetcy"),
-            (["convert", "--amount", "10", "--cm", "0.1", "--decimals", "30"], "--decimals"),
         ],
         ids=["convert-cm-nan", "convert-cm-inf", "convert-amount-nan", "parity-ref-snan",
-             "parity-rate-minus-inf", "basket-cm-nan", "cm-tetcy-nan", "cm-tetcy-inf", "convert-decimals-30"],
+             "parity-rate-minus-inf", "basket-cm-nan", "cm-tetcy-nan", "cm-tetcy-inf"],
     )
     def test_usage_error_without_traceback(self, capsys, argv, flag):
         code, out, err = run(capsys, *argv)
@@ -432,12 +503,21 @@ class TestNumericFlags:
         assert err.splitlines()[-1] == "usage error: --cm expects a finite decimal number, got 'Infinity'"
 
     def test_decimals_limit_follows_the_result(self, capsys):
-        # 10 / 0.1 = 100 has three integer digits, so 25 decimals fill the 28
+        # No 28-digit limit: 22 integer digits and 10 decimals print all 32
         code, out, _ = run(capsys, "convert", "--amount", "10", "--cm", "0.1", "--decimals", "25")
         assert (code, out) == (0, "100." + "0" * 25 + "\n")
-        code, _, err = run(capsys, "convert", "--amount", "10", "--cm", "0.1", "--decimals", "26")
-        assert code == 1
-        assert err.splitlines()[-1] == "usage error: --decimals 26 needs more than 28 digits for 100"
+        code, out, err = run(capsys, "convert", "--amount", "1E+20", "--cm", "0.1", "--decimals", "10")
+        assert (code, out, err) == (0, "1" + "0" * 21 + "." + "0" * 10 + "\n", "")
+
+    @pytest.mark.parametrize("places", [26, 30])
+    def test_wide_decimals_print_every_digit(self, capsys, places):
+        code, out, err = run(capsys, "convert", "--amount", "10", "--cm", "0.1", "--decimals", str(places))
+        assert (code, out, err) == (0, "100." + "0" * places + "\n", "")
+
+    def test_decimals_round_under_report_context(self, capsys):
+        with decimal.localcontext(decimal.Context(prec=6)):
+            code, out, err = run(capsys, "convert", "--amount", "10", "--cm", "0.1", "--decimals", "5")
+        assert (code, out, err) == (0, "100.00000\n", "")
 
 
 class TestConvertErrors:
@@ -665,6 +745,13 @@ class TestMinuteValueNotes:
         cms = {"USD": MonMinValue(CurrencyCode("USD"), D(value))}
         _note_cm_sources(cms)
         assert capsys.readouterr().err == f"cm USD={text} source=manual\n"
+
+    def test_scientific_note_under_lower_case_exponent_context(self, capsys, tmp_path):
+        basket = write_basket_file(tmp_path / "b.csv", ["US,USD,bread,loaf,1,item", "US,USD,pay,month,2,salary"])
+        with decimal.localcontext(decimal.Context(capitals=0)):
+            code, _, err = run(capsys, "basket", "--basket", basket, "--cm", "USD=1E-40")
+        assert code == 0
+        assert err.splitlines() == ["cm USD=1E-40 source=manual"]
 
 
 class TestOutputFileReplacedOnSuccess:

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import decimal
 import io
 import re
 import tempfile
@@ -45,6 +47,7 @@ from monmin import (
     write_series,
     write_table,
 )
+from monmin.cli import main
 from monmin.ingest import _plain
 from monmin.report import format_cell
 
@@ -192,6 +195,33 @@ def test_fixed_decimals_formatter_matches_reference(value, decimals):
     assert format(round_half_away(value, decimals), "f") == expected
     assert format_cell(rule, value) == expected
     assert _rendered(rule, value) == expected
+
+
+def _convert_stdout(argv) -> str:
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        assert main(argv) == 0
+    return sink.getvalue()
+
+
+@given(
+    amount=st.decimals(min_value=0, max_value=D("1e15"), allow_nan=False, allow_infinity=False),
+    cm=st.decimals(min_value=D("1e-12"), max_value=D("1e6"), allow_nan=False, allow_infinity=False),
+    decimals=st.integers(min_value=0, max_value=30),
+)
+@settings(deadline=None)
+def test_convert_prints_what_the_caller_context_rule_printed(amount, cm, decimals):
+    """Wherever the result fits in 28 digits, ``convert`` prints the bytes of the old rule:
+    quantize under the default context, then the ``-0`` fix, then fixed-point text."""
+    with decimal.localcontext(decimal.Context()):
+        minutes = amount / cm
+        try:
+            rounded = minutes.quantize(D(1).scaleb(-decimals), decimal.ROUND_HALF_UP)
+        except decimal.InvalidOperation:
+            assume(False)  # more than 28 digits: the old rule refused it
+    expected = format(rounded if rounded else rounded.copy_abs(), "f")
+    argv = ["convert", "--amount", str(amount), "--cm", str(cm), "--decimals", str(decimals)]
+    assert _convert_stdout(argv) == expected + "\n"
 
 
 @given(

@@ -210,6 +210,13 @@ class TestRenderUnderCallerContext:
         )
         assert (result.returncode, result.stdout) == (0, "1.01\n"), result.stderr
 
+    def test_round_half_away(self):
+        hostile = decimal.Context(prec=3, rounding=decimal.ROUND_FLOOR,
+                                  traps=[decimal.Inexact, decimal.Rounded])
+        with decimal.localcontext(hostile):
+            rounded = round_half_away(D("1.005"), 2)
+        assert (rounded, str(rounded)) == (D("1.01"), "1.01")
+
 
 class TestTable1:
     def test_czech_row_prints_7_decimals(self, fixtures):
