@@ -37,6 +37,8 @@ from .errors import CurrencyMismatch, IngestFailure, MonMinError, ShapeMismatch
 from .series import detect_extrema, series_in_monmin
 
 _TETCY_HELP = "Minutes per year (default 525600; env MONMIN_TETCY)."
+# The printed result holds every decimal asked for, and memory grows with them.
+_MAX_DECIMALS = 1000
 
 
 def _load_config(path) -> dict:
@@ -232,7 +234,7 @@ def cmd_cm(economies_path, tetcy, config_path, fmt, out):
 @click.option("--economies", "economies_path", default=None, help="Compute the minute value from this file.")
 @click.option("--country", default=None, help="Country to pick from the economies file.")
 @click.option("--tetcy", envvar="MONMIN_TETCY", default=None, help=_TETCY_HELP)
-@click.option("--decimals", type=int, default=None, help="Decimals for the printed result (default 0).")
+@click.option("--decimals", type=int, default=None, help="Decimals for the printed result (default 0, at most 1000).")
 @click.option("--config", "config_path", default=None, help="Optional JSON config file.")
 def cmd_convert(amount, currency, cm_value, economies_path, country, tetcy, decimals, config_path):
     """Convert a currency price into Monetary Minutes."""
@@ -243,6 +245,8 @@ def cmd_convert(amount, currency, cm_value, economies_path, country, tetcy, deci
     places = decimals if decimals is not None else _config_decimals(config)
     if places < 0:
         raise click.UsageError("--decimals must be >= 0")
+    if places > _MAX_DECIMALS:
+        raise click.UsageError(f"--decimals must be <= {_MAX_DECIMALS}, got {places}")
     if cm_value is not None and economies_path:
         raise click.UsageError("use either --cm or --economies, not both")
     if cm_value is not None:
@@ -362,6 +366,7 @@ def cmd_report(
     """Render one of the standard tables (1, 2, 3, 4, 4b, 5)."""
     config = _load_config(config_path)
     std, fmt = _resolve_std(tetcy, config), _resolve_fmt(fmt, config)
+    code = _currency_flag(currency, "--currency")
 
     if table_id == "1":
         if not economies_path:
@@ -397,7 +402,6 @@ def cmd_report(
     else:
         if not series_path:
             raise click.UsageError("table 5 needs --series")
-        code = _currency_flag(currency, "--currency")
         aggregate = _run_load(ingest.load_series, series_path, currency=code, std=std)
         spec, rows = report.build_table5(aggregate)
 

@@ -20,7 +20,18 @@ so a table is never held while it is written.  A view hands the writer
 each row's values as a tuple in column order, with no dict between them;
 reading a view (iterating or indexing it) still gives each row as a dict,
 made from the same tuple.  Rows given as mappings, such as table 2's
-list, are shape-checked and then formatted by the same loop.
+list, are shape-checked and then formatted the same way.
+
+Tables and plot data are written a block of about ``_BLOCK_CELLS`` cells
+at a time.  Each block is formatted column by column: a run of adjacent
+columns with one rule and one cell type goes through one C-level pass
+(``quantize`` then scientific text for decimals, ``int.__repr__`` for
+whole numbers at 0 decimals), and any run whose pass could print other
+text than the per-cell formatter is formatted cell by cell instead.  A
+block's lines go out in one write; cells ``csv.writer`` would quote are
+quoted the same way, and a block it treats differently across Python
+versions goes to ``csv.writer`` itself.  If a row cannot be made or
+formatted, the rows before it are written before its error is raised.
 """
 from __future__ import annotations
 
@@ -40,8 +51,8 @@ from decimal import (
     Overflow,
 )
 from enum import Enum
-from itertools import accumulate
-from operator import itemgetter, truediv
+from itertools import accumulate, chain, groupby, islice, repeat
+from operator import attrgetter, eq, itemgetter, truediv
 from typing import Callable, Collection, Iterator, Mapping, Sequence, TextIO
 
 from .core import (
@@ -55,7 +66,7 @@ from .core import (
     invert_cm,
 )
 from .errors import CurrencyMismatch, NonPositiveInput, ShapeMismatch, UnknownCurrency
-from .ingest import Basket, _plain
+from .ingest import Basket, _plain, _sci_text
 from .series import AggregateSeries, ExtremaReport, series_in_monmin
 
 __all__ = [
@@ -198,6 +209,202 @@ def format_cell(rule: ColumnRule, value) -> str:
     return _formatter(rule)(value)
 
 
+# ---------------------------------------------------------------------------
+# the block writer: rows are formatted and written a bounded block at a time
+#
+# A pass turns many cells into text in one C-level ``map``.  It raises
+# ``TypeError`` or ``ValueError``, or returns None, wherever its texts could
+# differ from the column's own cell formatter, which then formats those cells
+# one by one: so a pass changes no byte.
+
+# Cells in one block.  A block's rows, their texts and its joined lines are
+# held together while it is written, so this bounds the writer's memory.
+_BLOCK_CELLS = 1024
+
+
+def _fixed_pass(quantum: Decimal) -> Callable[[Sequence], list | None]:
+    """Decimals rounded to ``quantum``; None where a text holds "E" (not fixed-point) or "-" (maybe "-0")."""
+
+    def texts(cells):
+        rounded = map(Decimal.quantize, cells, repeat(quantum), repeat(ROUND_HALF_UP), repeat(_CELLS))
+        texts = list(map(_sci_text, rounded))
+        probe = "".join(texts)
+        return None if "E" in probe or "-" in probe else texts
+
+    return texts
+
+
+def _int_pass(cells) -> list:
+    """Whole numbers at 0 decimals; ``int.__repr__`` refuses any other type, and too many digits."""
+    return list(map(int.__repr__, cells))
+
+
+def _plain_pass(cells) -> list:
+    """Decimals at full precision: scientific text where it is fixed-point, else ``format(value, "f")``."""
+    texts = list(map(_sci_text, cells))
+    if "E" in "".join(texts):
+        texts = list(map(Decimal.__format__, cells, repeat("f")))
+    return texts
+
+
+def _verbatim_pass(cells) -> list:
+    """Cells as they are: ``str``, and "" for None."""
+    return list(map(_verbatim if None in cells else str, cells))
+
+
+_VERBATIM = (_verbatim, lambda kind: _verbatim_pass)
+_PLAIN = (_plain, {Decimal: _plain_pass}.get)
+
+
+def _rule_columns(rules: Sequence[ColumnRule]) -> list[tuple]:
+    """Each column's cell formatter, and the pass it takes for a cell type.
+
+    Columns with the same decimals share one pass, so that adjacent ones
+    form one run.
+    """
+    fixed: dict[int, tuple] = {}
+    columns = []
+    for rule in rules:
+        if rule.decimals is not None:
+            if rule.decimals not in fixed:
+                passes = {Decimal: _fixed_pass(Decimal(1).scaleb(-rule.decimals, _CELLS))}
+                if not rule.decimals:
+                    passes[int] = _int_pass
+                fixed[rule.decimals] = (_formatter(rule), passes.get)
+            columns.append(fixed[rule.decimals])
+        elif rule.sig_figures is not None:
+            columns.append((_formatter(rule), {}.get))
+        else:
+            columns.append(_VERBATIM)
+    return columns
+
+
+class _Plan:
+    """How the columns of a block become text: one pass per run of like columns where it can.
+
+    ``columns`` holds each column's ``(cell, pass_for)``: ``cell`` formats
+    one value, and ``pass_for(type)`` is the pass for cells of that type, or
+    None.  The runs of a block follow the types of its first row, found once
+    per distinct row of types.
+    """
+
+    __slots__ = ("cells", "verbatim", "_pass_for", "_runs")
+
+    def __init__(self, columns: Sequence[tuple]):
+        self.cells = [cell for cell, _ in columns]
+        self.verbatim = [i for i, cell in enumerate(self.cells) if cell is _verbatim]
+        self._pass_for = [pass_for for _, pass_for in columns]
+        self._runs: dict[tuple, list] = {}
+
+    def _runs_for(self, first: tuple) -> list:
+        kinds = tuple(map(type, first))
+        runs = self._runs.get(kinds)
+        if runs is None:
+            passes = [pass_for(kind) for pass_for, kind in zip(self._pass_for, kinds)]
+            runs, start = [], 0
+            for fast, group in groupby(passes):
+                stop = start + len(list(group))
+                runs.append((fast, start, stop))
+                start = stop
+            self._runs[kinds] = runs
+        return runs
+
+    def texts(self, block: list[tuple]) -> list[Sequence[str]]:
+        """Each column's texts for the block's rows."""
+        count = len(block)
+        columns = list(zip(*block))
+        out: list[Sequence[str]] = []
+        for fast, start, stop in self._runs_for(block[0]):
+            texts = None
+            if fast is not None:
+                cells = columns[start] if stop - start == 1 else list(chain.from_iterable(columns[start:stop]))
+                try:
+                    texts = fast(cells)
+                except (TypeError, ValueError):
+                    pass
+            if texts is None:
+                out.extend([list(map(self.cells[i], columns[i])) for i in range(start, stop)])
+            elif stop - start == 1:
+                out.append(texts)
+            else:
+                out.extend(zip(*[iter(texts)] * count))  # back into columns of ``count`` texts
+        return out
+
+
+def _blocks(rows: Iterator[tuple], width: int) -> Iterator[list[tuple]]:
+    """Rows of ``width`` cells in lists of about ``_BLOCK_CELLS`` cells, at least one row each.
+
+    If making a row raises, the rows made before it are yielded first, then
+    the error is raised.
+    """
+    size = max(1, _BLOCK_CELLS // max(1, width))
+    while True:
+        block: list[tuple] = []
+        try:
+            for values in islice(rows, size):
+                block.append(values)
+        except BaseException:
+            if block:
+                yield block
+            raise
+        if not block:
+            return
+        yield block
+        if len(block) < size:
+            return
+
+
+def _table_rows(columns: list[Sequence[str]], count: int) -> Iterator[tuple]:
+    """A block's texts as rows again; a table of no columns still has its rows."""
+    return zip(*columns) if columns else repeat((), count)
+
+
+def _quoted(text: str) -> str:
+    """A cell as ``csv.writer`` writes it, quoting on "," '"' or a line feed."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_block(sink: TextIO, writer, plan: _Plan, block: list[tuple]) -> None:
+    """Format a block and write its lines with one ``sink.write``.
+
+    When formatting the block raises, it is redone a row at a time, so the
+    rows before the failing one are written before its error is raised.
+    Verbatim cells with a comma, quote or line feed are quoted as
+    ``csv.writer`` quotes them.  A block with a carriage return or a NUL in
+    a verbatim cell, and a table of fewer than two columns, go to
+    ``csv.writer`` itself: its rules for those differ between Python
+    versions, and it quotes a row's lone empty cell.
+    """
+    try:
+        columns = plan.texts(block)
+    except Exception:  # any error: the row that raises it alone raises it again
+        if len(block) == 1:
+            raise
+        for row in block:
+            _write_block(sink, writer, plan, [row])
+        return
+    probes = {i: "".join(columns[i]) for i in plan.verbatim}
+    if len(columns) < 2 or any("\r" in probe or "\0" in probe for probe in probes.values()):
+        writer.writerows(_table_rows(columns, len(block)))
+        return
+    for i, probe in probes.items():
+        if "," in probe or '"' in probe or "\n" in probe:
+            columns[i] = list(map(_quoted, columns[i]))
+    lines = list(map(",".join, zip(*columns)))
+    lines.append("")  # the last line's line feed
+    sink.write("\n".join(lines))
+
+
+def _write_csv(sink: TextIO, names: list[str], plan: _Plan, rows: Iterator[tuple]) -> None:
+    """The header, then every row, a block at a time."""
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(names)
+    for block in _blocks(rows, len(names)):
+        _write_block(sink, writer, plan, block)
+
+
 def _shape_mismatch(spec: TableSpec, names: list[str], index: int, row) -> ShapeMismatch:
     return ShapeMismatch(
         f"table {spec.table_id.value} row {index}: expected columns {names}, "
@@ -220,53 +427,38 @@ def _checked_values(spec: TableSpec, names: list[str], rows: Collection[Mapping[
             raise _shape_mismatch(spec, names, index, row) from None
 
 
-def _formatted_rows(spec: TableSpec, rows, text: bool):
-    """Each row's cells in column order.
-
-    A :class:`RowView` made for the spec's columns hands over its values
-    as they are made; any other rows are mappings, shape-checked first.
-    Numeric columns always run their formatter.  Verbatim columns are
-    formatted only for text output: ``csv.writer`` already prints ``None``
-    as an empty cell and anything else through ``str()``.
-    """
-    names = [c.name for c in spec.columns]
-    formatters = [(i, _formatter(c)) for i, c in enumerate(spec.columns) if text or c.numeric]
-    if isinstance(rows, RowView) and rows.names == tuple(names):
-        ordered = rows.values()
-    else:
-        ordered = _checked_values(spec, names, rows)
-    for values in ordered:
-        cells = list(values)
-        for i, fmt in formatters:
-            cells[i] = fmt(cells[i])
-        yield cells
-
-
 def write_table(
     spec: TableSpec, rows: Collection[Mapping[str, object]], sink: TextIO, fmt: str = "csv"
 ) -> None:
     """Write rows under a spec to a text sink as CSV or aligned text.
 
-    Every row must supply exactly the spec's columns.  CSV rows go out one
-    at a time as they are formatted; text output needs every cell first to
-    size its columns.
+    Every row must supply exactly the spec's columns.  A :class:`RowView`
+    made for the spec's columns hands over its values as they are made; any
+    other rows are mappings, shape-checked first.  CSV goes out a block of
+    rows at a time as they are formatted; text output needs every cell
+    first to size its columns.
     """
     if fmt not in ("csv", "text"):
         raise ValueError(f"unknown format {fmt!r}")
     names = [c.name for c in spec.columns]
+    if isinstance(rows, RowView) and rows.names == tuple(names):
+        values = rows.values()
+    else:
+        values = _checked_values(spec, names, rows)
+    plan = _Plan(_rule_columns(spec.columns))
 
     if fmt == "csv":
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(names)
-        writer.writerows(_formatted_rows(spec, rows, text=False))
+        _write_csv(sink, names, plan, values)
         return
 
-    cells = list(_formatted_rows(spec, rows, text=True))
-    widths = [
-        max(len(name), *(len(row[i]) for row in cells)) if cells else len(name)
-        for i, name in enumerate(names)
-    ]
-    for row in [names] + cells:
+    texts: list[list[str]] = [[] for _ in names]  # each column's cells, in row order
+    count = 0
+    for block in _blocks(values, len(names)):
+        count += len(block)
+        for column, cells in zip(texts, plan.texts(block)):
+            column.extend(cells)
+    widths = [max([len(name), *map(len, column)]) for name, column in zip(names, texts)]
+    for row in chain([names], _table_rows(texts, count)):
         padded = [
             cell.rjust(widths[i]) if spec.columns[i].numeric else cell.ljust(widths[i])
             for i, cell in enumerate(row)
@@ -628,7 +820,8 @@ def build_table5(series: AggregateSeries, minutes: Sequence[tuple[int, Decimal]]
     """Yearly M1 and GDP in billions plus M1 in billions of minutes.
 
     ``minutes`` may pass in :func:`series_in_monmin` of the series when the
-    caller already has it.
+    caller already has it; it must hold one ``(year, value)`` per series
+    year, in order, or :class:`ShapeMismatch` is raised.
     """
     spec = TableSpec(
         TableId.T5,
@@ -640,15 +833,27 @@ def build_table5(series: AggregateSeries, minutes: Sequence[tuple[int, Decimal]]
             ColumnRule("events"),
         ),
     )
-    if minutes is None:
-        minutes = series_in_monmin(series)
+    minutes = _minutes_of(series, minutes)
     years = series.years
 
     def make(i):
         y = years[i]
         return (y.year, y.m1 / _BILLION, minutes[i][1] / _BILLION, y.gdp / _BILLION, y.events)
 
-    return spec, RowView(spec, make, min(len(years), len(minutes)))
+    return spec, RowView(spec, make, len(years))
+
+
+def _minutes_of(series: AggregateSeries, minutes: Sequence[tuple[int, Decimal]] | None):
+    """``minutes``, checked to hold one ``(year, value)`` per series year in order; by default the series' own."""
+    if minutes is None:
+        return series_in_monmin(series)
+    years = series.years
+    if len(minutes) != len(years):
+        raise ShapeMismatch(f"minutes hold {len(minutes)} years, the series {len(years)}")
+    if not all(map(eq, map(itemgetter(0), minutes), map(attrgetter("year"), years))):
+        i = next(i for i, (year, _) in enumerate(minutes) if year != years[i].year)
+        raise ShapeMismatch(f"minutes row {i} is for {minutes[i][0]}, the series year is {years[i].year}")
+    return minutes
 
 
 def write_plot_data(
@@ -661,24 +866,27 @@ def write_plot_data(
 
     With an extrema report, a marker column labels peak/trough years.
     ``minutes`` may pass in :func:`series_in_monmin` of the series when the
-    caller already has it.
+    caller already has it; it must hold one ``(year, value)`` per series
+    year, in order, or :class:`ShapeMismatch` is raised.  Rows go out a
+    block at a time, through the same writer as the tables.
     """
-    if minutes is None:
-        minutes = series_in_monmin(series)
-    markers: dict[int, str] = {}
+    minutes = _minutes_of(series, minutes)
+    years = series.years
+    header = ["year", "m1_currency", "m1_monmin", "gdp_currency"]
+    layout = [_VERBATIM, _PLAIN, _PLAIN, _PLAIN]
+    columns = [
+        map(attrgetter("year"), years),
+        map(attrgetter("m1"), years),
+        map(itemgetter(1), minutes),
+        map(attrgetter("gdp"), years),
+    ]
     if extrema is not None:
         markers = dict.fromkeys(extrema.troughs, "trough")
         markers.update(dict.fromkeys(extrema.peaks, "peak"))
-    writer = csv.writer(sink, lineterminator="\n")
-    header = ["year", "m1_currency", "m1_monmin", "gdp_currency"]
-    if extrema is not None:
         header.append("extremum")
-    writer.writerow(header)
-    for y, (year, value) in zip(series.years, minutes):
-        row = [str(year), _plain(y.m1), _plain(value), _plain(y.gdp)]
-        if extrema is not None:
-            row.append(markers.get(year, ""))
-        writer.writerow(row)
+        layout.append(_VERBATIM)
+        columns.append(map(markers.get, map(attrgetter("year"), years), repeat("")))
+    _write_csv(sink, header, _Plan(layout), zip(*columns))
 
 
 def emit_plot_data(

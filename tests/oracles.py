@@ -101,3 +101,31 @@ def reference_render(spec, rows, fmt):
         ]
         lines.append("  ".join(padded).rstrip())
     return "\n".join(lines) + "\n"
+
+
+def reference_plot_data(series, extrema=None):
+    """Plot-data CSV written a row at a time, as before rows were written in blocks.
+
+    Each year's M1, M1 in minutes and GDP go through ``ingest._plain`` one by
+    one, and each row through ``csv.writer.writerow``.
+    """
+    import csv
+    import io
+
+    from monmin import series_in_monmin
+    from monmin.ingest import _plain
+
+    markers = {}
+    if extrema is not None:
+        markers = dict.fromkeys(extrema.troughs, "trough")
+        markers.update(dict.fromkeys(extrema.peaks, "peak"))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    header = ["year", "m1_currency", "m1_monmin", "gdp_currency"]
+    writer.writerow(header + ["extremum"] if extrema is not None else header)
+    for y, (_, value) in zip(series.years, series_in_monmin(series)):
+        row = [str(y.year), _plain(y.m1), _plain(value), _plain(y.gdp)]
+        if extrema is not None:
+            row.append(markers.get(y.year, ""))
+        writer.writerow(row)
+    return buffer.getvalue()

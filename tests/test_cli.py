@@ -395,6 +395,23 @@ class TestCurrencyFlags:
         assert err.splitlines()[-1].startswith(f"usage error: --currency {argv[-1]!r}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--table", "1", "--economies", str(FIXTURES / "economies_table1.csv"), "--currency", "x"],
+            ["report", "--table", "1", "--economies", str(FIXTURES / "missing.csv"), "--currency", "x"],
+            ["report", "--table", "2", "--rates", str(FIXTURES / "rates_table2.csv"),
+             "--cm", "USD=0.11918", "--currency", "us d"],
+            ["report", "--table", "2", "--rates", str(FIXTURES / "missing.csv"),
+             "--cm", "USD=0.11918", "--currency", "us d"],
+        ],
+        ids=["report-1", "report-1-missing-file", "report-2", "report-2-missing-file"],
+    )
+    def test_every_table_checks_currency_before_reading(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1].startswith(f"usage error: --currency {argv[-1]!r}: ")
+
 
 # The listings' golden files are checked here, not through golden_runs():
 # that list is also what the benchmark's paper-tables workload runs.
@@ -538,6 +555,27 @@ class TestConvertErrors:
         assert err.splitlines()[-1] == (
             f"usage error: config decimals must be a whole number, got {value!r}"
         )
+
+    def test_decimals_up_to_the_limit(self, capsys, tmp_path):
+        code, out, err = run(capsys, "convert", "--amount", "1", "--cm", "8", "--decimals", "1000")
+        assert (code, out, err) == (0, "0.125" + "0" * 997 + "\n", "")
+        config = tmp_path / "monmin.json"
+        config.write_text(json.dumps({"decimals": 1000}))
+        code, out, _ = run(capsys, "convert", "--amount", "1", "--cm", "8", "--config", str(config))
+        assert (code, out) == (0, "0.125" + "0" * 997 + "\n")
+
+    def test_decimals_past_the_limit_is_usage_error_before_any_input(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.csv")
+        config = tmp_path / "monmin.json"
+        config.write_text(json.dumps({"decimals": "1001"}))
+        for argv in (
+            ["--cm", "3", "--decimals", "1001"],
+            ["--economies", missing, "--country", "X", "--decimals", "1001"],
+            ["--economies", missing, "--country", "X", "--config", str(config)],
+        ):
+            code, out, err = run(capsys, "convert", "--amount", "1", *argv)
+            assert (code, out) == (1, "")
+            assert err.splitlines()[-1] == "usage error: --decimals must be <= 1000, got 1001"
 
     def test_config_decimals_as_number_or_text(self, capsys, tmp_path):
         config = tmp_path / "monmin.json"

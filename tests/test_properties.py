@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import decimal
 import io
@@ -6,6 +7,7 @@ import re
 import tempfile
 from decimal import Decimal as D
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -32,6 +34,7 @@ from monmin import (
     compute_cm,
     cross_cm,
     detect_extrema,
+    emit_plot_data,
     load_basket,
     load_economies,
     load_rates,
@@ -39,7 +42,9 @@ from monmin import (
     parity_rate,
     percent_of_salary,
     render_table,
+    report,
     round_half_away,
+    series_in_monmin,
     to_monmin,
     write_basket,
     write_economies,
@@ -56,6 +61,7 @@ from oracles import (
     reference_cell,
     reference_minutes,
     reference_percent,
+    reference_plot_data,
     reference_render,
 )
 
@@ -367,6 +373,78 @@ def test_render_table_equals_the_bytes_write_table_writes(rows, decimals, fmt):
     write_table(spec, dicts, sink, fmt)
     sink.flush()
     assert raw.getvalue() == render_table(spec, dicts, fmt).encode("utf-8")
+
+
+# Tables written a block at a time: a small block size puts many blocks in a
+# short table, so every block edge and every per-block fallback is crossed.
+block_cells = st.integers(min_value=1, max_value=40)
+writer_verbatim = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-10**20, max_value=10**20),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.decimals(allow_nan=True, allow_infinity=True),
+    st.text(alphabet=st.sampled_from(list(',"\n\r\0 a')), max_size=6),
+)
+WRITER_SPEC = TableSpec(
+    TableId.T1,
+    (
+        ColumnRule("a"),
+        ColumnRule("x", decimals=2),
+        ColumnRule("n", decimals=0),
+        ColumnRule("m", decimals=0),
+        ColumnRule("y", decimals=7),
+        ColumnRule("s", sig_figures=3),
+        ColumnRule("b"),
+    ),
+)
+writer_rows = st.tuples(
+    writer_verbatim,
+    st.one_of(cell_values, st.sampled_from([D("-0.001"), D("0.004"), D("-0.005")])),
+    st.one_of(st.integers(min_value=-10**20, max_value=10**20), finite_decimals),  # int and Decimal mixed
+    st.integers(min_value=0, max_value=10**12),
+    st.one_of(finite_decimals, st.sampled_from([D("9.5E-8"), D("4.9E-8"), D("0E-9"), D("-0.00000004")])),
+    cell_values,
+    writer_verbatim,
+)
+
+
+@given(rows=st.lists(writer_rows, max_size=30), cells=block_cells, fmt=st.sampled_from(["csv", "text"]))
+@settings(deadline=None)
+def test_blocks_render_like_the_per_cell_reference(rows, cells, fmt):
+    names = [c.name for c in WRITER_SPEC.columns]
+    dicts = [dict(zip(names, row)) for row in rows]
+    try:
+        expected = reference_render(WRITER_SPEC, dicts, fmt)
+    except csv.Error:  # Python 3.10's csv.writer refuses a NUL without an escape character
+        with pytest.raises(csv.Error), mock.patch.object(report, "_BLOCK_CELLS", cells):
+            render_table(WRITER_SPEC, dicts, fmt)
+        return
+    with mock.patch.object(report, "_BLOCK_CELLS", cells):
+        assert render_table(WRITER_SPEC, dicts, fmt) == expected
+
+
+plot_amounts = st.one_of(
+    st.builds(lambda c, e: D(f"{c}E{e}"), st.integers(min_value=0, max_value=10**30),
+              st.integers(min_value=-30, max_value=30)),
+    st.sampled_from([D("0"), D("-0"), D("1E+9"), D("0.0000001")]),
+)
+
+
+@given(
+    years=st.lists(
+        st.tuples(plot_amounts, plot_amounts.filter(lambda gdp: gdp > 0), st.integers(1, 10**10)),
+        min_size=1, max_size=30,
+    ),
+    cells=block_cells,
+    marked=st.booleans(),
+)
+@settings(deadline=None)
+def test_plot_data_blocks_write_like_the_per_row_reference(years, cells, marked):
+    series = AggregateSeries(USD, [AggregateYear(1900 + i, *year) for i, year in enumerate(years)])
+    extrema = detect_extrema(series_in_monmin(series)) if marked and len(years) >= 3 else None
+    with mock.patch.object(report, "_BLOCK_CELLS", cells):
+        assert emit_plot_data(series, extrema) == reference_plot_data(series, extrema)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import decimal
+import io
 import os
 import random
 import subprocess
@@ -48,10 +49,11 @@ from monmin import (
     series_in_monmin,
     write_table,
 )
+from monmin import report
 from monmin.errors import UnknownCurrency
 
 from expected_tables import TABLE2_MANUAL, TABLE3_CM, TABLE4_COUNTRIES
-from oracles import brute_force_extrema
+from oracles import brute_force_extrema, reference_plot_data, reference_render
 
 
 def manual(code, value):
@@ -98,6 +100,11 @@ class TestRenderTable:
     def test_csv(self):
         text = render_table(self.SPEC, [{"name": "a,b", "value": D("1.005"), "count": 7}])
         assert text == 'name,value,count\n"a,b",1.01,7\n'
+
+    @pytest.mark.parametrize("text", ['a"b', '"', "a,b", "a\nb", "a\rb", "a\r\nb", " a ", ""])
+    def test_verbatim_cells_quoted_as_csv_writer_quotes_them(self, text):
+        rows = [{"name": name, "value": D(1), "count": 2} for name in ("plain", text, "after")]
+        assert render_table(self.SPEC, rows) == reference_render(self.SPEC, rows, "csv")
 
     def test_cells_wider_than_28_digits_print_every_digit(self):
         for fmt in ("csv", "text"):
@@ -275,6 +282,40 @@ class TestTable1:
         assert list(rows) == first and len(rows) == 6
 
 
+    @pytest.mark.parametrize("k", [1, 57])
+    def test_a_refused_row_leaves_the_rows_before_it_written(self, k):
+        """Row k of the first block cannot be made: the header and rows 0..k-1 are on the sink."""
+        usd, as_of = CurrencyCode("USD"), date(2019, 1, 1)
+        snapshots = [EconomySnapshot(f"C{i}", usd, D(10**12 + i), 1000 + i, as_of) for i in range(200)]
+        snapshots[k] = EconomySnapshot("Tiny", usd, D("1E-999999"), 10**30, as_of)
+        sink = io.StringIO()
+        with pytest.raises(NonPositiveInput, match="minute value must be > 0"):
+            write_table(*build_table1(snapshots), sink)
+        assert sink.getvalue() == render_table(*build_table1(snapshots[:k]))
+        assert sink.getvalue().count("\n") == 1 + k
+
+    def test_a_cell_that_cannot_be_formatted_leaves_the_rows_before_it_written(self):
+        spec = TestRenderTable.SPEC
+        rows = [{"name": f"r{i}", "value": D(i), "count": i} for i in range(100)]
+        rows[40]["value"] = "not a number"
+        sink = io.StringIO()
+        with pytest.raises(decimal.InvalidOperation):
+            write_table(spec, rows, sink)
+        assert sink.getvalue() == render_table(spec, rows[:40])
+
+    def test_many_blocks_render_like_the_per_cell_reference(self):
+        usd, as_of = CurrencyCode("USD"), date(2019, 1, 1)
+        snapshots = [
+            EconomySnapshot(f"Land {i}, Rep." if i % 5 == 0 else f"Land {i}", usd,
+                            D(f"{10**9 + i * 7919}.{i % 1000:03d}"), 1000 + i, as_of)
+            for i in range(2000)
+        ]
+        spec, rows = build_table1(snapshots)
+        assert len(rows) * len(spec.columns) > 10 * report._BLOCK_CELLS
+        for fmt in ("csv", "text"):
+            assert render_table(spec, rows, fmt) == reference_render(spec, list(rows), fmt)
+
+
 class TestTable2:
     def test_eur_derived_others_manual(self, fixtures):
         rates, _ = load_rates(fixtures / "rates_table2.csv")
@@ -441,6 +482,33 @@ class TestTable5AndPlotData:
         row_1987 = next(line for line in lines if line.startswith("1987,"))
         assert row_1987.endswith(",peak")
 
+
+    def test_minutes_must_hold_every_series_year_in_order(self, fixtures):
+        series, _ = load_series(fixtures / "series_us.csv")
+        minutes = series_in_monmin(series)
+        shifted = [(year + 1, value) for year, value in minutes]
+        for bad, message in (
+            (minutes[:3], "minutes hold 3 years, the series 57"),
+            (minutes + minutes[:1], "minutes hold 58 years, the series 57"),
+            (shifted, "minutes row 0 is for 1961, the series year is 1960"),
+        ):
+            with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+                build_table5(series, bad)
+            with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+                emit_plot_data(series, None, bad)
+        assert emit_plot_data(series, None, minutes) == emit_plot_data(series)
+
+    def test_plot_data_writes_like_the_per_row_reference(self, fixtures):
+        series, _ = load_series(fixtures / "series_us.csv")
+        years = [
+            AggregateYear(1000 + i, D(f"{i * 7919 % 1000}E+9"), D(f"{i + 1}.5E+12"), 10**6 + i)
+            for i in range(3000)
+        ]
+        long = AggregateSeries(CurrencyCode("USD"), years)
+        for s in (series, long):
+            extrema = detect_extrema(series_in_monmin(s))
+            assert emit_plot_data(s, extrema) == reference_plot_data(s, extrema)
+            assert emit_plot_data(s) == reference_plot_data(s)
 
     def test_markers_on_a_long_series_match_a_brute_force_scan(self):
         rng = random.Random(2019)
