@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import re
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 from datetime import date
 from decimal import Decimal
 from enum import Enum
+from itertools import repeat
 
 from .errors import (
     CurrencyMismatch,
@@ -68,11 +70,42 @@ def _slot_setters(cls, *names):
 
     The types built once per row check their input in a hand-written
     ``__init__`` and set each slot once through these, which is cheaper
-    than ``object.__setattr__`` by name.  ``dataclass`` keeps a
+    than ``object.__setattr__`` by name; their column forms set a whole
+    column of values through them (:func:`_made`).  ``dataclass`` keeps a
     class-defined ``__init__``, so fields, ``replace``, eq/hash/repr,
     pickling and frozenness are still the generated ones.
     """
     return tuple(getattr(cls, name).__set__ for name in names)
+
+
+_consume = deque(maxlen=0).extend  # runs an iterator to its end, keeping nothing
+
+
+def _made(cls, setters, columns) -> list:
+    """Values of ``cls``, one per row of ``columns``, each slot set from its column.
+
+    No ``__init__`` runs: a type's column form calls this only once every
+    row is known to keep that type's rules.  Each slot is set for the whole
+    column in one C-level pass.
+    """
+    values = list(map(object.__new__, repeat(cls, len(columns[0]))))
+    for setter, column in zip(setters, columns):
+        _consume(map(setter, values, column))
+    return values
+
+
+def _iso_date(text: str) -> date:
+    """A date written ``YYYY-MM-DD`` in ASCII digits, the one form every Python version reads.
+
+    ``date.fromisoformat`` reads more forms from Python 3.11 on (such as
+    ``20190101`` and ``2019-W01-1``); those are refused with the text
+    Python 3.10 gives.  Of ten ASCII characters with a ``-`` fifth and
+    eighth, every version reads only ``YYYY-MM-DD`` and refuses the rest
+    with the same text, so ``fromisoformat`` checks the digits.
+    """
+    if len(text) != 10 or text[4] != "-" or text[7] != "-" or not text.isascii():
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return date.fromisoformat(text)
 
 
 def as_decimal(value) -> Decimal:
@@ -163,7 +196,7 @@ class EconomySnapshot:
         if type(gdp) is not Decimal or not gdp.is_finite():
             gdp = _finite_decimal(gdp, "gdp", country)
         if isinstance(as_of, str):
-            as_of = date.fromisoformat(as_of)
+            as_of = _iso_date(as_of)
         if gdp <= _ZERO:
             raise NonPositiveInput(f"{country}: gdp must be > 0, got {gdp}")
         if not isinstance(population, int) or population <= 0:
@@ -180,9 +213,22 @@ class EconomySnapshot:
         return self.gdp / self.population
 
 
+_SNAPSHOT_SLOTS = _slot_setters(EconomySnapshot, "country", "currency", "gdp", "population", "as_of")
 _snapshot_country, _snapshot_currency, _snapshot_gdp, _snapshot_population, _snapshot_as_of = (
-    _slot_setters(EconomySnapshot, "country", "currency", "gdp", "population", "as_of")
+    _SNAPSHOT_SLOTS
 )
+
+
+def _snapshots(country, currency, gdp, population, as_of) -> list[EconomySnapshot] | None:
+    """``EconomySnapshot(*row)`` for each row of one or more, given as columns of the field types.
+
+    The column form of ``__init__``'s rules: None when any row breaks one
+    (a gdp that is not finite and positive, a population that is not
+    positive), so the caller can make those rows one by one for the error.
+    """
+    if all(map(Decimal.is_finite, gdp)) and min(gdp) > _ZERO and min(population) > 0:
+        return _made(EconomySnapshot, _SNAPSHOT_SLOTS, (country, currency, gdp, population, as_of))
+    return None
 
 
 class CmSource(Enum):
@@ -230,7 +276,7 @@ class ExchangeRate:
             self, "rate", _finite_decimal(self.rate, f"rate {self.base}->{self.quote}")
         )
         if isinstance(self.as_of, str):
-            object.__setattr__(self, "as_of", date.fromisoformat(self.as_of))
+            object.__setattr__(self, "as_of", _iso_date(self.as_of))
         if self.rate <= 0:
             raise NonPositiveInput(
                 f"rate {self.base}->{self.quote} must be > 0, got {self.rate}"
@@ -310,9 +356,19 @@ class PriceQuote:
         _quote_amount(self, amount)
 
 
-_quote_item, _quote_unit, _quote_currency, _quote_amount = _slot_setters(
-    PriceQuote, "item", "unit", "currency", "amount"
-)
+_QUOTE_SLOTS = _slot_setters(PriceQuote, "item", "unit", "currency", "amount")
+_quote_item, _quote_unit, _quote_currency, _quote_amount = _QUOTE_SLOTS
+
+
+def _quotes(item, unit, currency, amount) -> list[PriceQuote] | None:
+    """``PriceQuote(*row)`` for each row of one or more, given as columns of the field types.
+
+    The column form of ``__init__``'s rules: None when any amount is not
+    finite and at least zero.
+    """
+    if all(map(Decimal.is_finite, amount)) and min(amount) >= _ZERO:
+        return _made(PriceQuote, _QUOTE_SLOTS, (item, unit, currency, amount))
+    return None
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,6 +19,19 @@ Loading is all-or-nothing: any error row means the returned dataset is
 empty and the report lists every problem with its 1-based physical line
 number (a row's first line when it spans several).
 
+The economies, basket and series loaders read a regular file of at least
+one block (``_BLOCK_CHARS``) by the block path in ``monmin._ingest_blocks``
+first: blank and ``#`` lines are dropped by C-level checks over a block of
+lines, one ``csv.reader`` parses them, and each block of ``_BLOCK_ROWS``
+rows is converted and checked a column at a time, into values made by the
+types' column forms.  At the first doubt (any row that may be refused, or
+a cell the block path does not read itself) the file is closed and loaded
+again by the row path, which alone reports issues, so the issues are the
+same whichever path ran.  The row path reads one line at a time.  It alone
+loads rates files, smaller files, whose gain would not pay for compiling
+the block path, and any input that is not a regular file, since a FIFO
+cannot be read twice.
+
 What a ``write_*`` function writes loads back equal, except that every
 cell loads back stripped of leading and trailing whitespace.  A row with
 a carriage return in any cell, or whose first cell begins with ``#``
@@ -30,11 +43,14 @@ The refused write then removes the file, so no partial file is left.
 from __future__ import annotations
 
 import csv
+import os
 import re
 from dataclasses import dataclass
-from decimal import Context, Decimal, InvalidOperation
-from operator import attrgetter
+from decimal import Context, Decimal, InvalidOperation, Overflow
+from itertools import compress, repeat
+from operator import attrgetter, is_not
 from pathlib import Path
+from stat import S_ISREG
 from typing import Iterator, NamedTuple
 
 from .core import CurrencyCode, EconomySnapshot, ExchangeRate, PriceQuote, RateTable, TimeStandard
@@ -65,6 +81,9 @@ _ESCAPED_RE = re.compile("[\udc80-\udcff]")  # bytes that ``surrogateescape`` co
 # that ends in a line break is not caught: its closing quote follows on that line.
 _DROPPED_LINE_RE = re.compile(r"(?:\r\n|\r(?!\n)|\n)[^\S\r\n]*[#\r\n]")
 _ROW_ERRORS = (MonMinError, InvalidOperation, ValueError)
+_BLOCK_CHARS = 1 << 16  # the block path reads about this many characters of whole lines at a time
+_BLOCK_ROWS = 256  # and converts and checks this many rows per column pass
+_CURRENCY = attrgetter("currency")
 
 _ECONOMIES_HEADER = ["country", "currency", "gdp", "population", "as_of"]
 _RATES_HEADER = ["base", "quote", "rate", "as_of"]
@@ -101,8 +120,10 @@ class Basket:
 
     def __post_init__(self):
         currency = self.currency
-        for quote, _ in self.quotes():
-            if quote.currency is not currency and quote.currency != currency:
+        quotes = self.items if self.salary is None else (*self.items, self.salary)
+        # a loaded basket shares one code object: only another object is compared by value
+        for quote in compress(quotes, map(is_not, map(_CURRENCY, quotes), repeat(currency))):
+            if quote.currency != currency:
                 raise CurrencyMismatch(
                     f"basket {self.country}/{currency}: {quote.item} is priced in {quote.currency}"
                 )
@@ -142,12 +163,21 @@ def _finite(text: str, scale: Decimal | None = None) -> Decimal:
     """A finite number, multiplied by ``scale`` only when a scale is given.
 
     The multiplication rounds to the context's precision, so an unscaled
-    number skips it and keeps every digit.
+    number skips it and keeps every digit.  A product past the context's
+    exponent limit is refused here when the context raises ``Overflow``,
+    and by the value's type when the context gives an infinity instead.
     """
     value = Decimal(text)
     if not value.is_finite():
         raise ValueError(f"not a finite number: {text!r}")
-    return value if scale is None else value * scale
+    if scale is None:
+        return value
+    try:
+        return value * scale
+    except Overflow:
+        raise ValueError(
+            f"{text!r} times the scale factor {scale} is past the decimal exponent limit"
+        ) from None
 
 
 def _issue(line: int, exc: Exception) -> Issue:
@@ -222,7 +252,8 @@ def _read_table(path, expected: list[str], optional: tuple[str, ...] = ()) -> _S
     """Scan a file up to its header: directives, then one csv reader over the rest.
 
     The file is read as ``rows`` is consumed, so no more than one row's
-    lines are held at a time.  Undecodable bytes are kept as lone
+    lines are held at a time; the block path, tried first, holds one
+    block of lines and rows.  Undecodable bytes are kept as lone
     surrogates (``surrogateescape``) and reported per physical line.
     Each row comes with the width checked and its cells stripped.
     """
@@ -248,14 +279,17 @@ def _read_table(path, expected: list[str], optional: tuple[str, ...] = ()) -> _S
     return _Scan(directives, header_line, rows, errors)
 
 
-def _scale_factor(scan: _Scan, errors: list[Issue]) -> Decimal | None:
+def _scale_factor(directives, errors: list[Issue]) -> Decimal | None:
     """The declared ``# scale=`` factor; None when there is none or it is bad."""
-    if "scale" not in scan.directives:
+    if "scale" not in directives:
         return None
-    lineno, text = scan.directives["scale"]
+    lineno, text = directives["scale"]
     try:
         scale = Decimal(text)
+        finite = scale.is_finite()
     except InvalidOperation:
+        finite = False
+    if not finite:
         errors.append(Issue(lineno, f"MalformedRow: bad scale factor {text!r}"))
         return None
     if scale <= 0:
@@ -264,11 +298,31 @@ def _scale_factor(scan: _Scan, errors: list[Issue]) -> Decimal | None:
     return scale
 
 
+def _block_path(path):
+    """The block path's module for a regular file of at least one block; None for any other input.
+
+    A FIFO or ``/dev/stdin`` cannot be read twice, and a small file gains
+    less from the block path than compiling its module costs.
+    """
+    try:
+        status = os.stat(path)
+    except OSError:  # the row path reports it
+        return None
+    if not S_ISREG(status.st_mode) or status.st_size < _BLOCK_CHARS:
+        return None
+    from . import _ingest_blocks
+    return _ingest_blocks
+
+
 def load_economies(path) -> tuple[list[EconomySnapshot], IngestReport]:
     """Load country snapshots; gdp is multiplied by any declared scale."""
+    blocks = _block_path(path)
+    loaded = blocks and blocks.load_economies(path)
+    if loaded:
+        return loaded
     scan = _read_table(path, _ECONOMIES_HEADER)
     errors = scan.errors
-    scale = _scale_factor(scan, errors)
+    scale = _scale_factor(scan.directives, errors)
     snapshots: list[EconomySnapshot] = []
     seen: dict[str, int] = {}
     codes = _Once(CurrencyCode)
@@ -330,6 +384,15 @@ def load_rates(path) -> tuple[RateTable, IngestReport]:
     return table, IngestReport(len(rates), warnings=tuple(warnings))
 
 
+def _baskets(groups: dict[tuple[str, str], list], codes: _Once):
+    """:func:`load_basket`'s result from its groups: (country, code) -> [items, salary]."""
+    baskets = [
+        Basket(country=country, currency=codes[code], items=tuple(items), salary=salary)
+        for (country, code), (items, salary) in groups.items()
+    ]
+    return baskets, IngestReport(sum(b.quote_count for b in baskets))
+
+
 def load_basket(path, known_currencies=None) -> tuple[list[Basket], IngestReport]:
     """Load price quotes grouped by (country, currency) context.
 
@@ -338,6 +401,10 @@ def load_basket(path, known_currencies=None) -> tuple[list[Basket], IngestReport
     Equal item or unit texts share one ``str`` object across the file.
     """
     known = None if known_currencies is None else {str(c) for c in known_currencies}
+    blocks = _block_path(path)
+    loaded = blocks and blocks.load_basket(path, known)
+    if loaded:
+        return loaded
     scan = _read_table(path, _BASKET_HEADER)
     errors = scan.errors
     groups: dict[tuple[str, str], list] = {}  # (country, code) -> [items, salary]
@@ -363,11 +430,7 @@ def load_basket(path, known_currencies=None) -> tuple[list[Basket], IngestReport
             errors.append(_issue(lineno, exc))
     if errors:
         return [], IngestReport(0, errors=tuple(errors))
-    baskets = [
-        Basket(country=country, currency=codes[code], items=tuple(items), salary=salary)
-        for (country, code), (items, salary) in groups.items()
-    ]
-    return baskets, IngestReport(sum(b.quote_count for b in baskets))
+    return _baskets(groups, codes)
 
 
 def load_series(
@@ -380,9 +443,13 @@ def load_series(
     The file format carries no currency column, so the caller names the
     series currency (default USD).
     """
+    blocks = _block_path(path)
+    loaded = blocks and blocks.load_series(path, currency, std)
+    if loaded:
+        return loaded
     scan = _read_table(path, _SERIES_HEADER, optional=("events",))
     errors = scan.errors
-    scale = _scale_factor(scan, errors)
+    scale = _scale_factor(scan.directives, errors)
     years: list[AggregateYear] = []
     last_year: int | None = None
     for lineno, (year_text, m1_text, gdp_text, pop_text, events) in scan.rows:

@@ -614,18 +614,28 @@ def build_table2(
     return spec, rows
 
 
+_LABEL = attrgetter("item", "unit")
+_AMOUNT = attrgetter("amount")
+
+
 def _aligned_amounts(baskets: Sequence[Basket]):
     """The first basket's (item, unit) labels, and each basket's amounts in that order.
 
-    Each basket's lookup dict is dropped before the next one is built, and
-    a column holds the basket's own amounts, so no figure is copied.
+    A basket that lists the first one's distinct labels in the same order
+    gives its amounts as they stand.  Any other gets a lookup dict, dropped
+    before the next one is built.  A column holds the basket's own amounts,
+    so no figure is copied.
     """
     if not baskets:
         return [], []
-    order = [(q.item, q.unit) for q in baskets[0].items]
+    order = list(map(_LABEL, baskets[0].items))
     keys = set(order)
+    distinct = len(keys) == len(order)
     columns = []
     for basket in baskets:
+        if distinct and list(map(_LABEL, basket.items)) == order:
+            columns.append(list(map(_AMOUNT, basket.items)))
+            continue
         index = {(q.item, q.unit): q.amount for q in basket.items}
         if len(basket.items) != len(order) or not index.keys() >= keys:
             raise ShapeMismatch(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .core import _ZERO, CurrencyCode, TimeStandard, _finite_decimal, _slot_setters
+from .core import _ZERO, CurrencyCode, TimeStandard, _finite_decimal, _made, _slot_setters
 from .errors import EmptySeries, NonMonotoneYears, NonPositiveInput, TooShort
 
 __all__ = [
@@ -54,9 +54,23 @@ class AggregateYear:
         _year_events(self, events)
 
 
-_year_year, _year_m1, _year_gdp, _year_population, _year_events = _slot_setters(
-    AggregateYear, "year", "m1", "gdp", "population", "events"
-)
+_YEAR_SLOTS = _slot_setters(AggregateYear, "year", "m1", "gdp", "population", "events")
+_year_year, _year_m1, _year_gdp, _year_population, _year_events = _YEAR_SLOTS
+
+
+def _years(year, m1, gdp, population, events) -> list[AggregateYear] | None:
+    """``AggregateYear(*row)`` for each row of one or more, given as columns of the field types.
+
+    The column form of ``__init__``'s rules: None when any row breaks one
+    (an m1 that is not finite and at least zero, a gdp that is not finite
+    and positive, a population that is not positive).
+    """
+    if (
+        all(map(Decimal.is_finite, m1)) and all(map(Decimal.is_finite, gdp))
+        and min(m1) >= _ZERO and min(gdp) > _ZERO and min(population) > 0
+    ):
+        return _made(AggregateYear, _YEAR_SLOTS, (year, m1, gdp, population, events))
+    return None
 
 
 @dataclass(frozen=True, slots=True)

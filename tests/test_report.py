@@ -392,6 +392,47 @@ class TestTable4And4b:
             build_table4b(baskets)
 
 
+class TestBasketsInOtherOrders:
+    """Tables 3, 4 and 4b line up each basket's amounts with the first basket's labels."""
+
+    def cms(self):
+        return {code: manual(code, value) for _, code, value in TABLE4_COUNTRIES}
+
+    BUILDS = [
+        lambda baskets, cms: build_table3(baskets, cms),
+        lambda baskets, cms: build_table4(baskets, cms),
+        lambda baskets, cms: build_table4b(baskets),
+    ]
+
+    @pytest.mark.parametrize("build", BUILDS, ids=["table3", "table4", "table4b"])
+    def test_a_reordered_basket_gives_the_same_table(self, fixtures, build):
+        food, _ = load_basket(fixtures / "basket_food.csv")
+        shuffled = list(food[2].items)
+        random.Random(4).shuffle(shuffled)
+        reordered = [*food[:2], dataclasses.replace(food[2], items=tuple(shuffled)), *food[3:]]
+        assert render_table(*build(reordered, self.cms())) == render_table(*build(food, self.cms()))
+
+    @pytest.mark.parametrize("build", BUILDS, ids=["table3", "table4", "table4b"])
+    def test_a_basket_missing_an_item_is_refused(self, fixtures, build):
+        food, _ = load_basket(fixtures / "basket_food.csv")
+        swapped = dataclasses.replace(food[1], items=(*food[1].items[:-1], dataclasses.replace(
+            food[1].items[-1], item="Something else")))
+        for short in (dataclasses.replace(food[1], items=food[1].items[1:]), swapped):
+            with pytest.raises(ShapeMismatch, match=(
+                f"^basket {food[1].country}/{food[1].currency} does not carry the same items as "
+                f"{food[0].country}/{food[0].currency}$"
+            )):
+                build([food[0], short], self.cms())
+
+    def test_a_repeated_label_takes_its_last_amount(self):
+        usd = CurrencyCode("USD")
+        items = (PriceQuote("Bread", "kg", usd, D(1)), PriceQuote("Bread", "kg", usd, D(2)))
+        basket = Basket("A", usd, items)
+        assert report._aligned_amounts([basket, basket]) == (
+            [("Bread", "kg"), ("Bread", "kg")], [[D(2), D(2)], [D(2), D(2)]]
+        )
+
+
 class TestListings:
     def cms(self):
         return {code: manual(code, value) for code, value in TABLE3_CM.items()}
