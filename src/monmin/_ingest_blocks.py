@@ -115,9 +115,16 @@ def _numbers(texts, scale: Decimal | None = None) -> list[Decimal]:
     """A column of numbers, each multiplied by ``scale`` when one is given, as ``ingest._finite`` does.
 
     A number that is not finite is left for the type's column form to refuse.
+    A number other than zero whose product underflows to zero is a doubt:
+    a zero m1 passes the column form, and ``_finite`` refuses it.
     """
     values = list(map(Decimal, texts))
-    return values if scale is None else list(map(mul, values, repeat(scale)))
+    if scale is None:
+        return values
+    products = list(map(mul, values, repeat(scale)))
+    if not all(products) and products.count(0) != values.count(0):
+        raise _Doubt
+    return products
 
 
 def load_economies(path):

@@ -46,7 +46,7 @@ import csv
 import os
 import re
 from dataclasses import dataclass
-from decimal import Context, Decimal, InvalidOperation, Overflow
+from decimal import Context, Decimal, InvalidOperation, Overflow, Underflow
 from itertools import compress, repeat
 from operator import attrgetter, is_not
 from pathlib import Path
@@ -163,9 +163,11 @@ def _finite(text: str, scale: Decimal | None = None) -> Decimal:
     """A finite number, multiplied by ``scale`` only when a scale is given.
 
     The multiplication rounds to the context's precision, so an unscaled
-    number skips it and keeps every digit.  A product past the context's
-    exponent limit is refused here when the context raises ``Overflow``,
-    and by the value's type when the context gives an infinity instead.
+    number skips it and keeps every digit.  A product past either end of
+    the context's exponent range is refused here: one that raises
+    ``Overflow`` or ``Underflow``, and a number other than zero whose
+    product underflows to zero.  A product the context turns into an
+    infinity instead is refused by the value's type.
     """
     value = Decimal(text)
     if not value.is_finite():
@@ -173,11 +175,12 @@ def _finite(text: str, scale: Decimal | None = None) -> Decimal:
     if scale is None:
         return value
     try:
-        return value * scale
-    except Overflow:
-        raise ValueError(
-            f"{text!r} times the scale factor {scale} is past the decimal exponent limit"
-        ) from None
+        product = value * scale
+        if product or not value:
+            return product
+    except (Overflow, Underflow):
+        pass
+    raise ValueError(f"{text!r} times the scale factor {scale} is past the decimal exponent limit")
 
 
 def _issue(line: int, exc: Exception) -> Issue:

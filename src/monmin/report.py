@@ -22,16 +22,19 @@ reading a view (iterating or indexing it) still gives each row as a dict,
 made from the same tuple.  Rows given as mappings, such as table 2's
 list, are shape-checked and then formatted the same way.
 
-Tables and plot data are written a block of about ``_BLOCK_CELLS`` cells
-at a time.  Each block is formatted column by column: a run of adjacent
-columns with one rule and one cell type goes through one C-level pass
-(``quantize`` then scientific text for decimals, ``int.__repr__`` for
-whole numbers at 0 decimals), and any run whose pass could print other
-text than the per-cell formatter is formatted cell by cell instead.  A
-block's lines go out in one write; cells ``csv.writer`` would quote are
-quoted the same way, and a block it treats differently across Python
-versions goes to ``csv.writer`` itself.  If a row cannot be made or
-formatted, the rows before it are written before its error is raised.
+A column's rule becomes text in one place, ``_rule_columns``: it gives
+each column its cell formatter and its passes, and gives
+:func:`format_cell` its formatter.  Tables and plot data are written a
+block of about ``_BLOCK_CELLS`` cells at a time.  Each block is formatted
+column by column: a run of adjacent columns with one rule and one cell
+type goes through one C-level pass (``quantize`` then scientific text for
+decimals, ``int.__repr__`` for whole numbers at 0 decimals), and any run
+whose pass could print other text than the cell formatter is formatted
+cell by cell with it instead.  A block's lines go out in one write;
+cells ``csv.writer`` would quote are quoted the same way, and a block it
+treats differently across Python versions goes to ``csv.writer`` itself.
+If a row cannot be made or formatted, the rows before it are written
+before its error is raised.
 """
 from __future__ import annotations
 
@@ -155,11 +158,15 @@ _CELLS = Context(
 )
 
 
+def _rounded(value: Decimal, quantum: Decimal) -> Decimal:
+    """``value`` quantized to ``quantum``, ties away from zero, under the display context, never -0."""
+    rounded = value.quantize(quantum, ROUND_HALF_UP, _CELLS)
+    return rounded if rounded else rounded.copy_abs()  # avoid "-0.00"
+
+
 def round_half_away(value: Decimal, decimals: int) -> Decimal:
     """Round to a fixed number of decimals, ties away from zero, under the display context."""
-    quantum = Decimal(1).scaleb(-decimals, _CELLS)
-    rounded = as_decimal(value).quantize(quantum, ROUND_HALF_UP, _CELLS)
-    return rounded if rounded else rounded.copy_abs()  # avoid "-0.00"
+    return _rounded(as_decimal(value), Decimal(1).scaleb(-decimals, _CELLS))
 
 
 def round_significant(value: Decimal, figures: int) -> Decimal:
@@ -175,38 +182,13 @@ def _verbatim(value) -> str:
     return "" if value is None else str(value)
 
 
-def _formatter(rule: ColumnRule) -> Callable[[object], str]:
-    """Compile one column's rule into a cell formatter, the quantum worked out once."""
-    if rule.decimals is not None:
-        decimals = rule.decimals
-        quantum = Decimal(1).scaleb(-decimals, _CELLS)
-
-        def fixed(value) -> str:
-            kind = type(value)
-            if kind is not Decimal:
-                if kind is int and not decimals:
-                    try:
-                        return str(value)  # a whole number is its own rounding
-                    except ValueError:  # more digits than int-to-text allows
-                        pass
-                value = as_decimal(value)
-            rounded = value.quantize(quantum, ROUND_HALF_UP, _CELLS)
-            return _plain(rounded if rounded else rounded.copy_abs())  # avoid "-0.00"
-
-        return fixed
-    if rule.sig_figures is not None:
-        figures = rule.sig_figures
-
-        def significant(value) -> str:
-            text = format(round_significant(value, figures), "f")
-            return text.rstrip("0").rstrip(".") if "." in text else text
-
-        return significant
-    return _verbatim
+def _significant(value, figures: int) -> str:
+    text = format(round_significant(value, figures), "f")
+    return text.rstrip("0").rstrip(".") if "." in text else text
 
 
 def format_cell(rule: ColumnRule, value) -> str:
-    return _formatter(rule)(value)
+    return _rule_columns([rule])[0][0](value)
 
 
 # ---------------------------------------------------------------------------
@@ -259,21 +241,25 @@ _PLAIN = (_plain, {Decimal: _plain_pass}.get)
 def _rule_columns(rules: Sequence[ColumnRule]) -> list[tuple]:
     """Each column's cell formatter, and the pass it takes for a cell type.
 
-    Columns with the same decimals share one pass, so that adjacent ones
-    form one run.
+    The only code that turns a rule into cell text.  Columns with the same
+    decimals share one formatter and one pass, so that adjacent ones form
+    one run.
     """
     fixed: dict[int, tuple] = {}
     columns = []
     for rule in rules:
-        if rule.decimals is not None:
-            if rule.decimals not in fixed:
-                passes = {Decimal: _fixed_pass(Decimal(1).scaleb(-rule.decimals, _CELLS))}
-                if not rule.decimals:
+        decimals = rule.decimals
+        if decimals is not None:
+            if decimals not in fixed:
+                quantum = Decimal(1).scaleb(-decimals, _CELLS)
+                passes = {Decimal: _fixed_pass(quantum)}
+                if not decimals:
                     passes[int] = _int_pass
-                fixed[rule.decimals] = (_formatter(rule), passes.get)
-            columns.append(fixed[rule.decimals])
+                cell = lambda value, quantum=quantum: _plain(_rounded(as_decimal(value), quantum))
+                fixed[decimals] = (cell, passes.get)
+            columns.append(fixed[decimals])
         elif rule.sig_figures is not None:
-            columns.append((_formatter(rule), {}.get))
+            columns.append((lambda value, figures=rule.sig_figures: _significant(value, figures), {}.get))
         else:
             columns.append(_VERBATIM)
     return columns
@@ -624,20 +610,24 @@ def _aligned_amounts(baskets: Sequence[Basket]):
     A basket that lists the first one's distinct labels in the same order
     gives its amounts as they stand.  Any other gets a lookup dict, dropped
     before the next one is built.  A column holds the basket's own amounts,
-    so no figure is copied.
+    so no figure is copied.  A basket that lists one label twice is refused,
+    naming the label: a row per label could show only one of its amounts.
     """
     if not baskets:
         return [], []
     order = list(map(_LABEL, baskets[0].items))
     keys = set(order)
-    distinct = len(keys) == len(order)
     columns = []
     for basket in baskets:
-        if distinct and list(map(_LABEL, basket.items)) == order:
+        labels = list(map(_LABEL, basket.items))
+        if labels == order and len(keys) == len(order):
             columns.append(list(map(_AMOUNT, basket.items)))
             continue
-        index = {(q.item, q.unit): q.amount for q in basket.items}
-        if len(basket.items) != len(order) or not index.keys() >= keys:
+        index = dict(zip(labels, map(_AMOUNT, basket.items)))
+        if len(index) != len(labels):
+            repeated = next(label for label in labels if labels.count(label) > 1)
+            raise ShapeMismatch(f"basket {basket.country}/{basket.currency} lists {repeated} more than once")
+        if len(labels) != len(order) or not index.keys() >= keys:
             raise ShapeMismatch(
                 f"basket {basket.country}/{basket.currency} does not carry the "
                 f"same items as {baskets[0].country}/{baskets[0].currency}"
@@ -679,7 +669,11 @@ def _salary_minutes(basket: Basket) -> Decimal:
 
 
 def build_table3(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
-    """One market's commodity prices, raw and in minutes, per currency context."""
+    """One market's commodity prices, raw and in minutes, per currency context.
+
+    A row per (item, unit) label: a basket that lists one label twice is
+    refused with :class:`ShapeMismatch` naming it.
+    """
     codes = [b.currency.code for b in baskets]
     if len(codes) != len(set(codes)):
         raise ShapeMismatch("table 3 needs one basket per currency context")
@@ -710,7 +704,11 @@ def _country_columns(table_id: TableId, baskets: Sequence[Basket], decimals: int
 
 
 def build_table4(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
-    """Food-basket prices and salaries in minutes, one column per country."""
+    """Food-basket prices and salaries in minutes, one column per country.
+
+    A row per (item, unit) label: a basket that lists one label twice is
+    refused with :class:`ShapeMismatch` naming it.
+    """
     spec = _country_columns(TableId.T4, baskets, decimals=0)
     values = [_cm_for(b, cms).value for b in baskets]
     labels, amounts = _aligned_amounts(baskets)
@@ -729,7 +727,11 @@ def build_table4(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
 
 
 def build_table4b(baskets: Sequence[Basket]):
-    """Basket items as percent of the salary; minute values cancel out."""
+    """Basket items as percent of the salary; minute values cancel out.
+
+    A row per (item, unit) label: a basket that lists one label twice is
+    refused with :class:`ShapeMismatch` naming it.
+    """
     spec = _country_columns(TableId.T4B, baskets, decimals=2)
     salaries = [_salary_minutes(b) for b in baskets]
     labels, amounts = _aligned_amounts(baskets)

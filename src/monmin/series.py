@@ -110,20 +110,12 @@ class ExtremaReport:
 
 def m1_in_monmin(y: AggregateYear, std: TimeStandard = TimeStandard()) -> Decimal:
     """One year's M1 in minutes: m1 * population * minutes_per_year / gdp."""
-    if y.gdp <= 0 or y.population <= 0:
-        raise NonPositiveInput(f"{y.year}: gdp and population must be > 0")
     return y.m1 * y.population * std.minutes_per_year / y.gdp
 
 
 def series_in_monmin(s: AggregateSeries) -> list[tuple[int, Decimal]]:
     """Element-wise :func:`m1_in_monmin` over a series, order preserved."""
-    out = []
-    for y in s.years:
-        try:
-            out.append((y.year, m1_in_monmin(y, s.std)))
-        except NonPositiveInput as exc:
-            raise NonPositiveInput(f"year {y.year}: {exc}") from exc
-    return out
+    return [(y.year, m1_in_monmin(y, s.std)) for y in s.years]
 
 
 def detect_extrema(values) -> ExtremaReport:

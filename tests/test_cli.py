@@ -489,6 +489,15 @@ class TestPercentErrors:
         code, out, err = run(capsys, "report", "--table", "4b", "--basket", path)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_table4b_refuses_a_repeated_label(self, capsys, tmp_path):
+        """The listing keeps every quote; the table would print one label's last amount on both rows."""
+        rows = ["A,USD,Bread,kg,1,item", "A,USD,Bread,kg,2,item", "A,USD,Salary,month,100,salary"]
+        path = write_basket_file(tmp_path / "b.csv", rows)
+        code, out, err = run(capsys, "report", "--table", "4b", "--basket", path)
+        assert (code, out, err) == (2, "", "error: basket A/USD lists ('Bread', 'kg') more than once\n")
+        code, out, _ = run(capsys, "percent", "--basket", path)
+        assert code == 0 and out.splitlines()[1:3] == ["A,USD,Bread,kg,1.00", "A,USD,Bread,kg,2.00"]
+
 
 class TestNumericFlags:
     """Non-finite numbers are usage errors naming the flag; --decimals prints every digit."""

@@ -400,6 +400,52 @@ class TestScale:
             line, "MalformedRow: '100' times the scale factor 1E+999999 is past the decimal exponent limit"
         )]
 
+    # A number other than zero whose scaled product underflows to zero: a zero
+    # gdp would be blamed on a value the file never wrote, and a zero m1 loads.
+    UNDERFLOWS = {
+        "gdp": (load_economies, "cm", "--economies",
+                "# scale=1E-999999\ncountry,currency,gdp,population,as_of\nX,USD,1,10,2019-01-01\nY,EUR,1E-30,2,2019-01-01\n"),
+        "m1": (load_series, "series", "--series", "# scale=1E-999999\nyear,m1,gdp,population\n2000,1,1,5\n2001,1E-30,2,5\n"),
+    }
+    UNDERFLOW = "MalformedRow: '1E-30' times the scale factor 1E-999999 is past the decimal exponent limit"
+
+    @pytest.mark.parametrize("block_rows,block_chars", [(None, None), (1, 1), (2, 40)])
+    @pytest.mark.parametrize("column", sorted(UNDERFLOWS))
+    def test_scaled_cell_that_underflows_to_zero_is_an_issue_on_its_row(self, tmp_path, column, block_rows, block_chars):
+        loader, _, _, body = self.UNDERFLOWS[column]
+        path = tmp_path / "f.csv"
+        path.write_text(body)
+        with ExitStack() as patches:
+            if block_rows:
+                patches.enter_context(mock.patch.object(ingest, "_BLOCK_ROWS", block_rows))
+                patches.enter_context(mock.patch.object(ingest, "_BLOCK_CHARS", block_chars))
+            data, report = loader(path)
+        assert not data
+        assert [(e.line, e.message) for e in report.errors] == [(4, self.UNDERFLOW)]
+
+    @pytest.mark.parametrize("block_rows,block_chars", [(None, None), (1, 1)])
+    def test_a_zero_scaled_to_zero_still_loads(self, tmp_path, block_rows, block_chars):
+        path = tmp_path / "s.csv"
+        path.write_text("# scale=1E-999999\nyear,m1,gdp,population\n2000,0,1,5\n2001,0E-30,2,5\n")
+        with ExitStack() as patches:
+            if block_rows:
+                patches.enter_context(mock.patch.object(ingest, "_BLOCK_ROWS", block_rows))
+                patches.enter_context(mock.patch.object(ingest, "_BLOCK_CHARS", block_chars))
+                patches.enter_context(mock.patch.object(ingest, "_read_table", side_effect=AssertionError("row path")))
+            series, report = load_series(path)
+        assert report.ok and [y.m1 for y in series.years] == [0, 0]
+
+    @pytest.mark.parametrize("column", sorted(UNDERFLOWS))
+    def test_cli_exits_2_naming_the_underflowing_line(self, tmp_path, capsys, column):
+        _, command, flag, body = self.UNDERFLOWS[column]
+        path = tmp_path / "f.csv"
+        path.write_text(body)
+        code = main([command, flag, str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{path}:4: error: {self.UNDERFLOW}\n" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("scale,line", [("NaN", 1), ("Infinity", 1), ("1E+999999", None)])
     @pytest.mark.parametrize("command,flag,body,row", [
         ("cm", "--economies", ECONOMIES, 3),

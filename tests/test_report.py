@@ -424,13 +424,15 @@ class TestBasketsInOtherOrders:
             )):
                 build([food[0], short], self.cms())
 
-    def test_a_repeated_label_takes_its_last_amount(self):
-        usd = CurrencyCode("USD")
-        items = (PriceQuote("Bread", "kg", usd, D(1)), PriceQuote("Bread", "kg", usd, D(2)))
-        basket = Basket("A", usd, items)
-        assert report._aligned_amounts([basket, basket]) == (
-            [("Bread", "kg"), ("Bread", "kg")], [[D(2), D(2)], [D(2), D(2)]]
-        )
+    @pytest.mark.parametrize("first", [True, False], ids=["first-basket", "later-basket"])
+    def test_a_repeated_label_is_refused(self, first):
+        """A row per label could show only one of a repeated label's amounts, so the basket is refused."""
+        usd, eur = CurrencyCode("USD"), CurrencyCode("EUR")
+        twice = Basket("A", usd, (PriceQuote("Bread", "kg", usd, D(1)), PriceQuote("Bread", "kg", usd, D(2))))
+        once = Basket("B", eur, (PriceQuote("Bread", "kg", eur, D(1)), PriceQuote("Milk", "l", eur, D(2))))
+        baskets = [twice, once] if first else [once, twice]
+        with pytest.raises(ShapeMismatch, match=r"^basket A/USD lists \('Bread', 'kg'\) more than once$"):
+            report._aligned_amounts(baskets)
 
 
 class TestListings:
