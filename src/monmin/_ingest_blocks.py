@@ -116,13 +116,14 @@ def _numbers(texts, scale: Decimal | None = None) -> list[Decimal]:
 
     A number that is not finite is left for the type's column form to refuse.
     A number other than zero whose product underflows to zero is a doubt:
-    a zero m1 passes the column form, and ``_finite`` refuses it.
+    a zero m1 passes the column form, and ``_finite`` refuses it.  So is any
+    subnormal product, which ``_finite`` refuses when it lost digits.
     """
     values = list(map(Decimal, texts))
     if scale is None:
         return values
     products = list(map(mul, values, repeat(scale)))
-    if not all(products) and products.count(0) != values.count(0):
+    if any(map(Decimal.is_subnormal, products)) or (not all(products) and products.count(0) != values.count(0)):
         raise _Doubt
     return products
 

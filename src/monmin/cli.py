@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 usage error, 2 data error.  Results are
 streamed to stdout or ``--out``, the same bytes either way, diagnostics
 to stderr; an output file is replaced only when the command succeeds.
-``MONMIN_TETCY`` overrides the default minutes-per-year constant; an
-explicit ``--tetcy`` flag wins over the environment, which wins over an
-optional JSON config file.
+``MONMIN_TETCY`` overrides the default minutes-per-year constant.  Click
+resolves every setting: a flag wins over its environment variable, which
+wins over the optional JSON ``--config`` file, and each option's callback
+checks and parses its value before the command reads any input file.
 """
 from __future__ import annotations
 
@@ -39,11 +40,38 @@ from .series import detect_extrema, series_in_monmin
 _TETCY_HELP = "Minutes per year (default 525600; env MONMIN_TETCY)."
 # The printed result holds every decimal asked for, and memory grows with them.
 _MAX_DECIMALS = 1000
+# The keys read from a config file, and the parameter each one sets in a command that has it;
+# any other key would set the parameter of its name (``out``, ``extrema``).
+_CONFIG_KEYS = {"tetcy": "std", "format": "fmt", "decimals": "decimals"}
 
 
-def _load_config(path) -> dict:
+def _config_entry(key: str, raw):
+    """A ``default_map`` entry for a config value.
+
+    Click calls it only when no flag or environment value wins, so a
+    ``format`` or ``decimals`` that a flag overrides is never checked.
+    """
+    def value():
+        if key == "format" and raw not in ("csv", "text"):
+            raise click.UsageError(f"format must be csv or text, got {raw!r}")
+        try:
+            return int(str(raw)) if key == "decimals" else raw
+        except ValueError:
+            raise click.UsageError(f"config decimals must be a whole number, got {raw!r}")
+    return value
+
+
+def _read_config(ctx, param, path) -> None:
+    """Make the ``--config`` file the command's ``default_map``.
+
+    The option is eager, so the file is read before any other setting is
+    resolved (only a ``--help`` ahead of it on the command line comes
+    first); click then takes each setting from its flag, its environment
+    variable or this map, in that order.  Only the keys of ``_CONFIG_KEYS``
+    are kept, and click looks up only those the command has.
+    """
     if path is None:
-        return {}
+        return
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -54,7 +82,7 @@ def _load_config(path) -> dict:
         raise click.UsageError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise click.UsageError(f"config file {path} must hold a JSON object")
-    return data
+    ctx.default_map = {_CONFIG_KEYS[key]: _config_entry(key, raw) for key, raw in data.items() if key in _CONFIG_KEYS}
 
 
 def _decimal_flag(text, flag: str) -> Decimal:
@@ -67,23 +95,27 @@ def _decimal_flag(text, flag: str) -> Decimal:
     return value
 
 
-def _currency_flag(text: str, flag: str) -> CurrencyCode:
+def _decimal(ctx, param, text) -> Decimal | None:
+    """A decimal flag's value, named by its flag in a refusal; None when not given."""
+    return None if text is None else _decimal_flag(text, param.opts[0])
+
+
+def _currency(ctx, param, text) -> CurrencyCode | None:
+    """The ``--currency`` code; convert's, with no default, is None when not given or empty."""
+    if not (text or param.default):
+        return None
     try:
         return CurrencyCode(text.upper())
     except ValueError as exc:
-        raise click.UsageError(f"{flag} {text!r}: {exc}")
+        raise click.UsageError(f"--currency {text!r}: {exc}")
 
 
-def _config_decimals(config: dict) -> int:
-    raw = config.get("decimals", 0)
-    try:
-        return int(str(raw))
-    except ValueError:
-        raise click.UsageError(f"config decimals must be a whole number, got {raw!r}")
+def _tetcy(ctx, param, raw) -> TimeStandard:
+    """The time standard from the flag, ``MONMIN_TETCY`` or the config, else the default.
 
-
-def _resolve_std(tetcy, config: dict) -> TimeStandard:
-    raw = tetcy if tetcy is not None else config.get("tetcy")
+    The option takes its value unprocessed, so a config value that is not a
+    string (``true``, ``[1]``) is named in the refusal as written.
+    """
     if raw is None:
         return TimeStandard()
     value = _decimal_flag(raw, "--tetcy")
@@ -92,11 +124,13 @@ def _resolve_std(tetcy, config: dict) -> TimeStandard:
     return TimeStandard(value)
 
 
-def _resolve_fmt(fmt, config: dict) -> str:
-    choice = fmt if fmt is not None else config.get("format", "csv")
-    if choice not in ("csv", "text"):
-        raise click.UsageError(f"format must be csv or text, got {choice!r}")
-    return choice
+def _decimals(ctx, param, places: int) -> int:
+    """``--decimals``, from the flag or the config, within 0 to ``_MAX_DECIMALS``."""
+    if places < 0:
+        raise click.UsageError("--decimals must be >= 0")
+    if places > _MAX_DECIMALS:
+        raise click.UsageError(f"--decimals must be <= {_MAX_DECIMALS}, got {places}")
+    return places
 
 
 def _run_load(loader, path, **kwargs):
@@ -214,43 +248,32 @@ def cli():
 
 @cli.command("cm")
 @click.option("--economies", "economies_path", required=True, help="Economies CSV file.")
-@click.option("--tetcy", envvar="MONMIN_TETCY", default=None, help=_TETCY_HELP)
-@click.option("--config", "config_path", default=None, help="Optional JSON config file.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "text"]), default=None)
+@click.option("--tetcy", "std", envvar="MONMIN_TETCY", type=click.UNPROCESSED, callback=_tetcy, help=_TETCY_HELP)
+@click.option("--config", is_eager=True, expose_value=False, callback=_read_config, help="Optional JSON config file.")
+@click.option("--format", "fmt", type=click.Choice(["csv", "text"]), default="csv")
 @click.option("--out", default=None, help="Write the table to this path instead of stdout.")
-def cmd_cm(economies_path, tetcy, config_path, fmt, out):
+def cmd_cm(economies_path, std, fmt, out):
     """Per-country Monetary Minute values from an economies file."""
-    config = _load_config(config_path)
-    std, fmt = _resolve_std(tetcy, config), _resolve_fmt(fmt, config)
     snapshots = _run_load(ingest.load_economies, economies_path)
     with _open_out(out) as sink:
         report.write_table(*report.build_table1(snapshots, std), sink, fmt)
 
 
 @cli.command("convert")
-@click.option("--amount", required=True, help="Price in currency units.")
-@click.option("--currency", default=None, help="Currency code of the amount.")
-@click.option("--cm", "cm_value", default=None, help="Explicit minute value (currency per minute).")
+@click.option("--amount", required=True, callback=_decimal, help="Price in currency units.")
+@click.option("--currency", default=None, callback=_currency, help="Currency code of the amount.")
+@click.option("--cm", "cm_value", default=None, callback=_decimal, help="Explicit minute value (currency per minute).")
 @click.option("--economies", "economies_path", default=None, help="Compute the minute value from this file.")
 @click.option("--country", default=None, help="Country to pick from the economies file.")
-@click.option("--tetcy", envvar="MONMIN_TETCY", default=None, help=_TETCY_HELP)
-@click.option("--decimals", type=int, default=None, help="Decimals for the printed result (default 0, at most 1000).")
-@click.option("--config", "config_path", default=None, help="Optional JSON config file.")
-def cmd_convert(amount, currency, cm_value, economies_path, country, tetcy, decimals, config_path):
+@click.option("--tetcy", "std", envvar="MONMIN_TETCY", type=click.UNPROCESSED, callback=_tetcy, help=_TETCY_HELP)
+@click.option("--decimals", type=int, default=0, callback=_decimals, help="Decimals for the printed result (default 0, at most 1000).")
+@click.option("--config", is_eager=True, expose_value=False, callback=_read_config, help="Optional JSON config file.")
+def cmd_convert(amount, currency, cm_value, economies_path, country, std, decimals):
     """Convert a currency price into Monetary Minutes."""
-    config = _load_config(config_path)
-    std = _resolve_std(tetcy, config)
-    code = _currency_flag(currency or "XXX", "--currency")
-    amount = _decimal_flag(amount, "--amount")
-    places = decimals if decimals is not None else _config_decimals(config)
-    if places < 0:
-        raise click.UsageError("--decimals must be >= 0")
-    if places > _MAX_DECIMALS:
-        raise click.UsageError(f"--decimals must be <= {_MAX_DECIMALS}, got {places}")
     if cm_value is not None and economies_path:
         raise click.UsageError("use either --cm or --economies, not both")
     if cm_value is not None:
-        cm = MonMinValue(code, _decimal_flag(cm_value, "--cm"), CmSource.MANUAL)
+        cm = MonMinValue(currency or CurrencyCode("XXX"), cm_value, CmSource.MANUAL)
     elif economies_path:
         if not country:
             raise click.UsageError("--economies needs --country")
@@ -258,8 +281,8 @@ def cmd_convert(amount, currency, cm_value, economies_path, country, tetcy, deci
         snapshot = next((s for s in snapshots if s.country == country), None)
         if snapshot is None:
             raise MonMinError(f"country {country!r} not found in {economies_path}")
-        if currency and snapshot.currency != code:
-            raise CurrencyMismatch(f"{country} is in {snapshot.currency}, not {code}")
+        if currency and snapshot.currency != currency:
+            raise CurrencyMismatch(f"{country} is in {snapshot.currency}, not {currency}")
         cm = compute_cm(snapshot, std)
     else:
         raise click.UsageError(
@@ -272,19 +295,19 @@ def cmd_convert(amount, currency, cm_value, economies_path, country, tetcy, deci
         raise click.UsageError(
             f"--amount {quote.amount} at minute value {cm.value} exceeds the decimal range"
         )
-    click.echo(report.format_cell(report.ColumnRule("monmin", decimals=places), minutes))
+    click.echo(report.format_cell(report.ColumnRule("monmin", decimals=decimals), minutes))
 
 
 @cli.command("parity")
-@click.option("--rate", required=True, help="Current rate, local per reference unit.")
-@click.option("--ref", "ref_value", required=True, help="Reference-market minute price.")
-@click.option("--local", "local_value", required=True, help="Local-market minute price.")
+@click.option("--rate", required=True, callback=_decimal, help="Current rate, local per reference unit.")
+@click.option("--ref", "ref_value", required=True, callback=_decimal, help="Reference-market minute price.")
+@click.option("--local", "local_value", required=True, callback=_decimal, help="Local-market minute price.")
 @click.option("--item", default="item", help="Item label for both prices.")
 def cmd_parity(rate, ref_value, local_value, item):
     """Hypothetical rate that equalizes an item's minute price."""
-    current = ExchangeRate(CurrencyCode("REF"), CurrencyCode("LOC"), _decimal_flag(rate, "--rate"))
-    ref_price = MonMinPrice(item, CurrencyCode("REF"), _decimal_flag(ref_value, "--ref"))
-    local_price = MonMinPrice(item, CurrencyCode("LOC"), _decimal_flag(local_value, "--local"))
+    current = ExchangeRate(CurrencyCode("REF"), CurrencyCode("LOC"), rate)
+    ref_price = MonMinPrice(item, CurrencyCode("REF"), ref_value)
+    local_price = MonMinPrice(item, CurrencyCode("LOC"), local_value)
     rate = parity_rate(current, ref_price, local_price)
     click.echo(report.format_cell(report.ColumnRule("rate", decimals=3), rate))
 
@@ -293,13 +316,11 @@ def cmd_parity(rate, ref_value, local_value, item):
 @click.option("--basket", "basket_path", required=True, help="Basket CSV file.")
 @click.option("--economies", "economies_path", default=None, help="Minute values from this file.")
 @click.option("--cm", "cm_entries", multiple=True, help="CODE=VALUE manual minute value (repeatable).")
-@click.option("--tetcy", envvar="MONMIN_TETCY", default=None, help=_TETCY_HELP)
-@click.option("--config", "config_path", default=None, help="Optional JSON config file.")
+@click.option("--tetcy", "std", envvar="MONMIN_TETCY", type=click.UNPROCESSED, callback=_tetcy, help=_TETCY_HELP)
+@click.option("--config", is_eager=True, expose_value=False, callback=_read_config, help="Optional JSON config file.")
 @click.option("--out", default=None, help="Write the listing to this path instead of stdout.")
-def cmd_basket(basket_path, economies_path, cm_entries, tetcy, config_path, out):
+def cmd_basket(basket_path, economies_path, cm_entries, std, out):
     """Re-express every basket quote in Monetary Minutes."""
-    config = _load_config(config_path)
-    std = _resolve_std(tetcy, config)
     cms = _gather_cms(cm_entries, economies_path, std)
     baskets = _run_load(ingest.load_basket, basket_path, known_currencies=cms.keys())
     spec, rows = report.build_basket_listing(baskets, cms)
@@ -320,19 +341,16 @@ def cmd_percent(basket_path, out):
 
 @cli.command("series")
 @click.option("--series", "series_path", required=True, help="Yearly aggregates CSV file.")
-@click.option("--currency", default="USD", help="Currency of the series (default USD).")
-@click.option("--tetcy", envvar="MONMIN_TETCY", default=None, help=_TETCY_HELP)
-@click.option("--config", "config_path", default=None, help="Optional JSON config file.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "text"]), default=None)
+@click.option("--currency", default="USD", callback=_currency, help="Currency of the series (default USD).")
+@click.option("--tetcy", "std", envvar="MONMIN_TETCY", type=click.UNPROCESSED, callback=_tetcy, help=_TETCY_HELP)
+@click.option("--config", is_eager=True, expose_value=False, callback=_read_config, help="Optional JSON config file.")
+@click.option("--format", "fmt", type=click.Choice(["csv", "text"]), default="csv")
 @click.option("--extrema", is_flag=True, help="Also report local peak and trough years.")
 @click.option("--plot-data", "plot_path", default=None, help="Write plot data to this path.")
 @click.option("--out", default=None, help="Write the table to this path instead of stdout.")
-def cmd_series(series_path, currency, tetcy, config_path, fmt, extrema, plot_path, out):
+def cmd_series(series_path, currency, std, fmt, extrema, plot_path, out):
     """Yearly M1 in Monetary Minutes: table, optional extrema and plot data."""
-    config = _load_config(config_path)
-    std, fmt = _resolve_std(tetcy, config), _resolve_fmt(fmt, config)
-    code = _currency_flag(currency, "--currency")
-    aggregate = _run_load(ingest.load_series, series_path, currency=code, std=std)
+    aggregate = _run_load(ingest.load_series, series_path, currency=currency, std=std)
     minutes = series_in_monmin(aggregate)
     spec, rows = report.build_table5(aggregate, minutes)
     found = detect_extrema(minutes) if extrema else None
@@ -354,30 +372,26 @@ def cmd_series(series_path, currency, tetcy, config_path, fmt, extrema, plot_pat
 @click.option("--basket", "basket_path", default=None, help="Basket CSV file.")
 @click.option("--series", "series_path", default=None, help="Yearly aggregates CSV file.")
 @click.option("--cm", "cm_entries", multiple=True, help="CODE=VALUE manual minute value (repeatable).")
-@click.option("--currency", default="USD", help="Series currency (table 5 only).")
-@click.option("--tetcy", envvar="MONMIN_TETCY", default=None, help=_TETCY_HELP)
-@click.option("--config", "config_path", default=None, help="Optional JSON config file.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "text"]), default=None)
+@click.option("--currency", default="USD", callback=_currency, help="Series currency (table 5 only).")
+@click.option("--tetcy", "std", envvar="MONMIN_TETCY", type=click.UNPROCESSED, callback=_tetcy, help=_TETCY_HELP)
+@click.option("--config", is_eager=True, expose_value=False, callback=_read_config, help="Optional JSON config file.")
+@click.option("--format", "fmt", type=click.Choice(["csv", "text"]), default="csv")
 @click.option("--out", default=None, help="Write the table to this path instead of stdout.")
 def cmd_report(
-    table_id, economies_path, rates_path, basket_path, series_path,
-    cm_entries, currency, tetcy, config_path, fmt, out,
+    table_id, economies_path, rates_path, basket_path, series_path, cm_entries, currency, std, fmt, out,
 ):
     """Render one of the standard tables (1, 2, 3, 4, 4b, 5)."""
-    config = _load_config(config_path)
-    std, fmt = _resolve_std(tetcy, config), _resolve_fmt(fmt, config)
-    code = _currency_flag(currency, "--currency")
+    flag, path = {
+        "1": ("--economies", economies_path), "2": ("--rates", rates_path), "5": ("--series", series_path),
+    }.get(table_id, ("--basket", basket_path))
+    if not path:
+        raise click.UsageError(f"table {table_id} needs {flag}")
 
     if table_id == "1":
-        if not economies_path:
-            raise click.UsageError("table 1 needs --economies")
-        snapshots = _run_load(ingest.load_economies, economies_path)
-        spec, rows = report.build_table1(snapshots, std)
+        spec, rows = report.build_table1(_run_load(ingest.load_economies, path), std)
     elif table_id == "2":
-        if not rates_path:
-            raise click.UsageError("table 2 needs --rates")
         cms = _parse_cm_options(cm_entries)
-        rates = _run_load(ingest.load_rates, rates_path)
+        rates = _run_load(ingest.load_rates, path)
         bases = {rate.base.code for rate in rates}
         if len(bases) != 1:
             raise ShapeMismatch(f"table 2 needs a single-base rate table, got bases {sorted(bases)}")
@@ -387,23 +401,15 @@ def cmd_report(
             raise click.UsageError(f"table 2 needs --cm {base_code}=<value> for the base currency")
         spec, rows = report.build_table2(base_cm, rates, cms)
     elif table_id in ("3", "4"):
-        if not basket_path:
-            raise click.UsageError(f"table {table_id} needs --basket")
         cms = _gather_cms(cm_entries, economies_path, std)
-        baskets = _run_load(ingest.load_basket, basket_path, known_currencies=cms.keys())
+        baskets = _run_load(ingest.load_basket, path, known_currencies=cms.keys())
         build = report.build_table3 if table_id == "3" else report.build_table4
         spec, rows = build(baskets, cms)
         _note_cm_sources({b.currency.code: cms[b.currency.code] for b in baskets})
     elif table_id == "4b":
-        if not basket_path:
-            raise click.UsageError("table 4b needs --basket")
-        baskets = _run_load(ingest.load_basket, basket_path)
-        spec, rows = report.build_table4b(baskets)
+        spec, rows = report.build_table4b(_run_load(ingest.load_basket, path))
     else:
-        if not series_path:
-            raise click.UsageError("table 5 needs --series")
-        aggregate = _run_load(ingest.load_series, series_path, currency=code, std=std)
-        spec, rows = report.build_table5(aggregate)
+        spec, rows = report.build_table5(_run_load(ingest.load_series, path, currency=currency, std=std))
 
     with _open_out(out) as sink:
         report.write_table(spec, rows, sink, fmt)

@@ -46,7 +46,7 @@ import csv
 import os
 import re
 from dataclasses import dataclass
-from decimal import Context, Decimal, InvalidOperation, Overflow, Underflow
+from decimal import Context, Decimal, InvalidOperation, Overflow, Underflow, getcontext
 from itertools import compress, repeat
 from operator import attrgetter, is_not
 from pathlib import Path
@@ -165,8 +165,10 @@ def _finite(text: str, scale: Decimal | None = None) -> Decimal:
     The multiplication rounds to the context's precision, so an unscaled
     number skips it and keeps every digit.  A product past either end of
     the context's exponent range is refused here: one that raises
-    ``Overflow`` or ``Underflow``, and a number other than zero whose
-    product underflows to zero.  A product the context turns into an
+    ``Overflow``, a number other than zero whose product underflows to
+    zero, and a subnormal product that lost digits (the ``Underflow``
+    condition, checked under a copy of the context that traps it).  An
+    exact subnormal product loads.  A product the context turns into an
     infinity instead is refused by the value's type.
     """
     value = Decimal(text)
@@ -176,6 +178,10 @@ def _finite(text: str, scale: Decimal | None = None) -> Decimal:
         return value
     try:
         product = value * scale
+        if product.is_subnormal():
+            context = getcontext().copy()
+            context.traps[Underflow] = True
+            context.multiply(value, scale)
         if product or not value:
             return product
     except (Overflow, Underflow):

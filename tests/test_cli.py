@@ -295,6 +295,33 @@ class TestReportCommand:
         assert code == 0 and out == ""
         assert "0.1210095" in target.read_text()
 
+    def test_table2_warns_on_reciprocal_rates_then_refuses_two_bases(self, capsys, tmp_path):
+        rates = tmp_path / "r.csv"
+        rates.write_text("base,quote,rate,as_of\nUSD,EUR,1.1325,2019-07-01\nEUR,USD,0.5,2019-07-01\n")
+        code, out, err = run(capsys, "report", "--table", "2", "--rates", str(rates))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"{rates}:3: warning: reciprocal rates EUR->USD and USD->EUR multiply to 0.56625, expected 1",
+            "error: table 2 needs a single-base rate table, got bases ['EUR', 'USD']",
+        ]
+
+    def test_economies_sharing_a_currency_need_explicit_cm(self, capsys, tmp_path):
+        economies = tmp_path / "e.csv"
+        economies.write_text(
+            "country,currency,gdp,population,as_of\nA,USD,100,10,2019-01-01\nB,USD,200,10,2019-01-01\n"
+        )
+        code, out, err = run(
+            capsys, "basket", "--basket", str(FIXTURES / "basket_food.csv"), "--economies", str(economies)
+        )
+        assert (code, out, err) == (2, "", "error: multiple economies share currency USD; pass --cm explicitly\n")
+
+    def test_empty_input_file(self, capsys, tmp_path):
+        empty = tmp_path / "e.csv"
+        empty.write_text("")
+        code, out, err = run(capsys, "cm", "--economies", str(empty))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == f"{empty}:1: error: MalformedRow: missing header row"
+
 
 class TestConfigFile:
     def test_tetcy_from_config(self, capsys, fixtures, tmp_path):
@@ -377,6 +404,149 @@ class TestSettingsBeforeFiles:
             capsys, *command, "--series", str(tmp_path / "missing.csv"), "--config", str(config)
         )
         assert (code, err.splitlines()[-1]) == (1, "usage error: format must be csv or text, got 'xml'")
+
+
+def write_config(tmp_path, text):
+    config = tmp_path / "monmin.json"
+    config.write_text(text, encoding="utf-8")
+    return str(config)
+
+
+class TestSettingsContract:
+    """Each refused setting: exit 1 and the exact last stderr line, from every source it may come from."""
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (None, "config file not found: {path}"),
+            ("nope", "config file {path} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+            ("[1, 2]", "config file {path} must hold a JSON object"),
+        ],
+        ids=["missing", "not-json", "not-an-object"],
+    )
+    def test_config_file_faults(self, capsys, tmp_path, text, message):
+        path = str(tmp_path / "monmin.json") if text is None else write_config(tmp_path, text)
+        code, out, err = run(capsys, "cm", "--economies", economies_arg(FIXTURES), "--config", path)
+        assert (code, out, err.splitlines()[-1]) == (1, "", "usage error: " + message.format(path=path))
+
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_tetcy_zero_from_every_source(self, capsys, monkeypatch, tmp_path, source):
+        argv = ["cm", "--economies", economies_arg(FIXTURES)]
+        if source == "flag":
+            argv += ["--tetcy", "0"]
+        elif source == "env":
+            monkeypatch.setenv("MONMIN_TETCY", "0")
+        else:
+            argv += ["--config", write_config(tmp_path, json.dumps({"tetcy": 0}))]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err.splitlines()[-1]) == (1, "", "usage error: --tetcy must be > 0, got 0")
+
+    def test_null_tetcy_in_config_is_the_default_standard(self, capsys, tmp_path):
+        config = write_config(tmp_path, json.dumps({"tetcy": None}))
+        code, out, err = run(capsys, "cm", "--economies", economies_arg(FIXTURES), "--config", config)
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (GOLDEN / "table1.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["convert", "--amount", "1", "--cm", "1", "--decimals", "-1"], "--decimals must be >= 0"),
+            (["basket", "--basket", str(FIXTURES / "basket_food.csv"), "--cm", "bad"],
+             "--cm expects CODE=VALUE, got 'bad'"),
+            (["basket", "--basket", str(FIXTURES / "basket_food.csv"), "--cm", "usd1x=1"],
+             "--cm 'usd1x=1': currency code must be 3-4 uppercase characters, got 'USD1X'"),
+            (["basket", "--basket", str(FIXTURES / "basket_food.csv"), "--cm", "USD=1", "--cm", "usd=2"],
+             "--cm given twice for USD"),
+            (["convert", "--amount", "1", "--economies", "F"], "--economies needs --country"),
+            (["convert", "--amount", "1", "--cm", "1", "--economies", "F"],
+             "use either --cm or --economies, not both"),
+            (["report", "--table", "1"], "table 1 needs --economies"),
+            (["report", "--table", "2"], "table 2 needs --rates"),
+            (["report", "--table", "3"], "table 3 needs --basket"),
+            (["report", "--table", "4"], "table 4 needs --basket"),
+            (["report", "--table", "4b"], "table 4b needs --basket"),
+            (["report", "--table", "5"], "table 5 needs --series"),
+        ],
+        ids=["decimals-negative", "cm-no-equals", "cm-bad-code", "cm-twice", "economies-no-country",
+             "cm-and-economies", "table-1", "table-2", "table-3", "table-4", "table-4b", "table-5"],
+    )
+    def test_refused_flags(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err.splitlines()[-1]) == (1, "", f"usage error: {message}")
+
+    @pytest.mark.parametrize(
+        "argv,settings",
+        [
+            (["basket", "--basket", str(FIXTURES / "basket_food.csv"), "--economies", economies_arg(FIXTURES)],
+             {"format": "xml"}),
+            (["convert", "--amount", "1", "--cm", "1"], {"format": "xml"}),
+            (["cm", "--economies", economies_arg(FIXTURES)], {"decimals": "two"}),
+        ],
+        ids=["basket-format", "convert-format", "cm-decimals"],
+    )
+    def test_config_keys_the_command_lacks_are_ignored(self, capsys, tmp_path, argv, settings):
+        code, expected, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, _ = run(capsys, *argv, "--config", write_config(tmp_path, json.dumps(settings)))
+        assert (code, out) == (0, expected)
+
+    def test_undocumented_config_keys_set_nothing(self, capsys, tmp_path):
+        argv = ["series", "--series", str(FIXTURES / "series_us.csv")]
+        target = tmp_path / "out.csv"
+        config = write_config(tmp_path, json.dumps({"out": str(target), "extrema": True}))
+        expected = run(capsys, *argv)
+        assert run(capsys, *argv, "--config", config) == expected
+        assert expected[0] == 0 and not target.exists()
+
+    def test_command_help(self, capsys):
+        code, out, _ = run(capsys, "cm", "--help")
+        assert code == 0 and out.startswith("Usage: ")
+
+
+class TestFaultOrder:
+    """With two faults, the config file's own comes first, then the first bad flag on the command line,
+    then a bad environment or config value, in the order the command declares its options."""
+
+    @pytest.mark.parametrize(
+        "argv,env,message",
+        [
+            (["series", "--series", "F", "--currency", "x", "--tetcy", "y"], None,
+             "--currency 'x': currency code must be 3-4 uppercase characters, got 'X'"),
+            (["series", "--series", "F", "--tetcy", "y", "--currency", "x"], None,
+             "--tetcy expects a decimal number, got 'y'"),
+            (["series", "--series", "F", "--currency", "x"], "y",
+             "--currency 'x': currency code must be 3-4 uppercase characters, got 'X'"),
+            (["convert", "--amount", "1", "--cm", "abc", "--economies", "F"], None,
+             "--cm expects a decimal number, got 'abc'"),
+            (["convert", "--amount", "1", "--cm", "1", "--economies", "F", "--decimals", "-1"], None,
+             "--decimals must be >= 0"),
+            (["cm", "--economies", "F", "--tetcy", "y", "--config", "{missing}"], None,
+             "config file not found: {missing}"),
+            (["cm", "--economies", "F", "--config", "{xml}", "--tetcy", "y"], None,
+             "--tetcy expects a decimal number, got 'y'"),
+            (["report", "--table", "5", "--config", "{xml}", "--currency", "x"], None,
+             "--currency 'x': currency code must be 3-4 uppercase characters, got 'X'"),
+        ],
+        ids=["series-currency-first", "series-tetcy-first", "flag-before-env", "convert-cm-before-conflict",
+             "convert-decimals-before-conflict", "config-file-before-flag", "flag-before-config-value",
+             "report-flag-before-config-value"],
+    )
+    def test_first_fault_named(self, capsys, monkeypatch, tmp_path, argv, env, message):
+        names = {"missing": str(tmp_path / "missing.json"), "xml": write_config(tmp_path, '{"format": "xml"}')}
+        if env is not None:
+            monkeypatch.setenv("MONMIN_TETCY", env)
+        code, out, err = run(capsys, *(arg.format(**names) for arg in argv))
+        assert (code, out, err.splitlines()[-1]) == (1, "", "usage error: " + message.format(**names))
+
+    def test_config_value_a_flag_overrides_is_not_checked(self, capsys, tmp_path):
+        config = write_config(tmp_path, json.dumps({"format": "xml", "decimals": "two", "tetcy": "y"}))
+        code, out, err = run(capsys, "cm", "--economies", economies_arg(FIXTURES), "--format", "csv",
+                             "--tetcy", "525600", "--config", config)
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (GOLDEN / "table1.csv").read_bytes()
+        code, out, _ = run(capsys, "convert", "--amount", "1", "--cm", "8", "--decimals", "3",
+                           "--tetcy", "525600", "--config", config)
+        assert (code, out) == (0, "0.125\n")
 
 
 class TestCurrencyFlags:

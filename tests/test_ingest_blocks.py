@@ -435,6 +435,48 @@ class TestScale:
             series, report = load_series(path)
         assert report.ok and [y.m1 for y in series.years] == [0, 0]
 
+    # A subnormal product keeps fewer digits than every other scaled cell: an
+    # exact one (line 3) loads, one that lost digits (line 4) is refused.
+    SUBNORMAL = (
+        "# scale=1E-999990\nyear,m1,gdp,population\n"
+        "2000,1E-20,1,5\n2001,1.2345678901234567890123E-20,2,5\n"
+    )
+    LOST_DIGITS = (
+        "MalformedRow: '1.2345678901234567890123E-20' times the scale factor 1E-999990 "
+        "is past the decimal exponent limit"
+    )
+
+    @pytest.mark.parametrize("block_rows,block_chars", [(None, None), (1, 1), (2, 40)])
+    def test_subnormal_product_that_lost_digits_is_an_issue_on_its_row(self, tmp_path, block_rows, block_chars):
+        path = tmp_path / "s.csv"
+        path.write_text(self.SUBNORMAL)
+        with ExitStack() as patches:
+            if block_rows:
+                patches.enter_context(mock.patch.object(ingest, "_BLOCK_ROWS", block_rows))
+                patches.enter_context(mock.patch.object(ingest, "_BLOCK_CHARS", block_chars))
+            series, report = load_series(path)
+        assert not series
+        assert [(e.line, e.message) for e in report.errors] == [(4, self.LOST_DIGITS)]
+
+    @pytest.mark.parametrize("block_rows,block_chars", [(None, None), (1, 1)])
+    def test_exact_subnormal_product_loads(self, tmp_path, block_rows, block_chars):
+        path = tmp_path / "s.csv"
+        path.write_text(self.SUBNORMAL.rsplit("2001,", 1)[0] + "2001,2E-20,2,5\n")
+        with ExitStack() as patches:
+            if block_rows:
+                patches.enter_context(mock.patch.object(ingest, "_BLOCK_ROWS", block_rows))
+                patches.enter_context(mock.patch.object(ingest, "_BLOCK_CHARS", block_chars))
+            series, report = load_series(path)
+        assert report.ok and [str(y.m1) for y in series.years] == ["1E-1000010", "2E-1000010"]
+
+    def test_cli_exits_2_naming_the_subnormal_line(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        path.write_text(self.SUBNORMAL)
+        code = main(["series", "--series", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert f"{path}:4: error: {self.LOST_DIGITS}\n" in captured.err
+
     @pytest.mark.parametrize("column", sorted(UNDERFLOWS))
     def test_cli_exits_2_naming_the_underflowing_line(self, tmp_path, capsys, column):
         _, command, flag, body = self.UNDERFLOWS[column]

@@ -101,6 +101,12 @@ class TestRenderTable:
         text = render_table(self.SPEC, [{"name": "a,b", "value": D("1.005"), "count": 7}])
         assert text == 'name,value,count\n"a,b",1.01,7\n'
 
+    def test_unknown_format_writes_nothing(self):
+        sink = io.StringIO()
+        with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+            write_table(self.SPEC, [{"name": "a", "value": D(1), "count": 2}], sink, fmt="xml")
+        assert sink.getvalue() == ""
+
     @pytest.mark.parametrize("text", ['a"b', '"', "a,b", "a\nb", "a\rb", "a\r\nb", " a ", ""])
     def test_verbatim_cells_quoted_as_csv_writer_quotes_them(self, text):
         rows = [{"name": name, "value": D(1), "count": 2} for name in ("plain", text, "after")]
@@ -362,6 +368,12 @@ class TestTable3:
         with pytest.raises(UnknownCurrency):
             build_table3(baskets, cms)
 
+    def test_two_baskets_in_one_currency_are_refused(self, fixtures):
+        baskets, _ = load_basket(fixtures / "basket_commodities.csv")
+        twin = dataclasses.replace(baskets[0], country="Elsewhere")
+        with pytest.raises(ShapeMismatch, match="^table 3 needs one basket per currency context$"):
+            build_table3([*baskets, twin], self.cms())
+
 
 class TestTable4And4b:
     def cms(self):
@@ -385,6 +397,12 @@ class TestTable4And4b:
         assert rows[-1]["United States"] == 100
         text = render_table(spec, rows)
         assert text.splitlines()[-1].endswith("100.00,100.00,100.00,100.00,100.00,100.00")
+
+    def test_salary_in_only_some_baskets_is_refused(self, fixtures):
+        baskets, _ = load_basket(fixtures / "basket_food.csv")
+        unpaid = dataclasses.replace(baskets[1], salary=None)
+        with pytest.raises(ShapeMismatch, match="^either every basket carries a salary row or none does$"):
+            build_table4([baskets[0], unpaid, *baskets[2:]], self.cms())
 
     def test_salary_required_for_percent(self, fixtures):
         baskets, _ = load_basket(fixtures / "basket_commodities.csv")
@@ -719,3 +737,12 @@ class TestSpecValidation:
     def test_exclusive_rounding_rule(self):
         with pytest.raises(ValueError):
             ColumnRule("x", decimals=2, sig_figures=3)
+
+    @pytest.mark.parametrize(
+        "rounding,message",
+        [({"decimals": -1}, "decimals must be >= 0"), ({"sig_figures": 0}, "sig_figures must be >= 1")],
+        ids=["negative-decimals", "zero-sig-figures"],
+    )
+    def test_rounding_out_of_range(self, rounding, message):
+        with pytest.raises(ValueError, match=f"^column x: {message}$"):
+            ColumnRule("x", **rounding)
