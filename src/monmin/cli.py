@@ -101,8 +101,8 @@ def _decimal(ctx, param, text) -> Decimal | None:
 
 
 def _currency(ctx, param, text) -> CurrencyCode | None:
-    """The ``--currency`` code; convert's, with no default, is None when not given or empty."""
-    if not (text or param.default):
+    """The ``--currency`` code; convert's, with no default, is None when not given."""
+    if text is None:
         return None
     try:
         return CurrencyCode(text.upper())
@@ -194,7 +194,8 @@ def _open_out(path):
         raise
 
 
-def _parse_cm_options(entries) -> dict[str, MonMinValue]:
+def _cm_entries(ctx, param, entries) -> dict[str, MonMinValue]:
+    """The repeatable ``--cm CODE=VALUE`` as manual minute values, checked whatever the command or table uses."""
     values: dict[str, MonMinValue] = {}
     for raw in entries:
         code, sep, number = raw.partition("=")
@@ -223,8 +224,7 @@ def _cms_from_economies(path, std: TimeStandard) -> dict[str, MonMinValue]:
     return values
 
 
-def _gather_cms(cm_entries, economies_path, std: TimeStandard) -> dict[str, MonMinValue]:
-    manual = _parse_cm_options(cm_entries)  # checked before the file is read
+def _gather_cms(manual, economies_path, std: TimeStandard) -> dict[str, MonMinValue]:
     values = _cms_from_economies(economies_path, std) if economies_path else {}
     values.update(manual)  # explicit flags win
     if not values:
@@ -315,13 +315,13 @@ def cmd_parity(rate, ref_value, local_value, item):
 @cli.command("basket")
 @click.option("--basket", "basket_path", required=True, help="Basket CSV file.")
 @click.option("--economies", "economies_path", default=None, help="Minute values from this file.")
-@click.option("--cm", "cm_entries", multiple=True, help="CODE=VALUE manual minute value (repeatable).")
+@click.option("--cm", "manual", multiple=True, callback=_cm_entries, help="CODE=VALUE manual minute value (repeatable).")
 @click.option("--tetcy", "std", envvar="MONMIN_TETCY", type=click.UNPROCESSED, callback=_tetcy, help=_TETCY_HELP)
 @click.option("--config", is_eager=True, expose_value=False, callback=_read_config, help="Optional JSON config file.")
 @click.option("--out", default=None, help="Write the listing to this path instead of stdout.")
-def cmd_basket(basket_path, economies_path, cm_entries, std, out):
+def cmd_basket(basket_path, economies_path, manual, std, out):
     """Re-express every basket quote in Monetary Minutes."""
-    cms = _gather_cms(cm_entries, economies_path, std)
+    cms = _gather_cms(manual, economies_path, std)
     baskets = _run_load(ingest.load_basket, basket_path, known_currencies=cms.keys())
     spec, rows = report.build_basket_listing(baskets, cms)
     _note_cm_sources({b.currency.code: cms[b.currency.code] for b in baskets})
@@ -371,14 +371,14 @@ def cmd_series(series_path, currency, std, fmt, extrema, plot_path, out):
 @click.option("--rates", "rates_path", default=None, help="Exchange-rate CSV file.")
 @click.option("--basket", "basket_path", default=None, help="Basket CSV file.")
 @click.option("--series", "series_path", default=None, help="Yearly aggregates CSV file.")
-@click.option("--cm", "cm_entries", multiple=True, help="CODE=VALUE manual minute value (repeatable).")
+@click.option("--cm", "manual", multiple=True, callback=_cm_entries, help="CODE=VALUE manual minute value (repeatable).")
 @click.option("--currency", default="USD", callback=_currency, help="Series currency (table 5 only).")
 @click.option("--tetcy", "std", envvar="MONMIN_TETCY", type=click.UNPROCESSED, callback=_tetcy, help=_TETCY_HELP)
 @click.option("--config", is_eager=True, expose_value=False, callback=_read_config, help="Optional JSON config file.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "text"]), default="csv")
 @click.option("--out", default=None, help="Write the table to this path instead of stdout.")
 def cmd_report(
-    table_id, economies_path, rates_path, basket_path, series_path, cm_entries, currency, std, fmt, out,
+    table_id, economies_path, rates_path, basket_path, series_path, manual, currency, std, fmt, out,
 ):
     """Render one of the standard tables (1, 2, 3, 4, 4b, 5)."""
     flag, path = {
@@ -390,18 +390,17 @@ def cmd_report(
     if table_id == "1":
         spec, rows = report.build_table1(_run_load(ingest.load_economies, path), std)
     elif table_id == "2":
-        cms = _parse_cm_options(cm_entries)
         rates = _run_load(ingest.load_rates, path)
         bases = {rate.base.code for rate in rates}
         if len(bases) != 1:
             raise ShapeMismatch(f"table 2 needs a single-base rate table, got bases {sorted(bases)}")
         base_code = bases.pop()
-        base_cm = cms.pop(base_code, None)
+        base_cm = manual.pop(base_code, None)
         if base_cm is None:
             raise click.UsageError(f"table 2 needs --cm {base_code}=<value> for the base currency")
-        spec, rows = report.build_table2(base_cm, rates, cms)
+        spec, rows = report.build_table2(base_cm, rates, manual)
     elif table_id in ("3", "4"):
-        cms = _gather_cms(cm_entries, economies_path, std)
+        cms = _gather_cms(manual, economies_path, std)
         baskets = _run_load(ingest.load_basket, path, known_currencies=cms.keys())
         build = report.build_table3 if table_id == "3" else report.build_table4
         spec, rows = build(baskets, cms)

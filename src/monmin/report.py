@@ -15,12 +15,15 @@ percent-of-salary, and the yearly M1 series), the two basket listings
 (every quote in minutes, every quote as a percent of its salary) and the
 plot-data file for the series figure.  Every builder checks its input
 before it returns.  All of them except table 2, which is as small as its
-rate table, return a :class:`RowView`: each row is made when it is read,
-so a table is never held while it is written.  A view hands the writer
-each row's values as a tuple in column order, with no dict between them;
-reading a view (iterating or indexing it) still gives each row as a dict,
-made from the same tuple.  Rows given as mappings, such as table 2's
-list, are shape-checked and then formatted the same way.
+rate table, return a :class:`RowView`: its rows are made a block at a
+time as they are written, so a table is never held while it is written.
+A view hands the writer each block's columns, one sequence of values per
+column, with no tuple or dict per row between them; the tall tables and
+listings build each column with C-level ``map`` calls over the loaded
+values, and only the wide tables 3, 4 and 4b make rows and turn them into
+columns.  Reading a view (iterating or indexing it) still gives each row
+as a dict.  Rows given as mappings, such as table 2's list, are
+shape-checked and turned into columns a block at a time.
 
 A column's rule becomes text in one place, ``_rule_columns``: it gives
 each column its cell formatter and its passes, and gives
@@ -33,8 +36,9 @@ whose pass could print other text than the cell formatter is formatted
 cell by cell with it instead.  A block's lines go out in one write;
 cells ``csv.writer`` would quote are quoted the same way, and a block it
 treats differently across Python versions goes to ``csv.writer`` itself.
-If a row cannot be made or formatted, the rows before it are written
-before its error is raised.
+If a block's rows cannot be made or formatted, it is redone a row at a
+time, so the rows before the failing one are written before its error is
+raised.
 """
 from __future__ import annotations
 
@@ -54,8 +58,8 @@ from decimal import (
     Overflow,
 )
 from enum import Enum
-from itertools import accumulate, chain, groupby, islice, repeat
-from operator import attrgetter, eq, itemgetter, truediv
+from itertools import accumulate, chain, groupby, repeat
+from operator import attrgetter, eq, itemgetter, lt, mul, truediv
 from typing import Callable, Collection, Iterator, Mapping, Sequence, TextIO
 
 from .core import (
@@ -199,7 +203,7 @@ def format_cell(rule: ColumnRule, value) -> str:
 # differ from the column's own cell formatter, which then formats those cells
 # one by one: so a pass changes no byte.
 
-# Cells in one block.  A block's rows, their texts and its joined lines are
+# Cells in one block.  A block's values, their texts and its joined lines are
 # held together while it is written, so this bounds the writer's memory.
 _BLOCK_CELLS = 1024
 
@@ -229,8 +233,10 @@ def _plain_pass(cells) -> list:
     return texts
 
 
-def _verbatim_pass(cells) -> list:
-    """Cells as they are: ``str``, and "" for None."""
+def _verbatim_pass(cells) -> Sequence:
+    """Cells as they are: the cells themselves when each is exactly a ``str``, else ``str``, and "" for None."""
+    if {*map(type, cells)} == {str}:
+        return cells
     return list(map(_verbatim if None in cells else str, cells))
 
 
@@ -271,7 +277,7 @@ class _Plan:
     ``columns`` holds each column's ``(cell, pass_for)``: ``cell`` formats
     one value, and ``pass_for(type)`` is the pass for cells of that type, or
     None.  The runs of a block follow the types of its first row, found once
-    per distinct row of types.
+    per distinct row of types.  A block is given as its columns.
     """
 
     __slots__ = ("cells", "verbatim", "_pass_for", "_runs")
@@ -282,8 +288,8 @@ class _Plan:
         self._pass_for = [pass_for for _, pass_for in columns]
         self._runs: dict[tuple, list] = {}
 
-    def _runs_for(self, first: tuple) -> list:
-        kinds = tuple(map(type, first))
+    def _runs_for(self, columns: list[Sequence]) -> list:
+        kinds = tuple(map(type, map(itemgetter(0), columns)))
         runs = self._runs.get(kinds)
         if runs is None:
             passes = [pass_for(kind) for pass_for, kind in zip(self._pass_for, kinds)]
@@ -295,12 +301,10 @@ class _Plan:
             self._runs[kinds] = runs
         return runs
 
-    def texts(self, block: list[tuple]) -> list[Sequence[str]]:
-        """Each column's texts for the block's rows."""
-        count = len(block)
-        columns = list(zip(*block))
+    def texts(self, columns: list[Sequence], count: int) -> list[Sequence[str]]:
+        """Each column's texts for a block of ``count`` rows, at least one."""
         out: list[Sequence[str]] = []
-        for fast, start, stop in self._runs_for(block[0]):
+        for fast, start, stop in self._runs_for(columns):
             texts = None
             if fast is not None:
                 cells = columns[start] if stop - start == 1 else list(chain.from_iterable(columns[start:stop]))
@@ -317,27 +321,13 @@ class _Plan:
         return out
 
 
-def _blocks(rows: Iterator[tuple], width: int) -> Iterator[list[tuple]]:
-    """Rows of ``width`` cells in lists of about ``_BLOCK_CELLS`` cells, at least one row each.
+def _spans(count: int, width: int) -> Iterator[tuple[int, int]]:
+    """``(start, stop)`` of each block of ``count`` rows of ``width`` cells.
 
-    If making a row raises, the rows made before it are yielded first, then
-    the error is raised.
+    A block holds about ``_BLOCK_CELLS`` cells, and at least one row.
     """
     size = max(1, _BLOCK_CELLS // max(1, width))
-    while True:
-        block: list[tuple] = []
-        try:
-            for values in islice(rows, size):
-                block.append(values)
-        except BaseException:
-            if block:
-                yield block
-            raise
-        if not block:
-            return
-        yield block
-        if len(block) < size:
-            return
+    return ((start, min(start + size, count)) for start in range(0, count, size))
 
 
 def _table_rows(columns: list[Sequence[str]], count: int) -> Iterator[tuple]:
@@ -352,11 +342,12 @@ def _quoted(text: str) -> str:
     return text
 
 
-def _write_block(sink: TextIO, writer, plan: _Plan, block: list[tuple]) -> None:
-    """Format a block and write its lines with one ``sink.write``.
+def _write_block(sink: TextIO, writer, plan: _Plan, columns: Callable, start: int, stop: int) -> None:
+    """Make and format rows ``start`` to ``stop - 1`` and write their lines with one ``sink.write``.
 
-    When formatting the block raises, it is redone a row at a time, so the
-    rows before the failing one are written before its error is raised.
+    When making or formatting the block raises, it is redone a row at a
+    time, so the rows before the failing one are written before its error
+    is raised.
     Verbatim cells with a comma, quote or line feed are quoted as
     ``csv.writer`` quotes them.  A block with a carriage return or a NUL in
     a verbatim cell, and a table of fewer than two columns, go to
@@ -364,31 +355,31 @@ def _write_block(sink: TextIO, writer, plan: _Plan, block: list[tuple]) -> None:
     versions, and it quotes a row's lone empty cell.
     """
     try:
-        columns = plan.texts(block)
+        texts = plan.texts(columns(start, stop), stop - start)
     except Exception:  # any error: the row that raises it alone raises it again
-        if len(block) == 1:
+        if stop - start == 1:
             raise
-        for row in block:
-            _write_block(sink, writer, plan, [row])
+        for i in range(start, stop):
+            _write_block(sink, writer, plan, columns, i, i + 1)
         return
-    probes = {i: "".join(columns[i]) for i in plan.verbatim}
-    if len(columns) < 2 or any("\r" in probe or "\0" in probe for probe in probes.values()):
-        writer.writerows(_table_rows(columns, len(block)))
+    probes = {i: "".join(texts[i]) for i in plan.verbatim}
+    if len(texts) < 2 or any("\r" in probe or "\0" in probe for probe in probes.values()):
+        writer.writerows(_table_rows(texts, stop - start))
         return
     for i, probe in probes.items():
         if "," in probe or '"' in probe or "\n" in probe:
-            columns[i] = list(map(_quoted, columns[i]))
-    lines = list(map(",".join, zip(*columns)))
+            texts[i] = list(map(_quoted, texts[i]))
+    lines = list(map(",".join, zip(*texts)))
     lines.append("")  # the last line's line feed
     sink.write("\n".join(lines))
 
 
-def _write_csv(sink: TextIO, names: list[str], plan: _Plan, rows: Iterator[tuple]) -> None:
-    """The header, then every row, a block at a time."""
+def _write_csv(sink: TextIO, names: list[str], plan: _Plan, columns: Callable, count: int) -> None:
+    """The header, then ``count`` rows, a block of ``columns(start, stop)`` at a time."""
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(names)
-    for block in _blocks(rows, len(names)):
-        _write_block(sink, writer, plan, block)
+    for start, stop in _spans(count, len(names)):
+        _write_block(sink, writer, plan, columns, start, stop)
 
 
 def _shape_mismatch(spec: TableSpec, names: list[str], index: int, row) -> ShapeMismatch:
@@ -398,11 +389,11 @@ def _shape_mismatch(spec: TableSpec, names: list[str], index: int, row) -> Shape
     )
 
 
-def _checked_values(spec: TableSpec, names: list[str], rows: Collection[Mapping[str, object]]):
-    """Each mapping's values in column order, once it is shown to hold exactly those columns."""
+def _checked_values(spec: TableSpec, names: list[str], rows: Collection[Mapping[str, object]], start: int):
+    """Each mapping's values in column order, once it is shown to hold exactly those columns; row ``start`` first."""
     width = len(names)
     values = itemgetter(*names) if width > 1 else lambda row: [row[n] for n in names]
-    for index, row in enumerate(rows):
+    for index, row in enumerate(rows, start):
         # the spec's names are distinct: the right number of keys, all found,
         # are exactly the spec's columns
         if len(row) != width:
@@ -419,29 +410,30 @@ def write_table(
     """Write rows under a spec to a text sink as CSV or aligned text.
 
     Every row must supply exactly the spec's columns.  A :class:`RowView`
-    made for the spec's columns hands over its values as they are made; any
-    other rows are mappings, shape-checked first.  CSV goes out a block of
-    rows at a time as they are formatted; text output needs every cell
-    first to size its columns.
+    made for the spec's columns hands over each block's columns as they are
+    made; any other rows are mappings, shape-checked and turned into
+    columns a block at a time.  CSV goes out a block of rows at a time as
+    they are formatted; text output needs every cell first to size its
+    columns.
     """
     if fmt not in ("csv", "text"):
         raise ValueError(f"unknown format {fmt!r}")
     names = [c.name for c in spec.columns]
     if isinstance(rows, RowView) and rows.names == tuple(names):
-        values = rows.values()
+        columns = rows._columns
     else:
-        values = _checked_values(spec, names, rows)
+        rows = rows if isinstance(rows, (Sequence, RowView)) else list(rows)
+        columns = lambda start, stop: list(zip(*_checked_values(spec, names, rows[start:stop], start)))
+    count = len(rows)
     plan = _Plan(_rule_columns(spec.columns))
 
     if fmt == "csv":
-        _write_csv(sink, names, plan, values)
+        _write_csv(sink, names, plan, columns, count)
         return
 
     texts: list[list[str]] = [[] for _ in names]  # each column's cells, in row order
-    count = 0
-    for block in _blocks(values, len(names)):
-        count += len(block)
-        for column, cells in zip(texts, plan.texts(block)):
+    for start, stop in _spans(count, len(names)):
+        for column, cells in zip(texts, plan.texts(columns(start, stop), stop - start)):
             column.extend(cells)
     widths = [max([len(name), *map(len, column)]) for name, column in zip(names, texts)]
     for row in chain([names], _table_rows(texts, count)):
@@ -460,35 +452,35 @@ def render_table(spec: TableSpec, rows: Collection[Mapping[str, object]], fmt: s
 
 
 class RowView:
-    """A table's rows, each made when it is read, with their count known up front.
+    """A table's rows, made a block at a time when they are read, with their count known up front.
 
-    ``make(i)`` makes row ``i``'s values as a tuple in the order of the
-    spec's columns, which :attr:`names` holds.  :func:`write_table` takes
-    those tuples as they are made.  Reading the view gives dicts of the
-    same values: iteration makes every row in turn, and indexing
-    (negative indices and slices too) only the rows asked for.  Each read
-    makes the rows again, so a view can be read any number of times.
+    ``columns(start, stop)`` makes rows ``start`` to ``stop - 1`` as one
+    sequence of values per spec column, in the order :attr:`names` holds,
+    or raises if one of those rows cannot be made.  :func:`write_table`
+    formats those columns as they are made.  Reading the view gives dicts
+    of the same values: iteration makes every row in turn, a block at a
+    time, and indexing (negative indices and slices too) only the rows
+    asked for.  Each read makes the rows again, so a view can be read any
+    number of times.
     """
 
-    __slots__ = ("names", "_make", "_count")
+    __slots__ = ("names", "_columns", "_count")
 
-    def __init__(self, spec: TableSpec, make: Callable[[int], tuple], count: int):
+    def __init__(self, spec: TableSpec, columns: Callable[[int, int], list[Sequence]], count: int):
         self.names = tuple(c.name for c in spec.columns)
-        self._make = make
+        self._columns = columns
         self._count = count
 
     def __len__(self) -> int:
         return self._count
 
-    def values(self) -> Iterator[tuple]:
-        """Every row's values in column order, each tuple made as it is reached."""
-        return map(self._make, range(self._count))
-
     def _row(self, index: int) -> dict:
-        return dict(zip(self.names, self._make(index)))
+        return dict(zip(self.names, map(itemgetter(0), self._columns(index, index + 1))))
 
     def __iter__(self) -> Iterator[dict]:
-        return map(self._row, range(self._count))
+        for start, stop in _spans(self._count, len(self.names)):
+            for values in zip(*self._columns(start, stop)):
+                yield dict(zip(self.names, values))
 
     def __getitem__(self, index):
         picked = range(self._count)[index]
@@ -501,6 +493,14 @@ class RowView:
 # table builders: full-precision rows plus the pinned rounding profile
 
 
+def _made_rows(make: Callable[[int], tuple]) -> Callable[[int, int], list]:
+    """A wide table's ``columns``, a few rows to a block: each row made by ``make(i)``, then the block transposed."""
+    return lambda start, stop: list(zip(*map(make, range(start, stop))))
+
+
+_SNAPSHOT_FIELDS = ("country", "currency.code", "gdp", "population")
+
+
 def build_table1(snapshots, std: TimeStandard = TimeStandard()):
     """Per-country minute values from GDP and population.
 
@@ -509,7 +509,7 @@ def build_table1(snapshots, std: TimeStandard = TimeStandard()):
     :func:`compute_cm` makes, left to right, so the same figure to the last
     digit, with no :class:`MonMinValue` made per row.  A ``cm`` that is not
     positive and finite is refused with the minute value's own message
-    when its row is made.
+    when its block is made.
     """
     spec = TableSpec(
         TableId.T1,
@@ -526,25 +526,19 @@ def build_table1(snapshots, std: TimeStandard = TimeStandard()):
     snapshots = tuple(snapshots)
     minutes = std.minutes_per_year
     source = CmSource.COMPUTED_FROM_GDP
-    label = source.value
 
-    def make(i):
-        snapshot = snapshots[i]
-        per_capita = snapshot.gdp / snapshot.population
-        cm = per_capita / minutes
-        if not _ZERO < cm < _INFINITY:
-            MonMinValue(snapshot.currency, cm, source)  # raises its refusal
-        return (
-            snapshot.country,
-            snapshot.currency.code,
-            snapshot.gdp,
-            snapshot.population,
-            per_capita,
-            cm,
-            label,
-        )
+    def columns(start, stop):
+        block = snapshots[start:stop]
+        country, code, gdp, population = (list(map(attrgetter(name), block)) for name in _SNAPSHOT_FIELDS)
+        per_capita = list(map(truediv, gdp, population))
+        cm = list(map(truediv, per_capita, repeat(minutes)))
+        if not (all(map(lt, repeat(_ZERO), cm)) and all(map(lt, cm, repeat(_INFINITY)))):
+            for snapshot, value in zip(block, cm):
+                if not _ZERO < value < _INFINITY:
+                    MonMinValue(snapshot.currency, value, source)  # raises its refusal
+        return [country, code, gdp, population, per_capita, cm, [source.value] * len(block)]
 
-    return spec, RowView(spec, make, len(snapshots))
+    return spec, RowView(spec, columns, len(snapshots))
 
 
 def build_table2(
@@ -601,7 +595,7 @@ def build_table2(
 
 
 _LABEL = attrgetter("item", "unit")
-_AMOUNT = attrgetter("amount")
+_ITEM, _UNIT, _AMOUNT = attrgetter("item"), attrgetter("unit"), attrgetter("amount")
 
 
 def _aligned_amounts(baskets: Sequence[Basket]):
@@ -690,7 +684,7 @@ def build_table3(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
         raw = [column[i] for column in amounts]
         return (*labels[i], *raw, *map(truediv, raw, values))
 
-    return spec, RowView(spec, make, len(labels))
+    return spec, RowView(spec, _made_rows(make), len(labels))
 
 
 def _country_columns(table_id: TableId, baskets: Sequence[Basket], decimals: int):
@@ -723,7 +717,7 @@ def build_table4(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
     def make(i):
         return (*labels[i], *[column[i] / value for column, value in zip(amounts, values)])
 
-    return spec, RowView(spec, make, len(labels))
+    return spec, RowView(spec, _made_rows(make), len(labels))
 
 
 def build_table4b(baskets: Sequence[Basket]):
@@ -746,34 +740,35 @@ def build_table4b(baskets: Sequence[Basket]):
         percents = [100 * (column[i] / 1) / salary for column, salary in zip(amounts, salaries)]
         return (*labels[i], *percents)
 
-    return spec, RowView(spec, make, len(labels))
+    return spec, RowView(spec, _made_rows(make), len(labels))
 
 
-def _quote_rows(
-    spec: TableSpec, baskets: Sequence[Basket], contexts: Sequence[tuple], make: Callable
-) -> RowView:
-    """A row per quote of every basket, in :meth:`Basket.quotes` order.
+def _quote_view(spec: TableSpec, baskets: Sequence[Basket], more: Callable) -> RowView:
+    """A row per quote of every basket, in :meth:`Basket.quotes` order, made a block at a time.
 
-    ``make(context, quote, role)`` makes the values of a quote's row from
-    its basket's entry in ``contexts``.  Row ``i`` is in the basket of the row
-    made before it when rows are read in order, and is found by bisection
-    over the baskets' running quote counts otherwise.
+    A row's first columns are its basket's country and currency code and
+    its quote's item and unit.  ``more(k, quotes, roles)`` makes the other
+    columns for a run of basket ``k``'s quotes, given with their roles.  A
+    block finds its first basket by bisection over the baskets' running
+    quote counts, then takes the baskets in turn.
     """
     ends = list(accumulate(b.quote_count for b in baskets))
     starts = [0, *ends[:-1]]
-    last = [0]  # the basket of the row made last
 
-    def row(index):
-        k = last[0]
-        if not starts[k] <= index < ends[k]:
-            k = last[0] = bisect_right(ends, index)
-        basket = baskets[k]
-        j = index - starts[k]
-        if j < len(basket.items):
-            return make(contexts[k], basket.items[j], "item")
-        return make(contexts[k], basket.salary, "salary")
+    def columns(start, stop):
+        k, joined = bisect_right(ends, start), None
+        while start < stop:
+            basket, items = baskets[k], len(baskets[k].items)
+            lo, hi = start - starts[k], min(stop, ends[k]) - starts[k]
+            quotes = basket.items[lo:hi] if hi <= items else (*basket.items[lo:], basket.salary)
+            roles = ["item"] * (min(hi, items) - lo) + ["salary"] * (hi - max(lo, items))
+            made = [[basket.country] * len(quotes), [basket.currency.code] * len(quotes)]
+            made += [list(map(_ITEM, quotes)), list(map(_UNIT, quotes)), *more(k, quotes, roles)]
+            joined = made if joined is None else list(map(list.__add__, joined, made))
+            start, k = ends[k], k + 1
+        return joined
 
-    return RowView(spec, row, ends[-1] if ends else 0)
+    return RowView(spec, columns, ends[-1] if ends else 0)
 
 
 def build_basket_listing(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
@@ -791,17 +786,14 @@ def build_basket_listing(baskets: Sequence[Basket], cms: Mapping[str, MonMinValu
             ColumnRule("cm_source"),
         ),
     )
-    contexts = []
-    for basket in baskets:
-        cm = _cm_for(basket, cms)
-        contexts.append((basket.country, basket.currency.code, cm.value, cm.source.value))
+    values = [_cm_for(basket, cms) for basket in baskets]
 
-    def make(context, quote, role):
-        country, code, value, source = context
-        amount = quote.amount
-        return (country, code, quote.item, quote.unit, _plain(amount), role, amount / value, source)
+    def more(k, quotes, roles):
+        amounts = list(map(_AMOUNT, quotes))
+        minutes = list(map(truediv, amounts, repeat(values[k].value)))
+        return [_plain_pass(amounts), roles, minutes, [values[k].source.value] * len(quotes)]
 
-    return spec, _quote_rows(spec, baskets, contexts, make)
+    return spec, _quote_view(spec, baskets, more)
 
 
 def build_percent_listing(baskets: Sequence[Basket]):
@@ -819,13 +811,14 @@ def build_percent_listing(baskets: Sequence[Basket]):
             ColumnRule("percent", decimals=2),
         ),
     )
-    contexts = [(b.country, b.currency.code, _salary_minutes(b)) for b in baskets]
+    salaries = [_salary_minutes(basket) for basket in baskets]
 
-    def make(context, quote, role):
-        country, code, salary = context
-        return (country, code, quote.item, quote.unit, 100 * (quote.amount / 1) / salary)
+    def more(k, quotes, roles):
+        # 100 * (amount / 1) / salary, a quote at a time
+        amounts = map(truediv, map(_AMOUNT, quotes), repeat(1))
+        return [list(map(truediv, map(mul, repeat(100), amounts), repeat(salaries[k])))]
 
-    return spec, _quote_rows(spec, baskets, contexts, make)
+    return spec, _quote_view(spec, baskets, more)
 
 
 def build_table5(series: AggregateSeries, minutes: Sequence[tuple[int, Decimal]] | None = None):
@@ -846,13 +839,20 @@ def build_table5(series: AggregateSeries, minutes: Sequence[tuple[int, Decimal]]
         ),
     )
     minutes = _minutes_of(series, minutes)
-    years = series.years
 
-    def make(i):
-        y = years[i]
-        return (y.year, y.m1 / _BILLION, minutes[i][1] / _BILLION, y.gdp / _BILLION, y.events)
+    def columns(start, stop):
+        year, *amounts = _series_columns(series, minutes, start, stop)
+        billions = [list(map(truediv, amount, repeat(_BILLION))) for amount in amounts]
+        return [year, *billions, list(map(attrgetter("events"), series.years[start:stop]))]
 
-    return spec, RowView(spec, make, len(years))
+    return spec, RowView(spec, columns, len(series.years))
+
+
+def _series_columns(series: AggregateSeries, minutes: Sequence[tuple[int, Decimal]], start: int, stop: int):
+    """Year, m1, m1 in minutes and gdp of series years ``start`` to ``stop - 1``, a list each."""
+    years = series.years[start:stop]
+    year, m1, gdp = (list(map(attrgetter(name), years)) for name in ("year", "m1", "gdp"))
+    return [year, m1, list(map(itemgetter(1), minutes[start:stop])), gdp]
 
 
 def _minutes_of(series: AggregateSeries, minutes: Sequence[tuple[int, Decimal]] | None):
@@ -883,22 +883,20 @@ def write_plot_data(
     block at a time, through the same writer as the tables.
     """
     minutes = _minutes_of(series, minutes)
-    years = series.years
     header = ["year", "m1_currency", "m1_monmin", "gdp_currency"]
     layout = [_VERBATIM, _PLAIN, _PLAIN, _PLAIN]
-    columns = [
-        map(attrgetter("year"), years),
-        map(attrgetter("m1"), years),
-        map(itemgetter(1), minutes),
-        map(attrgetter("gdp"), years),
-    ]
+    markers = None
     if extrema is not None:
         markers = dict.fromkeys(extrema.troughs, "trough")
         markers.update(dict.fromkeys(extrema.peaks, "peak"))
         header.append("extremum")
         layout.append(_VERBATIM)
-        columns.append(map(markers.get, map(attrgetter("year"), years), repeat("")))
-    _write_csv(sink, header, _Plan(layout), zip(*columns))
+
+    def columns(start, stop):
+        block = _series_columns(series, minutes, start, stop)
+        return block if markers is None else [*block, list(map(markers.get, block[0], repeat("")))]
+
+    _write_csv(sink, header, _Plan(layout), columns, len(series.years))
 
 
 def emit_plot_data(

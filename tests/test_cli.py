@@ -556,8 +556,9 @@ class TestCurrencyFlags:
             ["convert", "--amount", "1", "--cm", "1", "--currency", "x"],
             ["series", "--series", str(FIXTURES / "series_us.csv"), "--currency", "usd1x"],
             ["report", "--table", "5", "--series", str(FIXTURES / "series_us.csv"), "--currency", ""],
+            ["convert", "--amount", "1", "--cm", "1", "--currency", ""],  # given empty, not missing
         ],
-        ids=["convert", "series", "report-5"],
+        ids=["convert", "series", "report-5", "convert-empty"],
     )
     def test_malformed_currency_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -581,6 +582,23 @@ class TestCurrencyFlags:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.splitlines()[-1].startswith(f"usage error: --currency {argv[-1]!r}: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--table", "1", "--economies", str(FIXTURES / "economies_table1.csv")],
+        ["--table", "4b", "--basket", str(FIXTURES / "basket_food.csv")],
+        ["--table", "5", "--series", str(FIXTURES / "series_us.csv")],
+    ],
+    ids=["table-1", "table-4b", "table-5"],
+)
+def test_every_table_checks_cm_though_it_uses_none(capsys, argv):
+    """Tables 1, 4b and 5 take no minute value, yet refuse a malformed ``--cm`` as basket and table 4 do."""
+    code, out, err = run(capsys, "report", *argv, "--cm", "bad")
+    assert (code, out, err.splitlines()[-1]) == (1, "", "usage error: --cm expects CODE=VALUE, got 'bad'")
+    code, out, _ = run(capsys, "report", *argv, "--cm", "USD=1")
+    assert (code, out) == (0, run(capsys, "report", *argv)[1])
 
 
 # The listings' golden files are checked here, not through golden_runs():

@@ -293,6 +293,44 @@ class TestBlockPathRuns:
         assert [e.line for e in report.errors] == [2]
 
 
+class TestBlockEdges:
+    """Inputs at the edges of the block path's line reading, in files of many blocks at the default sizes."""
+
+    @staticmethod
+    def economies(path, preamble: bytes = b"", last: bytes = b"") -> None:
+        rows = "".join(f"Land {i},USD,{i}.5,{i + 1},2019-01-01\n" for i in range(3000)).encode()
+        path.write_bytes(preamble + b"country,currency,gdp,population,as_of\n" + rows + last)
+        assert path.stat().st_size > ingest._BLOCK_CHARS
+
+    def test_a_bad_byte_beside_other_non_ascii_text_is_refused(self, tmp_path):
+        """The last block holds text that is not ASCII and a byte that is not UTF-8: the file is refused."""
+        path = tmp_path / "e.csv"
+        self.economies(path, last="Café ".encode() + b"\xe7,USD,1,1,2019-01-01\n")
+        snapshots, report = load_economies(path)
+        assert snapshots == []
+        assert [(issue.line, issue.message) for issue in report.errors] == [
+            (3002, "MalformedRow: not valid UTF-8: byte 0xE7 at column 6")
+        ]
+
+    def test_a_scale_after_a_long_comment_preamble_applies(self, tmp_path):
+        """The first read holds only comment lines; the ``# scale=`` line after them still counts."""
+        path = tmp_path / "e.csv"
+        self.economies(path, preamble=b"# gdp in millions\n" * 400 + b"# scale=1e6\n")
+        snapshots, _ = block_path_only(load_economies, path)
+        assert snapshots[0].gdp == D("0.5E+6") and len(snapshots) == 3000
+        same((snapshots, _), row_path(load_economies, path))
+
+    def test_a_clean_basket_in_known_currencies_takes_the_block_path(self, tmp_path):
+        path = tmp_path / "b.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write("country,currency,item,unit,amount,role\n")
+            for k, code in enumerate(("EUR", "USD")):
+                csv.writer(fh).writerows([f"M {k}", code, f"Item {m}", "kg", f"{m}.25", "item"] for m in range(1500))
+        assert path.stat().st_size > ingest._BLOCK_CHARS
+        got = block_path_only(load_basket, path, known_currencies={"EUR", "USD", "GBP"})
+        same(got, row_path(load_basket, path, known_currencies={"EUR", "USD", "GBP"}))
+
+
 def test_small_files_and_other_inputs_take_the_row_path(tmp_path):
     small, large = tmp_path / "small.csv", tmp_path / "large.csv"
     small.write_text("x" * (ingest._BLOCK_CHARS - 1))

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 from datetime import date
 from decimal import Decimal as D
 from pathlib import Path
@@ -452,6 +453,17 @@ class TestBasketsInOtherOrders:
         with pytest.raises(ShapeMismatch, match=r"^basket A/USD lists \('Bread', 'kg'\) more than once$"):
             report._aligned_amounts(baskets)
 
+    @pytest.mark.parametrize("first", [True, False], ids=["first-basket", "later-basket"])
+    def test_the_refusal_names_the_repeated_label_not_the_first(self, first):
+        usd, eur = CurrencyCode("USD"), CurrencyCode("EUR")
+        twice = Basket("A", usd, (PriceQuote("Milk", "l", usd, D(3)), PriceQuote("Bread", "kg", usd, D(1)),
+                                  PriceQuote("Bread", "kg", usd, D(2))))
+        once = Basket("B", eur, (PriceQuote("Milk", "l", eur, D(3)), PriceQuote("Bread", "kg", eur, D(1)),
+                                 PriceQuote("Eggs", "dozen", eur, D(2))))
+        baskets = [twice, once] if first else [once, twice]
+        with pytest.raises(ShapeMismatch, match=r"^basket A/USD lists \('Bread', 'kg'\) more than once$"):
+            report._aligned_amounts(baskets)
+
 
 class TestListings:
     def cms(self):
@@ -480,6 +492,34 @@ class TestListings:
         salaries = [r for r in first if r["item"].startswith("Average Monthly Net Salary")]
         assert len(salaries) == 6 and all(r["percent"] == 100 for r in salaries)
         assert render_table(spec, rows, "text") == render_table(spec, first, "text")
+
+    @pytest.mark.parametrize("cells", [1, 9, 40, 1024])
+    def test_blocks_across_baskets_write_a_row_per_quote(self, fixtures, cells):
+        """Blocks that start and end anywhere, over baskets with no quotes or only a salary, as a dict per quote."""
+        food, _ = load_basket(fixtures / "basket_food.csv")
+        xau, xag = CurrencyCode("XAU"), CurrencyCode("XAG")
+        baskets = [*food[:2], Basket("Empty", xau, ()), Basket("Paid", xag, (), PriceQuote("Salary", "month", xag, D("12.5"))),
+                   *food[2:]]
+        cms = {code: manual(code, value) for _, code, value in TABLE4_COUNTRIES}
+        cms.update(XAU=manual("XAU", "2"), XAG=manual("XAG", "0.5"))
+        minutes, percents = [], []
+        for basket in baskets:
+            label = {"country": basket.country, "currency": basket.currency.code}
+            for quote, role in basket.quotes():
+                label.update(item=quote.item, unit=quote.unit)
+                cm = cms[basket.currency.code]
+                minutes.append({**label, "amount": format(quote.amount, "f"), "role": role,
+                                "monmin": quote.amount / cm.value, "cm_source": cm.source.value})
+                if basket.salary is not None:
+                    percents.append({**label, "percent": 100 * (quote.amount / 1) / (basket.salary.amount / 1)})
+        with_salary = [b for b in baskets if b.salary is not None]
+        with mock.patch.object(report, "_BLOCK_CELLS", cells):
+            for (spec, view), dicts in ((build_basket_listing(baskets, cms), minutes),
+                                        (build_percent_listing(with_salary), percents)):
+                assert len(view) == len(dicts) and list(view) == dicts
+                assert [view[i] for i in range(len(view))] == dicts
+                for fmt in ("csv", "text"):
+                    assert render_table(spec, view, fmt) == render_table(spec, dicts, fmt)
 
     def test_empty_basket_list(self):
         spec, rows = build_percent_listing([])

@@ -18,8 +18,11 @@ the values already loaded.  Stages:
   one bad row in a hundred (the loader reports them and returns nothing);
 * ``load_basket``: 400 items plus a salary row per currency context;
 * ``load_series``: one year per row, scaled, some with events;
-* ``write_table1``, ``write_table4``, ``write_basket_listing``: build the
-  table from the loaded values and write it as CSV into memory.
+* ``write_table1``, ``write_table4``, ``write_basket_listing``,
+  ``write_percent_listing``, ``write_table5``: build the table from the
+  loaded values and write it as CSV into memory;
+* ``write_plot_data``: the series' plot data, with its extrema marked,
+  written as CSV into memory.
 
 Only the stdlib and ``monmin`` are used.  The numbers are for comparing two
 checkouts on one machine, by running this script on each in turn.
@@ -40,7 +43,7 @@ from datetime import date, timedelta
 from decimal import Decimal
 from pathlib import Path
 
-from monmin import core, ingest, report
+from monmin import core, ingest, report, series
 
 ITEMS = 400  # items per basket context, plus one salary row
 
@@ -116,6 +119,9 @@ def _median_ms(run, repeat: int) -> float:
 def stage_times(paths: dict[str, Path], repeat: int) -> dict[str, float]:
     snapshots, _ = ingest.load_economies(paths["economies"])
     baskets, _ = ingest.load_basket(paths["basket"])
+    aggregate, _ = ingest.load_series(paths["series"])
+    minutes = series.series_in_monmin(aggregate)
+    extrema = series.detect_extrema(minutes)
     cms = {b.currency.code: core.MonMinValue(b.currency, Decimal("0.01")) for b in baskets}
 
     def write(build):
@@ -129,6 +135,9 @@ def stage_times(paths: dict[str, Path], repeat: int) -> dict[str, float]:
         "write_table1": write(lambda: report.build_table1(snapshots)),
         "write_table4": write(lambda: report.build_table4(baskets, cms)),
         "write_basket_listing": write(lambda: report.build_basket_listing(baskets, cms)),
+        "write_percent_listing": write(lambda: report.build_percent_listing(baskets)),
+        "write_table5": write(lambda: report.build_table5(aggregate, minutes)),
+        "write_plot_data": lambda: report.write_plot_data(aggregate, io.StringIO(), extrema, minutes),
     }
     return {name: _median_ms(run, repeat) for name, run in stages.items()}
 
