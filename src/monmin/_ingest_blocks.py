@@ -9,8 +9,10 @@ blank and ``#`` lines are dropped by C-level checks over the block; one
 checked in one C-level pass, and into values by the types' column forms.
 At the first doubt, any row the row path may refuse or a cell this path
 does not read itself, the file is closed and the loader returns None, so
-that the row path loads it again and reports its issues.  Memory is
-bounded by one block of lines and rows.
+that the row path loads it again and reports its issues.  A
+``MonMinError`` that a type raises, such as ``AggregateSeries`` refusing
+years out of order or no years at all, is a doubt too.  Memory is bounded
+by one block of lines and rows.
 """
 from __future__ import annotations
 
@@ -18,10 +20,11 @@ import csv
 import re
 from decimal import Decimal
 from itertools import chain, groupby, islice, repeat
-from operator import itemgetter, lt, methodcaller, mul
+from operator import itemgetter, methodcaller, mul
 
 from . import ingest
 from .core import CurrencyCode, EconomySnapshot, TimeStandard, _iso_date, _quotes, _snapshots
+from .errors import MonMinError
 from .ingest import _DIRECTIVE_RE, _ESCAPED_RE, IngestReport, Issue, _baskets, _Once, _scale_factor
 from .series import AggregateSeries, AggregateYear, _years
 
@@ -34,7 +37,7 @@ class _Doubt(Exception):
 
 
 # What a block pass raises where the row path would report an issue (or raise itself).
-_DOUBTS = (_Doubt, csv.Error, ValueError, ArithmeticError)
+_DOUBTS = (_Doubt, csv.Error, ValueError, ArithmeticError, MonMinError)
 
 
 def _line_blocks(fh, directives: dict[str, tuple[int, str]]):
@@ -43,9 +46,10 @@ def _line_blocks(fh, directives: dict[str, tuple[int, str]]):
     The first lists are smaller, as in :func:`_columns`.  Only a line whose
     first character is whitespace or ``#`` can be dropped, so only those
     lines are looked at one by one.  A byte that is not valid UTF-8 is a
-    doubt.
+    doubt.  A directive is kept with line 0: a bad one is a doubt, so its
+    line is never shown.
     """
-    started, offset, size = False, 0, min(4096, ingest._BLOCK_CHARS)
+    started, size = False, min(4096, ingest._BLOCK_CHARS)
     while lines := fh.readlines(size):
         size = min(2 * size, ingest._BLOCK_CHARS)
         if not all(map(str.isascii, lines)) and _ESCAPED_RE.search("".join(lines)):
@@ -61,9 +65,8 @@ def _line_blocks(fh, directives: dict[str, tuple[int, str]]):
                     break
                 match = _DIRECTIVE_RE.match(lines[i].strip())
                 if match:
-                    directives[match.group(1)] = (offset + i + 1, match.group(2))
+                    directives[match.group(1)] = (0, match.group(2))
             started = len(dropped) < len(lines)
-        offset += len(lines)
         for i in reversed(dropped):
             del lines[i]
         yield lines
@@ -193,17 +196,13 @@ def load_series(path, currency: CurrencyCode, std: TimeStandard):
     def build(scale, blocks):
         years: list[AggregateYear] = []
         for year, m1, gdp, population, events in blocks:
-            labels = list(map(int, year))
             made = _years(
-                labels, _numbers(m1, scale), _numbers(gdp, scale), list(map(int, population)),
+                list(map(int, year)), _numbers(m1, scale), _numbers(gdp, scale), list(map(int, population)),
                 list(map(str.strip, events)),
             )
-            last = years[-1].year if years else labels[0] - 1
-            if made is None or not all(map(lt, [last, *labels], labels)):
+            if made is None:
                 raise _Doubt
             years += made
-        if not years:
-            raise _Doubt
         return AggregateSeries(currency=currency, years=tuple(years), std=std), IngestReport(len(years))
 
     return _load(path, ingest._SERIES_HEADER, build, optional=("events",))

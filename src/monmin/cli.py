@@ -200,7 +200,7 @@ def _cm_entries(ctx, param, entries) -> dict[str, MonMinValue]:
     for raw in entries:
         code, sep, number = raw.partition("=")
         code = code.strip().upper()
-        if not sep or not code or not number.strip():
+        if not code or not number.strip():
             raise click.UsageError(f"--cm expects CODE=VALUE, got {raw!r}")
         try:
             currency = CurrencyCode(code)

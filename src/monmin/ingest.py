@@ -426,9 +426,7 @@ def load_basket(path, known_currencies=None) -> tuple[list[Basket], IngestReport
             if known is not None and code not in known:
                 raise UnknownCurrency(f"{code} is not in the known set")
             quote = PriceQuote(texts[item], texts[unit], codes[code], _finite(amount_text))
-            group = groups.get((country, code))
-            if group is None:
-                group = groups[country, code] = [[], None]
+            group = groups.setdefault((country, code), [[], None])
             if role == "item":
                 group[0].append(quote)
             elif group[1] is None:
@@ -475,7 +473,7 @@ def load_series(
         last_year = year.year
         years.append(year)
     if not errors and not years:
-        errors.append(Issue(scan.header_line or 1, "EmptySeries: no data rows"))
+        errors.append(Issue(scan.header_line, "EmptySeries: no data rows"))
     if errors:
         return None, IngestReport(0, errors=tuple(errors))
     return AggregateSeries(currency=currency, years=tuple(years), std=std), IngestReport(len(years))

@@ -209,13 +209,12 @@ _BLOCK_CELLS = 1024
 
 
 def _fixed_pass(quantum: Decimal) -> Callable[[Sequence], list | None]:
-    """Decimals rounded to ``quantum``; None where a text holds "E" (not fixed-point) or "-" (maybe "-0")."""
+    """Decimals rounded to ``quantum``; None where a text holds "-": "-0", or "E-" (never "E+" once rounded)."""
 
     def texts(cells):
         rounded = map(Decimal.quantize, cells, repeat(quantum), repeat(ROUND_HALF_UP), repeat(_CELLS))
         texts = list(map(_sci_text, rounded))
-        probe = "".join(texts)
-        return None if "E" in probe or "-" in probe else texts
+        return None if "-" in "".join(texts) else texts
 
     return texts
 

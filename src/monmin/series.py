@@ -34,34 +34,24 @@ class AggregateYear:
     population: int
     events: str = ""  # pass-through annotation, never interpreted
 
-    def __init__(
-        self, year: int, m1: Decimal, gdp: Decimal, population: int, events: str = ""
-    ) -> None:
-        if type(m1) is not Decimal or not m1.is_finite():
-            m1 = _finite_decimal(m1, "m1", year)
-        if type(gdp) is not Decimal or not gdp.is_finite():
-            gdp = _finite_decimal(gdp, "gdp", year)
-        if m1 < _ZERO:
-            raise NonPositiveInput(f"{year}: m1 must be >= 0, got {m1}")
-        if gdp <= _ZERO:
-            raise NonPositiveInput(f"{year}: gdp must be > 0, got {gdp}")
-        if population <= 0:
-            raise NonPositiveInput(f"{year}: population must be > 0, got {population}")
-        _year_year(self, year)
-        _year_m1(self, m1)
-        _year_gdp(self, gdp)
-        _year_population(self, population)
-        _year_events(self, events)
+    def __post_init__(self):
+        object.__setattr__(self, "m1", _finite_decimal(self.m1, "m1", self.year))
+        object.__setattr__(self, "gdp", _finite_decimal(self.gdp, "gdp", self.year))
+        if self.m1 < 0:
+            raise NonPositiveInput(f"{self.year}: m1 must be >= 0, got {self.m1}")
+        if self.gdp <= 0:
+            raise NonPositiveInput(f"{self.year}: gdp must be > 0, got {self.gdp}")
+        if self.population <= 0:
+            raise NonPositiveInput(f"{self.year}: population must be > 0, got {self.population}")
 
 
 _YEAR_SLOTS = _slot_setters(AggregateYear, "year", "m1", "gdp", "population", "events")
-_year_year, _year_m1, _year_gdp, _year_population, _year_events = _YEAR_SLOTS
 
 
 def _years(year, m1, gdp, population, events) -> list[AggregateYear] | None:
     """``AggregateYear(*row)`` for each row of one or more, given as columns of the field types.
 
-    The column form of ``__init__``'s rules: None when any row breaks one
+    The column form of ``__post_init__``'s rules: None when any row breaks one
     (an m1 that is not finite and at least zero, a gdp that is not finite
     and positive, a population that is not positive).
     """

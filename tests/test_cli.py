@@ -453,6 +453,10 @@ class TestSettingsContract:
             (["convert", "--amount", "1", "--cm", "1", "--decimals", "-1"], "--decimals must be >= 0"),
             (["basket", "--basket", str(FIXTURES / "basket_food.csv"), "--cm", "bad"],
              "--cm expects CODE=VALUE, got 'bad'"),
+            (["basket", "--basket", str(FIXTURES / "basket_food.csv"), "--cm", "=5"],
+             "--cm expects CODE=VALUE, got '=5'"),
+            (["basket", "--basket", str(FIXTURES / "basket_food.csv"), "--cm", "USD="],
+             "--cm expects CODE=VALUE, got 'USD='"),
             (["basket", "--basket", str(FIXTURES / "basket_food.csv"), "--cm", "usd1x=1"],
              "--cm 'usd1x=1': currency code must be 3-4 uppercase characters, got 'USD1X'"),
             (["basket", "--basket", str(FIXTURES / "basket_food.csv"), "--cm", "USD=1", "--cm", "usd=2"],
@@ -467,8 +471,8 @@ class TestSettingsContract:
             (["report", "--table", "4b"], "table 4b needs --basket"),
             (["report", "--table", "5"], "table 5 needs --series"),
         ],
-        ids=["decimals-negative", "cm-no-equals", "cm-bad-code", "cm-twice", "economies-no-country",
-             "cm-and-economies", "table-1", "table-2", "table-3", "table-4", "table-4b", "table-5"],
+        ids=["decimals-negative", "cm-no-equals", "cm-no-code", "cm-no-value", "cm-bad-code", "cm-twice",
+             "economies-no-country", "cm-and-economies", "table-1", "table-2", "table-3", "table-4", "table-4b", "table-5"],
     )
     def test_refused_flags(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -497,6 +501,19 @@ class TestSettingsContract:
         expected = run(capsys, *argv)
         assert run(capsys, *argv, "--config", config) == expected
         assert expected[0] == 0 and not target.exists()
+
+    def test_config_format_sets_the_table_format(self, capsys, tmp_path):
+        config = write_config(tmp_path, json.dumps({"format": "text"}))
+        code, out, err = run(capsys, "cm", "--economies", economies_arg(FIXTURES), "--config", config)
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (GOLDEN / "table1.txt").read_bytes()
+
+    def test_convert_currency_that_matches_the_country(self, capsys):
+        code, out, err = run(
+            capsys, "convert", "--amount", "1447", "--economies", economies_arg(FIXTURES),
+            "--country", "United States", "--currency", "USD",
+        )
+        assert (code, out, err) == (0, "11958\n", "")
 
     def test_command_help(self, capsys):
         code, out, _ = run(capsys, "cm", "--help")

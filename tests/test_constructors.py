@@ -1,8 +1,11 @@
 """The contract of the four types built once per row.
 
-``EconomySnapshot``, ``MonMinValue``, ``PriceQuote`` and ``AggregateYear``
-validate in a hand-written ``__init__``.  These tests pin what callers see
-of them: the signature, keyword and positional construction, ``fields()``,
+``MonMinValue``, ``PriceQuote`` and ``AggregateYear`` validate in a
+``__post_init__`` after the dataclass-generated ``__init__``.  Only
+``EconomySnapshot`` keeps a hand-written ``__init__``, which checks its
+input once and is cheaper per value: a dirty economies file is loaded row
+by row, one snapshot per row.  These tests pin what callers see of all
+four: the signature, keyword and positional construction, ``fields()``,
 ``replace``, coercion, and the exact text of every rejection.
 ``FrozenInstanceError``, the missing ``__dict__`` and the pickle, copy and
 deepcopy round trips are checked for every value type, these four

@@ -46,9 +46,9 @@ class TestCurrencyCode:
         assert CurrencyCode("USDT").code == "USDT"
         assert str(CurrencyCode("CZK", "Kč")) == "CZK"
 
-    @pytest.mark.parametrize("bad", ["", "US", "usd", "USDOL", "U D"])
+    @pytest.mark.parametrize("bad", ["", "US", "usd", "USDOL", "U D", 123])
     def test_invalid_codes(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^currency code must be 3-4 uppercase characters, got {bad!r}$"):
             CurrencyCode(bad)
 
     def test_symbol_is_cosmetic(self):

@@ -370,6 +370,12 @@ class TestLoadSeries:
         assert series is None
         assert report.errors[0].message.startswith("EmptySeries")
 
+    def test_header_only_after_a_comment_is_empty_series_on_the_header_line(self, tmp_path):
+        path = put(tmp_path, "s.csv", "# US money stock\nyear,m1,gdp,population,events\n")
+        series, report = load_series(path)
+        assert series is None
+        assert [(e.line, e.message) for e in report.errors] == [(2, "EmptySeries: no data rows")]
+
     def test_custom_currency_and_standard(self, tmp_path):
         path = put(tmp_path, "s.csv", "year,m1,gdp,population,events\n1980,1,2,3,\n")
         series, _ = load_series(

@@ -294,13 +294,97 @@ class TestBlockPathRuns:
 
 
 class TestBlockEdges:
-    """Inputs at the edges of the block path's line reading, in files of many blocks at the default sizes."""
+    """Inputs at the edges of the block path, in files of many blocks at the default sizes."""
 
     @staticmethod
-    def economies(path, preamble: bytes = b"", last: bytes = b"") -> None:
+    def economies(path, preamble: bytes = b"", last: bytes = b"",
+                  header: bytes = b"country,currency,gdp,population,as_of\n") -> None:
         rows = "".join(f"Land {i},USD,{i}.5,{i + 1},2019-01-01\n" for i in range(3000)).encode()
-        path.write_bytes(preamble + b"country,currency,gdp,population,as_of\n" + rows + last)
+        path.write_bytes(preamble + header + rows + last)
         assert path.stat().st_size > ingest._BLOCK_CHARS
+
+    @staticmethod
+    def basket(path, last: str) -> None:
+        """3,000 item rows of basket M0 in EUR on lines 2-3001, then ``last``."""
+        rows = "".join(f"M0,EUR,Item {m},kg,{m}.25,item\n" for m in range(3000))
+        path.write_text("country,currency,item,unit,amount,role\n" + rows + last)
+        assert path.stat().st_size > ingest._BLOCK_CHARS
+
+    @staticmethod
+    def series(path, last: str) -> None:
+        """Years 1000-3499 on lines 2-2501, then ``last``."""
+        rows = "".join(f"{1000 + t},{t}.5,{t + 1}.25,{t + 5},Event {t}\n" for t in range(2500))
+        path.write_text("year,m1,gdp,population,events\n" + rows + last)
+        assert path.stat().st_size > ingest._BLOCK_CHARS
+
+    @staticmethod
+    def issues(loaded):
+        data, report = loaded
+        assert not data
+        return [(issue.line, issue.message) for issue in report.errors]
+
+    # Each file below is refused by the row path alone; the block path must doubt it, not load it.
+
+    def test_a_bad_scale_factor_is_refused(self, tmp_path):
+        path = tmp_path / "e.csv"
+        self.economies(path, preamble=b"# scale=abc\n")
+        assert self.issues(load_economies(path)) == [(1, "MalformedRow: bad scale factor 'abc'")]
+
+    def test_a_file_of_only_comment_lines_has_no_header(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("# a note\n" * 8000)
+        assert path.stat().st_size > ingest._BLOCK_CHARS
+        assert self.issues(load_economies(path)) == [(1, "MalformedRow: missing header row")]
+
+    def test_a_wrong_header_is_refused(self, tmp_path):
+        path = tmp_path / "e.csv"
+        self.economies(path, header=b"country,currency,gdp,pop,as_of\n")
+        assert self.issues(load_economies(path)) == [(1, (
+            "MalformedRow: header ['country', 'currency', 'gdp', 'pop', 'as_of'] does not match "
+            "['country', 'currency', 'gdp', 'population', 'as_of']"
+        ))]
+
+    def test_a_row_of_six_cells_is_refused(self, tmp_path):
+        path = tmp_path / "e.csv"
+        self.economies(path, last=b"Extra,USD,1,1,2019-01-01,6\n")
+        assert self.issues(load_economies(path)) == [(3002, "MalformedRow: expected 5 columns, got 6")]
+
+    def test_an_unknown_role_is_refused(self, tmp_path):
+        path = tmp_path / "b.csv"
+        self.basket(path, "M0,EUR,Gold,oz,1,extra\n")
+        assert self.issues(load_basket(path)) == [(3002, "MalformedRow: role must be item or salary, got 'extra'")]
+
+    def test_a_currency_outside_the_known_set_is_refused(self, tmp_path):
+        path = tmp_path / "b.csv"
+        self.basket(path, "M1,USD,Gold,oz,1,item\n")
+        assert self.issues(load_basket(path, known_currencies=["EUR"])) == [
+            (3002, "UnknownCurrency: USD is not in the known set")
+        ]
+
+    def test_a_negative_amount_is_refused(self, tmp_path):
+        path = tmp_path / "b.csv"
+        self.basket(path, "M0,EUR,Gold,oz,-1,item\n")
+        assert self.issues(load_basket(path)) == [(3002, "NonPositiveInput: Gold: amount must be >= 0, got -1")]
+
+    @pytest.mark.parametrize("last,line", [
+        ("M0,EUR,Pay,month,100,salary\nM0,EUR,Gold,oz,1,item\nM0,EUR,Pay,month,200,salary\n", 3004),
+        ("M0,EUR,Pay,month,100,salary\nM0,EUR,Pay,month,200,salary\n", 3003),
+    ], ids=["later", "adjacent"])
+    def test_a_second_salary_row_is_refused(self, tmp_path, last, line):
+        path = tmp_path / "b.csv"
+        self.basket(path, last)
+        assert self.issues(load_basket(path)) == [(line, "MalformedRow: duplicate salary row for M0")]
+
+    def test_a_year_out_of_order_is_refused(self, tmp_path):
+        """``AggregateSeries`` refuses the years too; the block path takes that as a doubt."""
+        path = tmp_path / "s.csv"
+        self.series(path, "1100,1,1,1,\n")
+        assert self.issues(load_series(path)) == [(2502, "NonMonotoneYears: 1100 does not follow 3499")]
+
+    def test_a_negative_m1_is_refused(self, tmp_path):
+        path = tmp_path / "s.csv"
+        self.series(path, "3500,-1,1,1,\n")
+        assert self.issues(load_series(path)) == [(2502, "NonPositiveInput: 3500: m1 must be >= 0, got -1")]
 
     def test_a_bad_byte_beside_other_non_ascii_text_is_refused(self, tmp_path):
         """The last block holds text that is not ASCII and a byte that is not UTF-8: the file is refused."""

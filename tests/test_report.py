@@ -23,6 +23,7 @@ from monmin import (
     CurrencyCode,
     CurrencyMismatch,
     EconomySnapshot,
+    ExchangeRate,
     MonMinValue,
     NonPositiveInput,
     PriceQuote,
@@ -281,6 +282,12 @@ class TestTable1:
                 render_table(spec, rows)
         assert str(caught.value) == "USD: minute value must be finite, got Infinity"
 
+    def test_a_minute_value_that_rounds_to_zero_prints_fixed_point(self):
+        """The quantized cm is ``0E-7``; its cell reads ``0.0000000``, never the scientific text."""
+        tiny = EconomySnapshot("Tiny", CurrencyCode("USD"), D(1), 10**9, date(2019, 1, 1))
+        lines = render_table(*build_table1([tiny])).splitlines()
+        assert lines[1] == "Tiny,USD,1,1000000000,0,0.0000000,computed_from_gdp"
+
     def test_rows_replay_and_snapshots_are_taken_once(self, fixtures):
         snapshots, _ = load_economies(fixtures / "economies_table1.csv")
         spec, rows = build_table1(snapshots, TimeStandard())
@@ -343,6 +350,12 @@ class TestTable2:
 
         with pytest.raises(CurrencyMismatch):
             build_table2(manual("CZK", "1"), rates)
+
+    def test_rate_base_must_match_even_with_an_override(self):
+        usd, eur, gbp = CurrencyCode("USD"), CurrencyCode("EUR"), CurrencyCode("GBP")
+        rates = [ExchangeRate(usd, eur, D("0.9")), ExchangeRate(eur, gbp, D("0.8"))]
+        with pytest.raises(CurrencyMismatch, match="^rate EUR->GBP does not start from USD$"):
+            build_table2(manual("USD", "0.11918"), rates, {"GBP": manual("GBP", "0.1")})
 
     def test_override_without_rate_row_rejected(self, fixtures):
         rates, _ = load_rates(fixtures / "rates_table2.csv")
@@ -434,9 +447,10 @@ class TestBasketsInOtherOrders:
     @pytest.mark.parametrize("build", BUILDS, ids=["table3", "table4", "table4b"])
     def test_a_basket_missing_an_item_is_refused(self, fixtures, build):
         food, _ = load_basket(fixtures / "basket_food.csv")
-        swapped = dataclasses.replace(food[1], items=(*food[1].items[:-1], dataclasses.replace(
-            food[1].items[-1], item="Something else")))
-        for short in (dataclasses.replace(food[1], items=food[1].items[1:]), swapped):
+        other = dataclasses.replace(food[1].items[-1], item="Something else")
+        swapped = dataclasses.replace(food[1], items=(*food[1].items[:-1], other))
+        longer = dataclasses.replace(food[1], items=(*food[1].items, other))  # every item, and one more
+        for short in (dataclasses.replace(food[1], items=food[1].items[1:]), swapped, longer):
             with pytest.raises(ShapeMismatch, match=(
                 f"^basket {food[1].country}/{food[1].currency} does not carry the same items as "
                 f"{food[0].country}/{food[0].currency}$"
