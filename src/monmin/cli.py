@@ -11,7 +11,6 @@ checks and parses its value before the command reads any input file.
 from __future__ import annotations
 
 import gc
-import json
 import os
 import stat
 import sys
@@ -72,6 +71,8 @@ def _read_config(ctx, param, path) -> None:
     """
     if path is None:
         return
+    import json  # here, so that only a --config run pays for the import
+
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -460,7 +461,14 @@ def _run(argv) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The ``monmin`` script and ``python -m monmin.cli``: run ``main`` and exit with its code.
+
+    Every object the process made is frozen first, so the collector passes
+    of interpreter shutdown skip them; reference counting still frees them.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -3,12 +3,15 @@ import gc
 import json
 import os
 import stat
+import subprocess
+import sys
 from decimal import Decimal as D
+from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURES, GOLDEN, golden_runs
-from monmin import CurrencyCode, MonMinValue, detect_extrema, load_series, report, series_in_monmin
+from monmin import CurrencyCode, MonMinValue, cli, detect_extrema, load_series, report, series_in_monmin
 from monmin.cli import _note_cm_sources, main
 
 
@@ -1110,7 +1113,10 @@ class TestOutputFileReplacedOnSuccess:
 
 
 class TestGarbageCollectorState:
-    """``main`` runs the command with the cyclic collector off and then puts it back as it was."""
+    """``main`` runs the command with the cyclic collector off and then puts it back as it was.
+
+    It freezes nothing: only ``entry`` does, once the command is over.
+    """
 
     ARGVS = {
         0: ["cm", "--economies", str(FIXTURES / "economies_table1.csv")],
@@ -1130,6 +1136,7 @@ class TestGarbageCollectorState:
 
         monkeypatch.setattr(report, "write_table", recording)
         was = gc.isenabled()
+        frozen = gc.get_freeze_count()
         (gc.enable if collecting else gc.disable)()
         try:
             code, _, _ = run(capsys, *self.ARGVS[want_code])
@@ -1138,3 +1145,75 @@ class TestGarbageCollectorState:
             (gc.enable if was else gc.disable)()
         assert code == want_code
         assert seen == ([False] if want_code == 0 else [])
+        assert gc.get_freeze_count() == frozen
+
+
+class TestConsoleEntry:
+    """``entry``, behind the ``monmin`` script and ``python -m monmin.cli``, and whole processes run through it."""
+
+    @pytest.mark.parametrize("want_code", [0, 1, 2])
+    def test_exits_with_mains_code_after_freezing(self, monkeypatch, want_code):
+        frozen = gc.get_freeze_count()
+        calls = []
+
+        def fake_main():
+            calls.append(("main", gc.get_freeze_count()))
+            return want_code
+
+        monkeypatch.setattr(cli, "main", fake_main)
+        monkeypatch.setattr(sys, "exit", lambda code: calls.append(("exit", code, gc.get_freeze_count() > frozen)))
+        try:
+            cli.entry()
+        finally:
+            gc.unfreeze()
+        assert calls == [("main", frozen), ("exit", want_code, True)]
+
+    @staticmethod
+    def command(*argv) -> dict:
+        """``Popen`` arguments for ``python -m monmin.cli argv`` on the sources under test, stdin empty."""
+        env = {key: value for key, value in os.environ.items() if key != "MONMIN_TETCY"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parent.parent),
+                                                          os.environ.get("PYTHONPATH")]))
+        return {"args": [sys.executable, "-m", "monmin.cli", *argv], "stdin": subprocess.DEVNULL, "env": env}
+
+    def monmin(self, *argv) -> subprocess.CompletedProcess:
+        """One ``python -m monmin.cli`` process, its stdout and stderr captured as bytes."""
+        return subprocess.run(**self.command(*argv), capture_output=True, timeout=120)
+
+    def test_report_prints_the_golden_table(self):
+        result = self.monmin("report", "--table", "1", "--economies", str(FIXTURES / "economies_table1.csv"))
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == (GOLDEN / "table1.csv").read_bytes()
+
+    def test_usage_error_exits_1(self):
+        result = self.monmin("cm")
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr.decode().splitlines()[-1] == "usage error: Missing option '--economies'."
+
+    def test_data_error_exits_2_with_the_in_process_stderr(self, capsys):
+        argv = ["cm", "--economies", str(FIXTURES / "dirty_economies.csv")]
+        code, out, err = run(capsys, *argv)
+        result = self.monmin(*argv)
+        assert (code, out) == (2, "")
+        assert (result.returncode, result.stdout, result.stderr.decode()) == (2, b"", err)
+
+    def test_out_file_gets_the_golden_bytes(self, tmp_path):
+        out = tmp_path / "table1.csv"
+        result = self.monmin("report", "--table", "1", "--economies", str(FIXTURES / "economies_table1.csv"),
+                             "--out", str(out))
+        assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
+        assert out.read_bytes() == (GOLDEN / "table1.csv").read_bytes()
+
+    def test_a_reader_that_closes_early_gets_status_1_and_no_stderr(self, tmp_path):
+        economies = tmp_path / "economies.csv"
+        lines = ["country,currency,gdp,population,as_of"]
+        lines += [f"Land {i:05d},USD,{20891400000000 + i},{328467812 + i},2019-01-01" for i in range(5000)]
+        economies.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with subprocess.Popen(**self.command("cm", "--economies", str(economies)),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+            head = child.stdout.read(16)
+            child.stdout.close()  # the table, some 400 KB, is far larger than the pipe's buffer
+            err = child.stderr.read()
+            code = child.wait(timeout=120)
+        assert head == b"country,currency"
+        assert (code, err) == (1, b"")

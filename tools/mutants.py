@@ -5,12 +5,21 @@ Run from the root of a checkout, with pytest and the test dependencies installed
     python tools/mutants.py --module src/monmin/series.py --sample 2
     python tools/mutants.py --module src/monmin/ingest.py --module src/monmin/core.py
 
-A mutant changes one site of one module, in one of two ways:
+A mutant changes one site of one module, in one of five ways:
 
 * ``drop k of and/or``: operand ``k`` (counted from 1) of an ``and`` or
   ``or`` is removed, so the others decide alone;
 * ``skip if``: the test of an ``if`` (or ``elif``) whose body raises
-  becomes ``False``, so the refusal never happens.
+  becomes ``False``, so the refusal never happens;
+* ``swap <``: one comparison operator becomes its neighbour, ``<`` and
+  ``<=``, ``>`` and ``>=``, or ``==`` and ``!=``, so a boundary moves or a
+  test turns round (each operator of a chain is its own site);
+* ``swap +``: one binary ``+`` becomes ``-`` or ``-`` becomes ``+``, or
+  ``*`` becomes ``/`` or ``/`` becomes ``*``;
+* ``drop not``: a ``not`` is removed and its operand decides unnegated.
+
+An operator that the tokenizer does not see on its own, such as one inside
+an f-string on Python before 3.12, is no site.
 
 Every site of every ``--module`` is a mutant (by default every module
 under ``src/``), or ``--sample N`` of them, drawn with the fixed
@@ -29,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import io
 import os
 import queue
 import random
@@ -37,6 +47,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
@@ -47,6 +58,13 @@ TIMEOUT = 600  # seconds; a suite run that takes longer (a mutant that loops) co
 SEED = 1  # of --sample
 _NOT_COPIED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks", ".work",
                                      "*.egg-info")
+
+
+# The operator each swapped one becomes, by its ast type and by its text.
+_SWAPS = {ast.Lt: "<=", ast.LtE: "<", ast.Gt: ">=", ast.GtE: ">", ast.Eq: "!=", ast.NotEq: "==",
+          ast.Add: "-", ast.Sub: "+", ast.Mult: "/", ast.Div: "*"}
+_TEXTS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
+          ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
 
 class Mutant(NamedTuple):
@@ -66,6 +84,16 @@ def _segment(starts: list[int], node: ast.AST) -> tuple[int, int]:
     return starts[node.lineno - 1] + node.col_offset, starts[node.end_lineno - 1] + node.end_col_offset
 
 
+def _operators(source: bytes, starts: list[int]) -> list[tuple[int, str]]:
+    """The byte offset and text of every operator token of the module, in source order."""
+    found = []
+    for token in tokenize.tokenize(io.BytesIO(source).readline):
+        if token.type == tokenize.OP:
+            row, col = token.start  # col counts characters of the line
+            found.append((starts[row - 1] + len(token.line[:col].encode("utf-8")), token.string))
+    return found
+
+
 def sites(module: str) -> list[Mutant]:
     """Every mutant of one module, in source order."""
     source = (ROOT / module).read_bytes()
@@ -73,7 +101,19 @@ def sites(module: str) -> list[Mutant]:
     for line in source.splitlines(keepends=True):
         starts.append(total)
         total += len(line)
+    operators = _operators(source, starts)
     found = []
+
+    def swap(node: ast.AST, op: ast.AST, left: ast.AST, right: ast.AST) -> None:
+        """The mutant that swaps ``op``, the first token of its text between ``left`` and ``right``."""
+        if type(op) not in _SWAPS:
+            return
+        after, before = _segment(starts, left)[1], _segment(starts, right)[0]
+        for offset, text in operators:
+            if after <= offset < before and text == _TEXTS[type(op)]:
+                found.append(Mutant(module, node.lineno, f"swap {text}", offset, offset + len(text), _SWAPS[type(op)]))
+                return
+
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.BoolOp):
             word = "and" if isinstance(node.op, ast.And) else "or"
@@ -86,6 +126,16 @@ def sites(module: str) -> list[Mutant]:
         elif isinstance(node, ast.If) and any(isinstance(statement, ast.Raise) for statement in node.body):
             start, stop = _segment(starts, node.test)
             found.append(Mutant(module, node.lineno, "skip if", start, stop, "False"))
+        elif isinstance(node, ast.Compare):
+            for op, left, right in zip(node.ops, [node.left, *node.comparators], node.comparators):
+                swap(node, op, left, right)
+        elif isinstance(node, ast.BinOp):
+            swap(node, node.op, node.left, node.right)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            start, stop = _segment(starts, node)
+            operand_start, operand_stop = _segment(starts, node.operand)
+            found.append(Mutant(module, node.lineno, "drop not", start, stop,
+                                "(" + source[operand_start:operand_stop].decode("utf-8") + ")"))
     return sorted(found, key=lambda m: (m.start, m.mutation))
 
 

@@ -24,6 +24,24 @@ the values already loaded.  Stages:
 * ``write_plot_data``: the series' plot data, with its extrema marked,
   written as CSV into memory.
 
+With ``--process N`` it also times whole ``monmin`` processes, alternating
+N times between ``python -c pass`` and ``report --table 1`` on
+``tests/fixtures/economies_table1.csv``, and prints the median of each
+part of a process, in milliseconds:
+
+* ``process_bare``: ``python -c pass``, the interpreter alone;
+* ``process_whole``: the ``report --table 1`` process, from its start to
+  its end as the parent sees them;
+* ``process_import``: from its start until ``monmin.cli`` is imported,
+  interpreter start-up included;
+* ``process_command``: from then until ``cli.main`` returns;
+* ``process_exit``: from then until the process has ended.
+
+The child is a ``-c`` wrapper that writes ``time.perf_counter()`` (the
+system-wide monotonic clock on Linux, so it agrees with the parent's) to a
+pipe after the import and after ``main`` returns, then runs ``cli.entry()``
+as the console script does.
+
 Only the stdlib and ``monmin`` are used.  The numbers are for comparing two
 checkouts on one machine, by running this script on each in turn.
 """
@@ -34,8 +52,10 @@ import csv
 import gc
 import io
 import json
+import os
 import random
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -46,6 +66,25 @@ from pathlib import Path
 from monmin import core, ingest, report, series
 
 ITEMS = 400  # items per basket context, plus one salary row
+TABLE1 = ["report", "--table", "1", "--economies",
+          str(Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "economies_table1.csv")]
+# The timed child: argv[1] is the write end of the parent's pipe, the rest is monmin's argv.
+_WRAPPER = """
+import os, sys, time
+import monmin.cli as cli
+fd = int(sys.argv[1])
+os.write(fd, b"%r\\n" % time.perf_counter())
+main = cli.main
+
+def timed(argv=None):
+    code = main(argv)
+    os.write(fd, b"%r\\n" % time.perf_counter())
+    return code
+
+cli.main = timed
+sys.argv = ["monmin", *sys.argv[2:]]
+cli.entry()
+"""
 
 
 def _write(path: Path, preamble: list[str], header: list[str], rows, comment_every: int = 0) -> None:
@@ -142,19 +181,56 @@ def stage_times(paths: dict[str, Path], repeat: int) -> dict[str, float]:
     return {name: _median_ms(run, repeat) for name, run in stages.items()}
 
 
+def _process(code: str, *argv: str) -> list[float]:
+    """When a ``python -c code`` child started, the times it wrote to the pipe, and when it ended, on one clock."""
+    read, write = os.pipe()
+    with open(read, "rb") as pipe:
+        try:
+            start = time.perf_counter()
+            child = subprocess.Popen([sys.executable, "-c", code, str(write), *argv], stdin=subprocess.DEVNULL,
+                                     stdout=subprocess.DEVNULL, pass_fds=(write,))
+        finally:
+            os.close(write)
+        child.wait()
+        end = time.perf_counter()
+        marks = [float(mark) for mark in pipe.read().split()]
+    if child.returncode != 0:
+        raise SystemExit(f"a timed process exited with {child.returncode}")
+    return [start, *marks, end]
+
+
+def process_times(count: int) -> dict[str, float]:
+    """The median parts of ``count`` ``report --table 1`` processes, each run after a bare interpreter."""
+    parts: dict[str, list[float]] = {name: [] for name in ("bare", "whole", "import", "command", "exit")}
+    for _ in range(count):
+        start, end = _process("pass")
+        parts["bare"].append(end - start)
+        start, imported, returned, end = _process(_WRAPPER, *TABLE1)
+        parts["whole"].append(end - start)
+        parts["import"].append(imported - start)
+        parts["command"].append(returned - imported)
+        parts["exit"].append(end - returned)
+    return {f"process_{name}": round(statistics.median(times) * 1000, 3) for name, times in parts.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
     parser.add_argument("--rows", type=int, default=1000, help="data rows per input file")
     parser.add_argument("--repeat", type=int, default=5, help="timed runs per stage")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--process", type=int, default=0, metavar="N",
+                        help="also time N whole processes of report --table 1, each after a bare interpreter")
     args = parser.parse_args(argv)
-    if args.rows < 1 or args.repeat < 1:
-        parser.error("--rows and --repeat must be at least 1")
+    if args.rows < 1 or args.repeat < 1 or args.process < 0:
+        parser.error("--rows and --repeat must be at least 1, and --process at least 0")
     with tempfile.TemporaryDirectory() as work:
         times = stage_times(write_inputs(Path(work), args.rows, args.seed), args.repeat)
+    if args.process:
+        times.update(process_times(args.process))
     for name, ms in times.items():
         print(f"{name:<22} {ms:>10.3f} ms")
-    print(json.dumps({"rows": args.rows, "repeat": args.repeat, "seed": args.seed, "median_ms": times}))
+    print(json.dumps({"rows": args.rows, "repeat": args.repeat, "seed": args.seed, "process": args.process,
+                      "median_ms": times}))
     return 0
 
 
