@@ -464,7 +464,10 @@ def entry() -> None:
     """The ``monmin`` script and ``python -m monmin.cli``: run ``main`` and exit with its code.
 
     Every object the process made is frozen first, so the collector passes
-    of interpreter shutdown skip them; reference counting still frees them.
+    of interpreter shutdown skip them. Reference counting still frees the
+    ones outside reference cycles; a frozen cycle is never collected, and
+    the ``__del__`` of its objects never runs. So ``main`` must close or
+    flush every file it opens before it returns.
     """
     code = main()
     gc.freeze()

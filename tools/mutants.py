@@ -60,11 +60,10 @@ _NOT_COPIED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pyt
                                      "*.egg-info")
 
 
-# The operator each swapped one becomes, by its ast type and by its text.
-_SWAPS = {ast.Lt: "<=", ast.LtE: "<", ast.Gt: ">=", ast.GtE: ">", ast.Eq: "!=", ast.NotEq: "==",
-          ast.Add: "-", ast.Sub: "+", ast.Mult: "/", ast.Div: "*"}
-_TEXTS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
-          ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+# By ast type: the text of each operator that is swapped, and the text it becomes.
+_SWAPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">"),
+          ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="),
+          ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "/"), ast.Div: ("/", "*")}
 
 
 class Mutant(NamedTuple):
@@ -108,10 +107,11 @@ def sites(module: str) -> list[Mutant]:
         """The mutant that swaps ``op``, the first token of its text between ``left`` and ``right``."""
         if type(op) not in _SWAPS:
             return
+        text, swapped = _SWAPS[type(op)]
         after, before = _segment(starts, left)[1], _segment(starts, right)[0]
-        for offset, text in operators:
-            if after <= offset < before and text == _TEXTS[type(op)]:
-                found.append(Mutant(module, node.lineno, f"swap {text}", offset, offset + len(text), _SWAPS[type(op)]))
+        for offset, token in operators:
+            if after <= offset < before and token == text:
+                found.append(Mutant(module, node.lineno, f"swap {text}", offset, offset + len(text), swapped))
                 return
 
     for node in ast.walk(ast.parse(source)):

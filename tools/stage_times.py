@@ -1,4 +1,4 @@
-"""Per-stage in-process timings of monmin: the loaders and the table writer.
+"""Per-stage timings of monmin: the loaders and the table writer in-process, and whole processes.
 
 Run from the root of a checkout, with that checkout's ``src`` importable:
 
@@ -24,8 +24,8 @@ the values already loaded.  Stages:
 * ``write_plot_data``: the series' plot data, with its extrema marked,
   written as CSV into memory.
 
-With ``--process N`` it also times whole ``monmin`` processes, alternating
-N times between ``python -c pass`` and ``report --table 1`` on
+It also times whole ``monmin`` processes, alternating ``--repeat`` times
+between ``python -c pass`` and ``report --table 1`` on
 ``tests/fixtures/economies_table1.csv``, and prints the median of each
 part of a process, in milliseconds:
 
@@ -218,19 +218,15 @@ def main(argv=None) -> int:
     parser.add_argument("--rows", type=int, default=1000, help="data rows per input file")
     parser.add_argument("--repeat", type=int, default=5, help="timed runs per stage")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--process", type=int, default=0, metavar="N",
-                        help="also time N whole processes of report --table 1, each after a bare interpreter")
     args = parser.parse_args(argv)
-    if args.rows < 1 or args.repeat < 1 or args.process < 0:
-        parser.error("--rows and --repeat must be at least 1, and --process at least 0")
+    if args.rows < 1 or args.repeat < 1:
+        parser.error("--rows and --repeat must be at least 1")
     with tempfile.TemporaryDirectory() as work:
         times = stage_times(write_inputs(Path(work), args.rows, args.seed), args.repeat)
-    if args.process:
-        times.update(process_times(args.process))
+    times.update(process_times(args.repeat))
     for name, ms in times.items():
         print(f"{name:<22} {ms:>10.3f} ms")
-    print(json.dumps({"rows": args.rows, "repeat": args.repeat, "seed": args.seed, "process": args.process,
-                      "median_ms": times}))
+    print(json.dumps({"rows": args.rows, "repeat": args.repeat, "seed": args.seed, "median_ms": times}))
     return 0
 
 
