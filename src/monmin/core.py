@@ -165,6 +165,12 @@ class CurrencyCode:
         return self.code
 
 
+def _currency_code(currency) -> None:
+    """Refuse, with ``TypeError``, a currency that is not a :class:`CurrencyCode`."""
+    if not isinstance(currency, CurrencyCode):
+        raise TypeError(f"currency must be a CurrencyCode, got {currency!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class TimeStandard:
     """The minutes-per-year constant a Monetary Minute is defined against."""
@@ -256,6 +262,7 @@ class MonMinValue:
     source: CmSource = CmSource.MANUAL
 
     def __post_init__(self):
+        _currency_code(self.currency)
         object.__setattr__(self, "value", _finite_decimal(self.value, "minute value", self.currency))
         if self.value <= 0:
             raise NonPositiveInput(f"minute value must be > 0, got {self.value} {self.currency}")
@@ -345,6 +352,7 @@ class PriceQuote:
     amount: Decimal
 
     def __post_init__(self):
+        _currency_code(self.currency)
         object.__setattr__(self, "amount", _finite_decimal(self.amount, "amount", self.item))
         if self.amount < 0:
             raise NonPositiveInput(f"{self.item}: amount must be >= 0, got {self.amount}")

@@ -11,9 +11,11 @@ for humans.  Identical inputs always produce byte-identical output.
 
 Builders assemble the six standard report tables (per-country minute
 values, cross-rate minute values, commodity and food baskets in minutes,
-percent-of-salary, and the yearly M1 series), the two basket listings
-(every quote in minutes, every quote as a percent of its salary) and the
-plot-data file for the series figure.  Every builder checks its input
+percent-of-salary, and the yearly M1 series) and the two basket listings
+(every quote in minutes, every quote as a percent of its salary).  The
+plot-data file for the series figure is one more table, of verbatim
+columns whose amounts its view gives as fixed-point text, and leaves
+through :func:`write_table` like every table.  Every builder checks its input
 before it returns.  All of them except table 2, which is as small as its
 rate table, return a :class:`RowView`: its rows are made a block at a
 time as they are written, so a table is never held while it is written.
@@ -27,8 +29,8 @@ shape-checked and turned into columns a block at a time.
 
 A column's rule becomes text in one place, ``_rule_columns``: it gives
 each column its cell formatter and its passes, and gives
-:func:`format_cell` its formatter.  Tables and plot data are written a
-block of about ``_BLOCK_CELLS`` cells at a time.  Each block is formatted
+:func:`format_cell` its formatter.  Tables are written a block of about
+``_BLOCK_CELLS`` cells at a time.  Each block is formatted
 column by column: a run of adjacent columns with one rule and one cell
 type goes through one C-level pass (``quantize`` then scientific text for
 decimals, ``int.__repr__`` for whole numbers at 0 decimals), and any run
@@ -97,7 +99,6 @@ __all__ = [
 ]
 
 _BILLION = Decimal("1e9")
-_HUNDRED = Decimal(100)
 _INFINITY = Decimal("Infinity")
 
 
@@ -110,6 +111,7 @@ class TableId(Enum):
     T5 = "5"
     BASKET = "basket"
     PERCENT = "percent"
+    PLOT = "plot"
 
 
 @dataclass(frozen=True)
@@ -240,7 +242,6 @@ def _verbatim_pass(cells) -> Sequence:
 
 
 _VERBATIM = (_verbatim, lambda kind: _verbatim_pass)
-_PLAIN = (_plain, {Decimal: _plain_pass}.get)
 
 
 def _rule_columns(rules: Sequence[ColumnRule]) -> list[tuple]:
@@ -373,14 +374,6 @@ def _write_block(sink: TextIO, writer, plan: _Plan, columns: Callable, start: in
     sink.write("\n".join(lines))
 
 
-def _write_csv(sink: TextIO, names: list[str], plan: _Plan, columns: Callable, count: int) -> None:
-    """The header, then ``count`` rows, a block of ``columns(start, stop)`` at a time."""
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(names)
-    for start, stop in _spans(count, len(names)):
-        _write_block(sink, writer, plan, columns, start, stop)
-
-
 def _shape_mismatch(spec: TableSpec, names: list[str], index: int, row) -> ShapeMismatch:
     return ShapeMismatch(
         f"table {spec.table_id.value} row {index}: expected columns {names}, "
@@ -427,7 +420,10 @@ def write_table(
     plan = _Plan(_rule_columns(spec.columns))
 
     if fmt == "csv":
-        _write_csv(sink, names, plan, columns, count)
+        writer = csv.writer(sink, lineterminator="\n")
+        writer.writerow(names)
+        for start, stop in _spans(count, len(names)):
+            _write_block(sink, writer, plan, columns, start, stop)
         return
 
     texts: list[list[str]] = [[] for _ in names]  # each column's cells, in row order
@@ -566,30 +562,20 @@ def build_table2(
     for code in overrides:
         if code not in quotes:
             raise UnknownCurrency(f"override {code} has no rate row")
+
+    def made():  # (code, rate text, minute value) of the base row, then of each rate row
+        yield base_cm.currency.code, "1", base_cm
+        for rate in rates:
+            if rate.base != base_cm.currency:
+                raise CurrencyMismatch(
+                    f"rate {rate.base}->{rate.quote} does not start from {base_cm.currency}"
+                )
+            yield rate.quote.code, _plain(rate.rate), overrides.get(rate.quote.code) or cross_cm(base_cm, rate)
+
     rows = [
-        {
-            "currency": base_cm.currency.code,
-            "rate": "1",
-            "cm": base_cm.value,
-            "source": base_cm.source.value,
-            "inverse_cm": invert_cm(base_cm),
-        }
+        {"currency": code, "rate": rate, "cm": cm.value, "source": cm.source.value, "inverse_cm": invert_cm(cm)}
+        for code, rate, cm in made()
     ]
-    for rate in rates:
-        if rate.base != base_cm.currency:
-            raise CurrencyMismatch(
-                f"rate {rate.base}->{rate.quote} does not start from {base_cm.currency}"
-            )
-        cm = overrides.get(rate.quote.code) or cross_cm(base_cm, rate)
-        rows.append(
-            {
-                "currency": rate.quote.code,
-                "rate": _plain(rate.rate),
-                "cm": cm.value,
-                "source": cm.source.value,
-                "inverse_cm": invert_cm(cm),
-            }
-        )
     return spec, rows
 
 
@@ -696,6 +682,21 @@ def _country_columns(table_id: TableId, baskets: Sequence[Basket], decimals: int
     return TableSpec(table_id, tuple(columns))
 
 
+def _with_salary_row(baskets: Sequence[Basket], labels: list, amounts: list[list]) -> None:
+    """Each basket's salary amount appended as the last row, when the baskets carry one.
+
+    Either every basket carries a salary row or none does; anything else is
+    refused with :class:`ShapeMismatch`.
+    """
+    salaries = [b.salary for b in baskets]
+    if any(s is not None for s in salaries):
+        if any(s is None for s in salaries):
+            raise ShapeMismatch("either every basket carries a salary row or none does")
+        labels.append((salaries[0].item, salaries[0].unit))
+        for column, salary in zip(amounts, salaries):
+            column.append(salary.amount)
+
+
 def build_table4(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
     """Food-basket prices and salaries in minutes, one column per country.
 
@@ -705,13 +706,7 @@ def build_table4(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
     spec = _country_columns(TableId.T4, baskets, decimals=0)
     values = [_cm_for(b, cms).value for b in baskets]
     labels, amounts = _aligned_amounts(baskets)
-    salaries = [b.salary for b in baskets]
-    if any(s is not None for s in salaries):
-        if any(s is None for s in salaries):
-            raise ShapeMismatch("either every basket carries a salary row or none does")
-        labels.append((salaries[0].item, salaries[0].unit))
-        for column, salary in zip(amounts, salaries):
-            column.append(salary.amount)
+    _with_salary_row(baskets, labels, amounts)
 
     def make(i):
         return (*labels[i], *[column[i] / value for column, value in zip(amounts, values)])
@@ -723,21 +718,16 @@ def build_table4b(baskets: Sequence[Basket]):
     """Basket items as percent of the salary; minute values cancel out.
 
     A row per (item, unit) label: a basket that lists one label twice is
-    refused with :class:`ShapeMismatch` naming it.
+    refused with :class:`ShapeMismatch` naming it.  The salary row is the
+    last, made like every other, so it reads 100.
     """
     spec = _country_columns(TableId.T4B, baskets, decimals=2)
     salaries = [_salary_minutes(b) for b in baskets]
     labels, amounts = _aligned_amounts(baskets)
-    items = len(labels)
-    hundreds = [_HUNDRED] * len(baskets)
-    if baskets:
-        labels.append((baskets[0].salary.item, baskets[0].salary.unit))
+    _with_salary_row(baskets, labels, amounts)
 
     def make(i):
-        if i == items:
-            return (*labels[i], *hundreds)
-        percents = [100 * (column[i] / 1) / salary for column, salary in zip(amounts, salaries)]
-        return (*labels[i], *percents)
+        return (*labels[i], *[100 * (column[i] / 1) / salary for column, salary in zip(amounts, salaries)])
 
     return spec, RowView(spec, _made_rows(make), len(labels))
 
@@ -878,24 +868,25 @@ def write_plot_data(
     With an extrema report, a marker column labels peak/trough years.
     ``minutes`` may pass in :func:`series_in_monmin` of the series when the
     caller already has it; it must hold one ``(year, value)`` per series
-    year, in order, or :class:`ShapeMismatch` is raised.  Rows go out a
-    block at a time, through the same writer as the tables.
+    year, in order, or :class:`ShapeMismatch` is raised.  The plot data is a
+    table of verbatim columns, its amounts given as fixed-point text, and
+    goes out through :func:`write_table` like every table.
     """
     minutes = _minutes_of(series, minutes)
-    header = ["year", "m1_currency", "m1_monmin", "gdp_currency"]
-    layout = [_VERBATIM, _PLAIN, _PLAIN, _PLAIN]
+    names = ["year", "m1_currency", "m1_monmin", "gdp_currency"]
     markers = None
     if extrema is not None:
-        markers = dict.fromkeys(extrema.troughs, "trough")
-        markers.update(dict.fromkeys(extrema.peaks, "peak"))
-        header.append("extremum")
-        layout.append(_VERBATIM)
+        markers = {**dict.fromkeys(extrema.troughs, "trough"), **dict.fromkeys(extrema.peaks, "peak")}
+        names.append("extremum")
+    spec = TableSpec(TableId.PLOT, tuple(map(ColumnRule, names)))
 
     def columns(start, stop):
-        block = _series_columns(series, minutes, start, stop)
-        return block if markers is None else [*block, list(map(markers.get, block[0], repeat("")))]
+        year, *amounts = _series_columns(series, minutes, start, stop)
+        # every column as text, so that the verbatim pass hands the block back as it is
+        block = [_verbatim_pass(year), *map(_plain_pass, amounts)]
+        return block if markers is None else [*block, list(map(markers.get, year, repeat("")))]
 
-    _write_csv(sink, header, _Plan(layout), columns, len(series.years))
+    write_table(spec, RowView(spec, columns, len(series.years)), sink)
 
 
 def emit_plot_data(

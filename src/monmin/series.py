@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import groupby
+from operator import itemgetter
 
 from .core import _ZERO, CurrencyCode, TimeStandard, _finite_decimal, _made, _slot_setters
 from .errors import EmptySeries, NonMonotoneYears, NonPositiveInput, TooShort
@@ -124,17 +126,11 @@ def detect_extrema(values) -> ExtremaReport:
             raise NonMonotoneYears(f"years must be strictly increasing: {y0} then {y1}")
 
     # collapse plateaus to their first year, then triple-scan
-    compressed: list[tuple[int, Decimal]] = []
-    for year, value in points:
-        if not compressed or compressed[-1][1] != value:
-            compressed.append((year, value))
-
-    peaks: list[int] = []
-    troughs: list[int] = []
-    for i in range(1, len(compressed) - 1):
-        before, here, after = compressed[i - 1][1], compressed[i][1], compressed[i + 1][1]
+    compressed = [next(run) for _, run in groupby(points, itemgetter(1))]
+    peaks, troughs = [], []
+    for (_, before), (year, here), (_, after) in zip(compressed, compressed[1:], compressed[2:]):
         if here > before and here > after:
-            peaks.append(compressed[i][0])
+            peaks.append(year)
         elif here < before and here < after:
-            troughs.append(compressed[i][0])
+            troughs.append(year)
     return ExtremaReport(peaks=tuple(peaks), troughs=tuple(troughs))

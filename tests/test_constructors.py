@@ -151,6 +151,14 @@ REJECTIONS = [
      NonPositiveInput, "minute value must be > 0, got -0.5 USD"),
     (lambda: MonMinValue(USD, None),
      TypeError, "cannot convert NoneType to Decimal"),
+    (lambda: MonMinValue(None, D("0.5")),
+     TypeError, "currency must be a CurrencyCode, got None"),
+    (lambda: MonMinValue("USD", D("0.5")),
+     TypeError, "currency must be a CurrencyCode, got 'USD'"),
+    (lambda: PriceQuote("x", "", None, D(3)),
+     TypeError, "currency must be a CurrencyCode, got None"),
+    (lambda: PriceQuote("x", "", "USD", D(3)),
+     TypeError, "currency must be a CurrencyCode, got 'USD'"),
     (lambda: PriceQuote("Gold", "1 oz", USD, D("-0.01")),
      NonPositiveInput, "Gold: amount must be >= 0, got -0.01"),
     (lambda: PriceQuote("Gold", "1 oz", USD, -2),

@@ -135,6 +135,12 @@ class TestRenderTable:
     def test_empty_dataset_renders_header_only(self):
         assert render_table(self.SPEC, []) == "name,value,count\n"
 
+    def test_a_table_of_no_columns_keeps_every_row_across_blocks(self):
+        spec, rows = TableSpec(TableId.T1, ()), [{}] * 10
+        with mock.patch.object(report, "_BLOCK_CELLS", 4):  # blocks of 4 rows start at 0, 4 and 8
+            for fmt in ("csv", "text"):
+                assert render_table(spec, rows, fmt) == reference_render(spec, rows, fmt) == "\n" * 11
+
     def test_shape_mismatch(self):
         expected = "table 1 row 1: expected columns ['name', 'value', 'count'], got "
         good = {"name": "a", "value": D(1), "count": 1}
@@ -412,6 +418,20 @@ class TestTable4And4b:
         text = render_table(spec, rows)
         assert text.splitlines()[-1].endswith("100.00,100.00,100.00,100.00,100.00,100.00")
 
+    def test_a_salary_wider_than_the_context_still_reads_100(self):
+        """The salary row is made like every other: ``100 * (amount / 1) / salary``, exactly 100."""
+        usd, eur = CurrencyCode("USD"), CurrencyCode("EUR")
+        wide = D("123456789012345678901234567890123.456789")  # 39 digits, rounded by ``/ 1``
+        baskets = [
+            Basket(country, code, (PriceQuote("Bread", "kg", code, D(7)),),
+                   PriceQuote("Salary", "month", code, salary))
+            for country, code, salary in (("A", usd, wide), ("B", eur, D("2000")))
+        ]
+        spec, rows = build_table4b(baskets)
+        assert len(rows) == 2
+        assert rows[-1] == {"item": "Salary", "unit": "month", "A": 100, "B": 100}
+        assert render_table(spec, rows).splitlines()[-1] == "Salary,month,100.00,100.00"
+
     def test_salary_in_only_some_baskets_is_refused(self, fixtures):
         baskets, _ = load_basket(fixtures / "basket_food.csv")
         unpaid = dataclasses.replace(baskets[1], salary=None)
@@ -612,6 +632,19 @@ class TestTable5AndPlotData:
             with pytest.raises(ShapeMismatch, match=f"^{message}$"):
                 emit_plot_data(series, None, bad)
         assert emit_plot_data(series, None, minutes) == emit_plot_data(series)
+
+    def test_minutes_of_other_number_types_print_as_each_cell_alone(self):
+        """Whole-number minutes among decimals print as they would alone; a float is refused after the rows before it."""
+        years = [AggregateYear(2000 + i, D(f"{i + 1}E+{20 + 3 * i}"), D("5E+3"), 10) for i in range(300)]
+        series = AggregateSeries(CurrencyCode("USD"), years)
+        minutes = series_in_monmin(series)
+        mixed = [(year, int(value) if i % 3 == 0 else value) for i, (year, value) in enumerate(minutes)]
+        assert emit_plot_data(series, None, mixed) == emit_plot_data(series)
+        floated = [(year, float(value) if i == 200 else value) for i, (year, value) in enumerate(minutes)]
+        sink = io.StringIO()
+        with pytest.raises(TypeError):
+            report.write_plot_data(series, sink, None, floated)
+        assert sink.getvalue() == "".join(emit_plot_data(series).splitlines(keepends=True)[:201])
 
     def test_plot_data_writes_like_the_per_row_reference(self, fixtures):
         series, _ = load_series(fixtures / "series_us.csv")
