@@ -8,21 +8,34 @@ hypothetical parity rates, and tracks the M1 money stock in minutes over
 time, with CSV ingestion and deterministic table rendering on top.
 
 Each module lists its public names in its own ``__all__``; the package
-exports exactly their union.
+exports exactly their union.  ``import monmin`` loads none of them: a
+submodule, or the module that lists a name, is imported on first use
+(PEP 562), walking the modules from the lowest layer up, so
+``monmin.CurrencyCode`` loads ``errors`` and ``core`` alone.  ``__all__``
+itself, and so ``from monmin import *``, imports all of them.
 """
 
-from . import core, errors, ingest, report, series
-from .core import *
-from .errors import *
-from .ingest import *
-from .report import *
-from .series import *
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = []
-__all__ += core.__all__
-__all__ += errors.__all__
-__all__ += ingest.__all__
-__all__ += report.__all__
-__all__ += series.__all__
+_LAYERS = ("errors", "core", "series", "ingest", "report")  # each after the modules it imports
+
+
+def __getattr__(name: str):
+    if name == "__all__":
+        value = [public for module in map(_import, _LAYERS) for public in module.__all__]
+    elif name in _LAYERS or name == "cli":
+        value = _import(name)
+    else:  # a private name is never looked for, so a probe such as hasattr(monmin, "_x") imports nothing
+        homes = (module for module in map(_import, _LAYERS) if name in module.__all__)
+        home = None if name.startswith("_") else next(homes, None)
+        if home is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(home, name)
+    globals()[name] = value
+    return value
+
+
+def _import(layer: str):
+    return _import_module(f".{layer}", __name__)

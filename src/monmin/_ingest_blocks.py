@@ -26,7 +26,6 @@ from . import ingest
 from .core import CurrencyCode, EconomySnapshot, TimeStandard, _iso_date, _quotes, _snapshots
 from .errors import MonMinError
 from .ingest import _DIRECTIVE_RE, _ESCAPED_RE, IngestReport, Issue, _baskets, _Once, _scale_factor
-from .series import AggregateSeries, AggregateYear, _years
 
 _MAYBE_DROPPED_RE = re.compile(r"[\s#]")  # a line's first character, when the line may be dropped
 _ROLES = frozenset(("item", "salary"))
@@ -192,6 +191,7 @@ def load_basket(path, known: set[str] | None):
 
 def load_series(path, currency: CurrencyCode, std: TimeStandard):
     """``ingest.load_series``'s result from a block pass, or None."""
+    from .series import AggregateSeries, AggregateYear, _years
 
     def build(scale, blocks):
         years: list[AggregateYear] = []

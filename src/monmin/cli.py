@@ -7,6 +7,13 @@ to stderr; an output file is replaced only when the command succeeds.
 resolves every setting: a flag wins over its environment variable, which
 wins over the optional JSON ``--config`` file, and each option's callback
 checks and parses its value before the command reads any input file.
+
+Only ``click``, the stdlib and ``errors`` load with this module, so
+``--help`` and a usage error import no arithmetic.  Each command imports
+the ``ingest``, ``report`` and ``series`` it runs in its own body, and an
+option callback imports the ``core`` type it builds only when its option
+is given; a module imported at the top of this file is paid by every
+``--help``.
 """
 from __future__ import annotations
 
@@ -20,21 +27,7 @@ from pathlib import Path
 
 import click
 
-from . import ingest, report
-from .core import (
-    CmSource,
-    CurrencyCode,
-    ExchangeRate,
-    MonMinPrice,
-    MonMinValue,
-    PriceQuote,
-    TimeStandard,
-    compute_cm,
-    parity_rate,
-    to_monmin,
-)
 from .errors import CurrencyMismatch, IngestFailure, MonMinError, ShapeMismatch
-from .series import detect_extrema, series_in_monmin
 
 _TETCY_HELP = "Minutes per year (default 525600; env MONMIN_TETCY)."
 # The printed result holds every decimal asked for, and memory grows with them.
@@ -102,27 +95,41 @@ def _decimal(ctx, param, text) -> Decimal | None:
 
 
 def _currency(ctx, param, text) -> CurrencyCode | None:
-    """The ``--currency`` code; convert's, with no default, is None when not given."""
+    """The ``--currency`` code; None when not given, and then ``series`` and ``report`` leave USD to the loader."""
     if text is None:
         return None
+    from .core import CurrencyCode
+
     try:
         return CurrencyCode(text.upper())
     except ValueError as exc:
         raise click.UsageError(f"--currency {text!r}: {exc}")
 
 
-def _tetcy(ctx, param, raw) -> TimeStandard:
-    """The time standard from the flag, ``MONMIN_TETCY`` or the config, else the default.
+def _tetcy(ctx, param, raw) -> TimeStandard | None:
+    """The time standard from the flag, ``MONMIN_TETCY`` or the config; None when none gives one.
 
     The option takes its value unprocessed, so a config value that is not a
     string (``true``, ``[1]``) is named in the refusal as written.
     """
     if raw is None:
-        return TimeStandard()
+        return None
     value = _decimal_flag(raw, "--tetcy")
     if value <= 0:
         raise click.UsageError(f"--tetcy must be > 0, got {value}")
+    from .core import TimeStandard
+
     return TimeStandard(value)
+
+
+def _given(**settings) -> dict:
+    """The settings that were given; a library function's own default stands for each None.
+
+    ``--currency`` and ``--tetcy`` leave their defaults (USD, 525600 minutes)
+    to the loaders and builders, so a command that stops at a usage error
+    builds no ``core`` type and never imports it.
+    """
+    return {name: value for name, value in settings.items() if value is not None}
 
 
 def _decimals(ctx, param, places: int) -> int:
@@ -197,6 +204,10 @@ def _open_out(path):
 
 def _cm_entries(ctx, param, entries) -> dict[str, MonMinValue]:
     """The repeatable ``--cm CODE=VALUE`` as manual minute values, checked whatever the command or table uses."""
+    if not entries:
+        return {}
+    from .core import CmSource, CurrencyCode, MonMinValue
+
     values: dict[str, MonMinValue] = {}
     for raw in entries:
         code, sep, number = raw.partition("=")
@@ -213,7 +224,10 @@ def _cm_entries(ctx, param, entries) -> dict[str, MonMinValue]:
     return values
 
 
-def _cms_from_economies(path, std: TimeStandard) -> dict[str, MonMinValue]:
+def _cms_from_economies(path, std: TimeStandard | None) -> dict[str, MonMinValue]:
+    from . import ingest
+    from .core import compute_cm
+
     snapshots = _run_load(ingest.load_economies, path)
     values: dict[str, MonMinValue] = {}
     for snapshot in snapshots:
@@ -221,11 +235,11 @@ def _cms_from_economies(path, std: TimeStandard) -> dict[str, MonMinValue]:
             raise CurrencyMismatch(
                 f"multiple economies share currency {snapshot.currency}; pass --cm explicitly"
             )
-        values[snapshot.currency.code] = compute_cm(snapshot, std)
+        values[snapshot.currency.code] = compute_cm(snapshot, **_given(std=std))
     return values
 
 
-def _gather_cms(manual, economies_path, std: TimeStandard) -> dict[str, MonMinValue]:
+def _gather_cms(manual, economies_path, std: TimeStandard | None) -> dict[str, MonMinValue]:
     values = _cms_from_economies(economies_path, std) if economies_path else {}
     values.update(manual)  # explicit flags win
     if not values:
@@ -235,10 +249,12 @@ def _gather_cms(manual, economies_path, std: TimeStandard) -> dict[str, MonMinVa
 
 def _note_cm_sources(values: dict[str, MonMinValue]) -> None:
     """One stderr line per minute value used: fixed-point, or scientific with "E" past 30 zeros."""
+    from .ingest import _sci_text
+
     for code in values:
         cm = values[code]
         value = cm.value
-        text = format(value, "f") if abs(value.adjusted()) <= 30 else ingest._sci_text(value)
+        text = format(value, "f") if abs(value.adjusted()) <= 30 else _sci_text(value)
         click.echo(f"cm {code}={text} source={cm.source.value}", err=True)
 
 
@@ -255,9 +271,11 @@ def cli():
 @click.option("--out", default=None, help="Write the table to this path instead of stdout.")
 def cmd_cm(economies_path, std, fmt, out):
     """Per-country Monetary Minute values from an economies file."""
+    from . import ingest, report
+
     snapshots = _run_load(ingest.load_economies, economies_path)
     with _open_out(out) as sink:
-        report.write_table(*report.build_table1(snapshots, std), sink, fmt)
+        report.write_table(*report.build_table1(snapshots, **_given(std=std)), sink, fmt)
 
 
 @cli.command("convert")
@@ -271,6 +289,9 @@ def cmd_cm(economies_path, std, fmt, out):
 @click.option("--config", is_eager=True, expose_value=False, callback=_read_config, help="Optional JSON config file.")
 def cmd_convert(amount, currency, cm_value, economies_path, country, std, decimals):
     """Convert a currency price into Monetary Minutes."""
+    from . import ingest, report
+    from .core import CmSource, CurrencyCode, MonMinValue, PriceQuote, compute_cm, to_monmin
+
     if cm_value is not None and economies_path:
         raise click.UsageError("use either --cm or --economies, not both")
     if cm_value is not None:
@@ -284,7 +305,7 @@ def cmd_convert(amount, currency, cm_value, economies_path, country, std, decima
             raise MonMinError(f"country {country!r} not found in {economies_path}")
         if currency and snapshot.currency != currency:
             raise CurrencyMismatch(f"{country} is in {snapshot.currency}, not {currency}")
-        cm = compute_cm(snapshot, std)
+        cm = compute_cm(snapshot, **_given(std=std))
     else:
         raise click.UsageError(
             "missing minute-value source: pass --cm or --economies with --country"
@@ -306,6 +327,9 @@ def cmd_convert(amount, currency, cm_value, economies_path, country, std, decima
 @click.option("--item", default="item", help="Item label for both prices.")
 def cmd_parity(rate, ref_value, local_value, item):
     """Hypothetical rate that equalizes an item's minute price."""
+    from . import report
+    from .core import CurrencyCode, ExchangeRate, MonMinPrice, parity_rate
+
     current = ExchangeRate(CurrencyCode("REF"), CurrencyCode("LOC"), rate)
     ref_price = MonMinPrice(item, CurrencyCode("REF"), ref_value)
     local_price = MonMinPrice(item, CurrencyCode("LOC"), local_value)
@@ -322,6 +346,8 @@ def cmd_parity(rate, ref_value, local_value, item):
 @click.option("--out", default=None, help="Write the listing to this path instead of stdout.")
 def cmd_basket(basket_path, economies_path, manual, std, out):
     """Re-express every basket quote in Monetary Minutes."""
+    from . import ingest, report
+
     cms = _gather_cms(manual, economies_path, std)
     baskets = _run_load(ingest.load_basket, basket_path, known_currencies=cms.keys())
     spec, rows = report.build_basket_listing(baskets, cms)
@@ -335,6 +361,8 @@ def cmd_basket(basket_path, economies_path, manual, std, out):
 @click.option("--out", default=None, help="Write the listing to this path instead of stdout.")
 def cmd_percent(basket_path, out):
     """Each basket item as a percent of that basket's salary."""
+    from . import ingest, report
+
     baskets = _run_load(ingest.load_basket, basket_path)
     with _open_out(out) as sink:
         report.write_table(*report.build_percent_listing(baskets), sink)
@@ -342,7 +370,7 @@ def cmd_percent(basket_path, out):
 
 @cli.command("series")
 @click.option("--series", "series_path", required=True, help="Yearly aggregates CSV file.")
-@click.option("--currency", default="USD", callback=_currency, help="Currency of the series (default USD).")
+@click.option("--currency", default=None, callback=_currency, help="Currency of the series (default USD).")
 @click.option("--tetcy", "std", envvar="MONMIN_TETCY", type=click.UNPROCESSED, callback=_tetcy, help=_TETCY_HELP)
 @click.option("--config", is_eager=True, expose_value=False, callback=_read_config, help="Optional JSON config file.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "text"]), default="csv")
@@ -351,7 +379,10 @@ def cmd_percent(basket_path, out):
 @click.option("--out", default=None, help="Write the table to this path instead of stdout.")
 def cmd_series(series_path, currency, std, fmt, extrema, plot_path, out):
     """Yearly M1 in Monetary Minutes: table, optional extrema and plot data."""
-    aggregate = _run_load(ingest.load_series, series_path, currency=currency, std=std)
+    from . import ingest, report
+    from .series import detect_extrema, series_in_monmin
+
+    aggregate = _run_load(ingest.load_series, series_path, **_given(currency=currency, std=std))
     minutes = series_in_monmin(aggregate)
     spec, rows = report.build_table5(aggregate, minutes)
     found = detect_extrema(minutes) if extrema else None
@@ -373,7 +404,7 @@ def cmd_series(series_path, currency, std, fmt, extrema, plot_path, out):
 @click.option("--basket", "basket_path", default=None, help="Basket CSV file.")
 @click.option("--series", "series_path", default=None, help="Yearly aggregates CSV file.")
 @click.option("--cm", "manual", multiple=True, callback=_cm_entries, help="CODE=VALUE manual minute value (repeatable).")
-@click.option("--currency", default="USD", callback=_currency, help="Series currency (table 5 only).")
+@click.option("--currency", default=None, callback=_currency, help="Series currency (table 5 only).")
 @click.option("--tetcy", "std", envvar="MONMIN_TETCY", type=click.UNPROCESSED, callback=_tetcy, help=_TETCY_HELP)
 @click.option("--config", is_eager=True, expose_value=False, callback=_read_config, help="Optional JSON config file.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "text"]), default="csv")
@@ -387,9 +418,10 @@ def cmd_report(
     }.get(table_id, ("--basket", basket_path))
     if not path:
         raise click.UsageError(f"table {table_id} needs {flag}")
+    from . import ingest, report
 
     if table_id == "1":
-        spec, rows = report.build_table1(_run_load(ingest.load_economies, path), std)
+        spec, rows = report.build_table1(_run_load(ingest.load_economies, path), **_given(std=std))
     elif table_id == "2":
         rates = _run_load(ingest.load_rates, path)
         bases = {rate.base.code for rate in rates}
@@ -409,7 +441,7 @@ def cmd_report(
     elif table_id == "4b":
         spec, rows = report.build_table4b(_run_load(ingest.load_basket, path))
     else:
-        spec, rows = report.build_table5(_run_load(ingest.load_series, path, currency=currency, std=std))
+        spec, rows = report.build_table5(_run_load(ingest.load_series, path, **_given(currency=currency, std=std)))
 
     with _open_out(out) as sink:
         report.write_table(spec, rows, sink, fmt)
@@ -422,7 +454,9 @@ def main(argv=None) -> int:
     snapshots and quotes it builds form no reference cycles, so reference
     counting frees them, and the collector would only rescan every live
     object again and again as they are made.  Its previous state is restored
-    on the way out.
+    on the way out.  The command's own modules are imported while it is
+    off too: their classes and functions form reference cycles, but those
+    stay reachable from ``sys.modules`` and are never garbage.
     """
     collecting = gc.isenabled()
     gc.disable()

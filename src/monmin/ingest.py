@@ -51,14 +51,16 @@ from itertools import compress, repeat
 from operator import attrgetter, is_not
 from pathlib import Path
 from stat import S_ISREG
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .core import CurrencyCode, EconomySnapshot, ExchangeRate, PriceQuote, RateTable, TimeStandard
 from .errors import (
     CurrencyMismatch, DuplicateCountry, DuplicatePair, MalformedRow, MonMinError, NonMonotoneYears,
     UnknownCurrency,
 )
-from .series import AggregateSeries, AggregateYear
+
+if TYPE_CHECKING:  # only load_series imports it
+    from .series import AggregateSeries
 
 __all__ = [
     "Basket",
@@ -450,6 +452,8 @@ def load_series(
     The file format carries no currency column, so the caller names the
     series currency (default USD).
     """
+    from .series import AggregateSeries, AggregateYear  # here, so that only a series load imports it
+
     blocks = _block_path(path)
     loaded = blocks and blocks.load_series(path, currency, std)
     if loaded:

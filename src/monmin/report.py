@@ -62,7 +62,7 @@ from decimal import (
 from enum import Enum
 from itertools import accumulate, chain, groupby, repeat
 from operator import attrgetter, eq, itemgetter, lt, mul, truediv
-from typing import Callable, Collection, Iterator, Mapping, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Collection, Iterator, Mapping, Sequence, TextIO
 
 from .core import (
     _ZERO,
@@ -76,7 +76,9 @@ from .core import (
 )
 from .errors import CurrencyMismatch, NonPositiveInput, ShapeMismatch, UnknownCurrency
 from .ingest import Basket, _plain, _sci_text
-from .series import AggregateSeries, ExtremaReport, series_in_monmin
+
+if TYPE_CHECKING:  # only the series functions import it
+    from .series import AggregateSeries, ExtremaReport
 
 __all__ = [
     "ColumnRule",
@@ -847,6 +849,8 @@ def _series_columns(series: AggregateSeries, minutes: Sequence[tuple[int, Decima
 def _minutes_of(series: AggregateSeries, minutes: Sequence[tuple[int, Decimal]] | None):
     """``minutes``, checked to hold one ``(year, value)`` per series year in order; by default the series' own."""
     if minutes is None:
+        from .series import series_in_monmin
+
         return series_in_monmin(series)
     years = series.years
     if len(minutes) != len(years):

@@ -25,16 +25,21 @@ the values already loaded.  Stages:
   written as CSV into memory.
 
 It also times whole ``monmin`` processes, alternating ``--repeat`` times
-between ``python -c pass`` and ``report --table 1`` on
-``tests/fixtures/economies_table1.csv``, and prints the median of each
-part of a process, in milliseconds:
+between ``python -c pass``, ``python -m monmin.cli --help`` and ``report
+--table 1`` on ``tests/fixtures/economies_table1.csv``, and prints the
+median of each part of a process, in milliseconds:
 
 * ``process_bare``: ``python -c pass``, the interpreter alone;
+* ``process_help``: the whole ``--help`` process, which loads ``monmin``,
+  ``monmin.cli`` and ``monmin.errors`` alone;
 * ``process_whole``: the ``report --table 1`` process, from its start to
   its end as the parent sees them;
 * ``process_import``: from its start until ``monmin.cli`` is imported,
-  interpreter start-up included;
-* ``process_command``: from then until ``cli.main`` returns;
+  interpreter start-up included; the command's own modules are not
+  loaded yet;
+* ``process_command``: from then until ``cli.main`` returns, which
+  includes importing ``core``, ``ingest`` and ``report``, the modules
+  the command runs;
 * ``process_exit``: from then until the process has ended.
 
 The child is a ``-c`` wrapper that writes ``time.perf_counter()`` (the
@@ -181,13 +186,17 @@ def stage_times(paths: dict[str, Path], repeat: int) -> dict[str, float]:
     return {name: _median_ms(run, repeat) for name, run in stages.items()}
 
 
-def _process(code: str, *argv: str) -> list[float]:
-    """When a ``python -c code`` child started, the times it wrote to the pipe, and when it ended, on one clock."""
+def _process(code: str | None, *argv: str) -> list[float]:
+    """When a ``python -c code`` child started, the times it wrote to the pipe, and when it ended, on one clock.
+
+    With no code the child is ``python -m monmin.cli argv``, which writes no times.
+    """
     read, write = os.pipe()
+    args = ["-c", code, str(write)] if code else ["-m", "monmin.cli"]
     with open(read, "rb") as pipe:
         try:
             start = time.perf_counter()
-            child = subprocess.Popen([sys.executable, "-c", code, str(write), *argv], stdin=subprocess.DEVNULL,
+            child = subprocess.Popen([sys.executable, *args, *argv], stdin=subprocess.DEVNULL,
                                      stdout=subprocess.DEVNULL, pass_fds=(write,))
         finally:
             os.close(write)
@@ -200,11 +209,13 @@ def _process(code: str, *argv: str) -> list[float]:
 
 
 def process_times(count: int) -> dict[str, float]:
-    """The median parts of ``count`` ``report --table 1`` processes, each run after a bare interpreter."""
-    parts: dict[str, list[float]] = {name: [] for name in ("bare", "whole", "import", "command", "exit")}
+    """The median parts of ``count`` ``report --table 1`` processes, each run after a bare interpreter and ``--help``."""
+    parts: dict[str, list[float]] = {name: [] for name in ("bare", "help", "whole", "import", "command", "exit")}
     for _ in range(count):
         start, end = _process("pass")
         parts["bare"].append(end - start)
+        start, end = _process(None, "--help")
+        parts["help"].append(end - start)
         start, imported, returned, end = _process(_WRAPPER, *TABLE1)
         parts["whole"].append(end - start)
         parts["import"].append(imported - start)
