@@ -22,12 +22,12 @@ import os
 import stat
 import sys
 from contextlib import ExitStack, contextmanager
-from decimal import Decimal, InvalidOperation, Overflow, getcontext
+from decimal import Decimal, InvalidOperation, Overflow
 from pathlib import Path
 
 import click
 
-from .errors import CurrencyMismatch, IngestFailure, MonMinError, ShapeMismatch
+from .errors import CurrencyMismatch, IngestFailure, MonMinError, ShapeMismatch, _overflow
 
 _TETCY_HELP = "Minutes per year (default 525600; env MONMIN_TETCY)."
 # The printed result holds every decimal asked for, and memory grows with them.
@@ -485,11 +485,7 @@ def _run(argv) -> int:
         click.echo(f"error: {exc}", err=True)
         return 2
     except Overflow:
-        click.echo(
-            f"error: Overflow: a result exceeds the decimal range "
-            f"(largest exponent {getcontext().Emax})",
-            err=True,
-        )
+        click.echo(f"error: {_overflow('a result')}", err=True)
         return 2
     return 0
 

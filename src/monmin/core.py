@@ -20,7 +20,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import date
-from decimal import Decimal
+from decimal import Decimal, Overflow
 from enum import Enum
 from itertools import repeat
 
@@ -30,6 +30,7 @@ from .errors import (
     ItemMismatch,
     ItemMismatchWarning,
     NonPositiveInput,
+    _overflow,
 )
 
 __all__ = [
@@ -393,9 +394,14 @@ def compute_cm(econ: EconomySnapshot, std: TimeStandard = TimeStandard()) -> Mon
 
     Full 28-digit precision is kept; callers round only when reporting.
     :func:`monmin.report.build_table1` makes the same division in each row,
-    without building a :class:`MonMinValue`.
+    without building a :class:`MonMinValue`.  A quotient past the decimal
+    exponent range raises an ``Overflow:`` :class:`MonMinError` that names
+    the country.
     """
-    value = econ.gdp / econ.population / std.minutes_per_year
+    try:
+        value = econ.gdp / econ.population / std.minutes_per_year
+    except Overflow:
+        raise _overflow(f"{econ.country}: cm = gdp / population / minutes_per_year") from None
     return MonMinValue(econ.currency, value, CmSource.COMPUTED_FROM_GDP)
 
 

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all monmin modules."""
 
+from decimal import getcontext
+
 __all__ = [
     "CurrencyMismatch",
     "DuplicateCountry",
@@ -77,3 +79,8 @@ class IngestFailure(MonMinError):
 
 class ItemMismatchWarning(UserWarning):
     """Non-fatal variant of ItemMismatch (the computation still runs)."""
+
+
+def _overflow(what: str) -> MonMinError:
+    """The error for ``what`` past the decimal exponent range: a figure, and its row where one is known."""
+    return MonMinError(f"Overflow: {what} exceeds the decimal range (largest exponent {getcontext().Emax})")

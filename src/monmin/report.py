@@ -71,6 +71,7 @@ from .core import (
     RateTable,
     TimeStandard,
     as_decimal,
+    compute_cm,
     cross_cm,
     invert_cm,
 )
@@ -506,7 +507,8 @@ def build_table1(snapshots, std: TimeStandard = TimeStandard()):
     :func:`compute_cm` makes, left to right, so the same figure to the last
     digit, with no :class:`MonMinValue` made per row.  A ``cm`` that is not
     positive and finite is refused with the minute value's own message
-    when its block is made.
+    when its block is made, and one past the decimal exponent range with
+    :func:`compute_cm`'s, which names the country.
     """
     spec = TableSpec(
         TableId.T1,
@@ -527,8 +529,13 @@ def build_table1(snapshots, std: TimeStandard = TimeStandard()):
     def columns(start, stop):
         block = snapshots[start:stop]
         country, code, gdp, population = (list(map(attrgetter(name), block)) for name in _SNAPSHOT_FIELDS)
-        per_capita = list(map(truediv, gdp, population))
-        cm = list(map(truediv, per_capita, repeat(minutes)))
+        try:
+            per_capita = list(map(truediv, gdp, population))
+            cm = list(map(truediv, per_capita, repeat(minutes)))
+        except Overflow:
+            for snapshot in block:
+                compute_cm(snapshot, std)  # raises the overflow with the country named
+            raise
         if not (all(map(lt, repeat(_ZERO), cm)) and all(map(lt, cm, repeat(_INFINITY)))):
             for snapshot, value in zip(block, cm):
                 if not _ZERO < value < _INFINITY:

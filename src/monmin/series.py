@@ -9,12 +9,12 @@ first year of the run, and the series endpoints are never extrema.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, Overflow
 from itertools import groupby
 from operator import itemgetter
 
 from .core import _ZERO, CurrencyCode, TimeStandard, _finite_decimal, _made, _slot_setters
-from .errors import EmptySeries, NonMonotoneYears, NonPositiveInput, TooShort
+from .errors import EmptySeries, NonMonotoneYears, NonPositiveInput, TooShort, _overflow
 
 __all__ = [
     "AggregateSeries",
@@ -106,8 +106,20 @@ def m1_in_monmin(y: AggregateYear, std: TimeStandard = TimeStandard()) -> Decima
 
 
 def series_in_monmin(s: AggregateSeries) -> list[tuple[int, Decimal]]:
-    """Element-wise :func:`m1_in_monmin` over a series, order preserved."""
-    return [(y.year, m1_in_monmin(y, s.std)) for y in s.years]
+    """Element-wise :func:`m1_in_monmin` over a series, order preserved.
+
+    A value past the decimal exponent range raises an ``Overflow:``
+    :class:`MonMinError` that names its year.
+    """
+    try:
+        return [(y.year, m1_in_monmin(y, s.std)) for y in s.years]
+    except Overflow:
+        for y in s.years:  # the year is looked for only here, at no cost to the list above
+            try:
+                m1_in_monmin(y, s.std)
+            except Overflow:
+                raise _overflow(f"{y.year}: m1 in minutes = m1 * population * minutes_per_year / gdp") from None
+        raise
 
 
 def detect_extrema(values) -> ExtremaReport:

@@ -5,9 +5,11 @@ import os
 import stat
 import subprocess
 import sys
+from collections import defaultdict
 from decimal import Decimal as D
 from pathlib import Path
 
+import click
 import pytest
 
 from conftest import FIXTURES, GOLDEN, golden_runs
@@ -415,8 +417,36 @@ def write_config(tmp_path, text):
     return str(config)
 
 
+def _shared_flags() -> dict[str, list[str]]:
+    """Each option that two or more commands declare with one callback and type, with those commands.
+
+    An option with neither a callback nor a choice (a path) refuses no value itself.
+    """
+    declared = defaultdict(list)
+    for name, command in cli.cli.commands.items():
+        for param in command.params:
+            if param.callback is not None or isinstance(param.type, click.Choice):
+                declared[param.opts[0], param.callback, repr(param.type)].append(name)
+    return {flag: names for (flag, _, _), names in declared.items() if len(names) > 1}
+
+
+SHARED_FLAGS = _shared_flags()
+
+
 class TestSettingsContract:
     """Each refused setting: exit 1 and the exact last stderr line, from every source it may come from."""
+
+    @pytest.mark.parametrize("flag", sorted(SHARED_FLAGS))
+    def test_a_shared_flag_is_refused_alike_by_every_command(self, capsys, tmp_path, flag):
+        bad = {"--cm": "USD", "--config": str(tmp_path / "absent.json"), "--currency": "U$D",
+               "--format": "xml", "--tetcy": "0"}[flag]
+        last = {}
+        for command in SHARED_FLAGS[flag]:
+            code, out, err = run(capsys, command, flag, bad)
+            assert (code, out) == (1, ""), command
+            last[command] = err.splitlines()[-1]
+        lines = set(last.values())
+        assert len(lines) == 1 and lines.pop().startswith("usage error: "), last
 
     @pytest.mark.parametrize(
         "text,message",
@@ -935,7 +965,13 @@ class TestFixedPointCells:
         assert (code, out) == (0, printed + "\n"), err
 
 
-OVERFLOW = "error: Overflow: a result exceeds the decimal range (largest exponent 999999)"
+def overflow(what: str) -> str:
+    return f"error: Overflow: {what} exceeds the decimal range (largest exponent 999999)"
+
+
+OVERFLOW = overflow("a result")
+CM_OF = "{}: cm = gdp / population / minutes_per_year"
+TABLE1_HEADER = "country,currency,gdp,population,gdp_per_capita,cm,source\n"
 
 
 class TestDecimalOverflow:
@@ -949,8 +985,43 @@ class TestDecimalOverflow:
         big.write_text("country,currency,gdp,population,as_of\nBig,USD,1E+400,10,2019-01-01\n")
         code, out, err = run(capsys, "cm", "--economies", str(big), "--tetcy", "1E-999999")
         assert code == 2
-        assert out == "country,currency,gdp,population,gdp_per_capita,cm,source\n"
-        assert err.splitlines() == [OVERFLOW]
+        assert out == TABLE1_HEADER
+        assert err.splitlines() == [overflow(CM_OF.format("Big"))]
+
+    @pytest.mark.parametrize(
+        "argv,printed,what",
+        [
+            (["cm", "--economies", economies_arg(FIXTURES), "--tetcy", "1E-999999"],
+             TABLE1_HEADER, CM_OF.format("United States")),
+            (["report", "--table", "1", "--economies", economies_arg(FIXTURES), "--tetcy", "1E-999999"],
+             TABLE1_HEADER, CM_OF.format("United States")),
+            (["basket", "--basket", str(FIXTURES / "basket_commodities.csv"),
+              "--economies", economies_arg(FIXTURES), "--tetcy", "1E-999999"],
+             "", CM_OF.format("United States")),
+            (["convert", "--amount", "1", "--economies", economies_arg(FIXTURES), "--country", "Japan",
+              "--tetcy", "1E-999999"],
+             "", CM_OF.format("Japan")),
+            (["series", "--series", str(FIXTURES / "series_us.csv"), "--tetcy", "1E+999999"],
+             "", "1960: m1 in minutes = m1 * population * minutes_per_year / gdp"),
+            (["report", "--table", "5", "--series", str(FIXTURES / "series_us.csv"), "--tetcy", "1E+999999"],
+             "", "1960: m1 in minutes = m1 * population * minutes_per_year / gdp"),
+        ],
+        ids=["cm", "report-1", "basket", "convert", "series", "report-5"],
+    )
+    def test_the_line_names_the_country_or_year_and_the_figure(self, capsys, argv, printed, what):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, printed)
+        assert err.splitlines() == [overflow(what)]
+
+    def test_the_first_row_past_the_range_is_named_after_the_rows_before_it(self, capsys, tmp_path):
+        economies = tmp_path / "e.csv"
+        economies.write_text(
+            "country,currency,gdp,population,as_of\n"
+            "Small,USD,1E-999990,10,2019-01-01\nBig,EUR,1E+400,10,2019-01-01\nHuge,GBP,1E+500,10,2019-01-01\n"
+        )
+        code, out, err = run(capsys, "cm", "--economies", str(economies), "--tetcy", "1E-999999")
+        assert (code, out.splitlines()[1:]) == (2, ["Small,USD,0,10,0,100000000.0000000,computed_from_gdp"])
+        assert err.splitlines() == [overflow(CM_OF.format("Big"))]
 
     @pytest.mark.parametrize("cm", ["USD=9E+999999", "USD=1E-999999"], ids=["huge", "tiny"])
     def test_report_table2(self, capsys, cm):
@@ -1032,7 +1103,7 @@ class TestOutputFileReplacedOnSuccess:
         for target in (existing, absent):
             code, out, err = run(capsys, *argv, "--out", str(target))
             assert (code, out) == (2, "")
-            assert err.splitlines()[-1] == OVERFLOW
+            assert err.splitlines()[-1] == (overflow(CM_OF.format("Big")) if command == "cm" else OVERFLOW)
         assert existing.read_bytes() == b"keep,me\n1,2\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv", "existing.csv"]
 
