@@ -1,33 +1,32 @@
 """The block path of the economies, basket and series loaders in :mod:`monmin.ingest`.
 
-A loader comes here only for a regular file of at least one block
-(``ingest._BLOCK_CHARS``), so a process that reads only small files never
-compiles this module.  The file is read a block of whole lines at a time;
-blank and ``#`` lines are dropped by C-level checks over the block; one
-``csv.reader`` parses the rest; and each block of about
-``ingest._BLOCK_ROWS`` rows is turned into columns, each converted and
-checked in one C-level pass, and into values by the types' column forms.
-At the first doubt, any row the row path may refuse or a cell this path
-does not read itself, the file is closed and the loader returns None, so
-that the row path loads it again and reports its issues.  A
-``MonMinError`` that a type raises, such as ``AggregateSeries`` refusing
-years out of order or no years at all, is a doubt too.  Memory is bounded
-by one block of lines and rows.
+A loader comes here only for a regular file of at least
+``ingest._BLOCK_CHARS`` bytes, so a process that reads only small files
+never compiles this module.  The file's lines come from the row path's own
+line reader, ``ingest._table_lines``, through one ``csv.reader``; each
+block of about ``ingest._BLOCK_ROWS`` rows is turned into columns, each
+converted and checked in one C-level pass, and into values by the types'
+column forms.  At the first doubt, any row or line the row path may refuse
+or a cell this path does not read itself, the file is closed and the
+loader returns None, so that the row path loads it again and reports its
+issues.  A ``MonMinError`` that a type raises, such as ``AggregateSeries``
+refusing years out of order or no years at all, is a doubt too.  Memory is
+bounded by one block of rows.
 """
 from __future__ import annotations
 
 import csv
-import re
+from collections import deque
 from decimal import Decimal
-from itertools import chain, groupby, islice, repeat
-from operator import itemgetter, methodcaller, mul
+from itertools import groupby, islice, repeat
+from operator import mul
 
 from . import ingest
 from .core import CurrencyCode, EconomySnapshot, TimeStandard, _iso_date, _quotes, _snapshots
 from .errors import MonMinError
-from .ingest import _DIRECTIVE_RE, _ESCAPED_RE, IngestReport, Issue, _baskets, _Once, _scale_factor
+from .ingest import IngestReport, Issue, _baskets, _Once, _scale_factor
 
-_MAYBE_DROPPED_RE = re.compile(r"[\s#]")  # a line's first character, when the line may be dropped
+_NO_NUMBERS = deque(maxlen=0)  # this path names no line, so it keeps no line number
 _ROLES = frozenset(("item", "salary"))
 
 
@@ -37,38 +36,6 @@ class _Doubt(Exception):
 
 # What a block pass raises where the row path would report an issue (or raise itself).
 _DOUBTS = (_Doubt, csv.Error, ValueError, ArithmeticError, MonMinError)
-
-
-def _line_blocks(fh, directives: dict[str, tuple[int, str]]):
-    """The lines ``ingest._table_lines`` passes on, in lists of about ``_BLOCK_CHARS`` characters.
-
-    The first lists are smaller, as in :func:`_columns`.  Only a line whose
-    first character is whitespace or ``#`` can be dropped, so only those
-    lines are looked at one by one.  A byte that is not valid UTF-8 is a
-    doubt.  A directive is kept with line 0: a bad one is a doubt, so its
-    line is never shown.
-    """
-    started, size = False, min(4096, ingest._BLOCK_CHARS)
-    while lines := fh.readlines(size):
-        size = min(2 * size, ingest._BLOCK_CHARS)
-        if not all(map(str.isascii, lines)) and _ESCAPED_RE.search("".join(lines)):
-            raise _Doubt
-        firsts = "".join(map(itemgetter(0), lines))
-        dropped = [
-            i for i in map(methodcaller("start"), _MAYBE_DROPPED_RE.finditer(firsts))
-            if lines[i].lstrip()[:1] in ("", "#")
-        ]
-        if not started:  # directives: the dropped lines before the first line passed on
-            for before, i in enumerate(dropped):
-                if before != i:
-                    break
-                match = _DIRECTIVE_RE.match(lines[i].strip())
-                if match:
-                    directives[match.group(1)] = (0, match.group(2))
-            started = len(dropped) < len(lines)
-        for i in reversed(dropped):
-            del lines[i]
-        yield lines
 
 
 def _columns(fh, expected: list[str], optional: tuple[str, ...]):
@@ -82,9 +49,9 @@ def _columns(fh, expected: list[str], optional: tuple[str, ...]):
     any is a doubt, and a loader strips only the other texts it reads.
     """
     directives: dict[str, tuple[int, str]] = {}
-    reader = csv.reader(chain.from_iterable(_line_blocks(fh, directives)))
-    header = next(reader, None)
     errors: list[Issue] = []
+    reader = csv.reader(ingest._table_lines(fh, directives, _NO_NUMBERS, errors))
+    header = next(reader, None)
     scale = _scale_factor(directives, errors)
     if errors or header is None or list(map(str.strip, header)) not in (expected, expected + list(optional)):
         raise _Doubt
@@ -93,6 +60,8 @@ def _columns(fh, expected: list[str], optional: tuple[str, ...]):
     def columns():
         size = min(16, ingest._BLOCK_ROWS)  # the first blocks are small, so a doubt on an early row costs little
         while rows := list(islice(reader, size)):
+            if errors:  # a line that is not valid UTF-8
+                raise _Doubt
             size = min(2 * size, ingest._BLOCK_ROWS)
             widths = set(map(len, rows))
             if widths != {width}:
@@ -100,6 +69,8 @@ def _columns(fh, expected: list[str], optional: tuple[str, ...]):
                     raise _Doubt
                 rows = [row + [""] * (width - len(row)) for row in rows]
             yield zip(*rows)
+        if errors:
+            raise _Doubt
 
     return scale, columns()
 
@@ -107,7 +78,7 @@ def _columns(fh, expected: list[str], optional: tuple[str, ...]):
 def _load(path, expected: list[str], build, optional: tuple[str, ...] = ()):
     """``build(scale, columns)`` over the file; None at the first doubt, with the file closed."""
     try:
-        with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+        with ingest._open(path) as fh:
             return build(*_columns(fh, expected, optional))
     except _DOUBTS:
         return None

@@ -19,18 +19,19 @@ Loading is all-or-nothing: any error row means the returned dataset is
 empty and the report lists every problem with its 1-based physical line
 number (a row's first line when it spans several).
 
-The economies, basket and series loaders read a regular file of at least
-one block (``_BLOCK_CHARS``) by the block path in ``monmin._ingest_blocks``
-first: blank and ``#`` lines are dropped by C-level checks over a block of
-lines, one ``csv.reader`` parses them, and each block of ``_BLOCK_ROWS``
-rows is converted and checked a column at a time, into values made by the
-types' column forms.  At the first doubt (any row that may be refused, or
-a cell the block path does not read itself) the file is closed and loaded
-again by the row path, which alone reports issues, so the issues are the
-same whichever path ran.  The row path reads one line at a time.  It alone
-loads rates files, smaller files, whose gain would not pay for compiling
-the block path, and any input that is not a regular file, since a FIFO
-cannot be read twice.
+Both load paths read a file through one line reader, ``_table_lines``,
+which holds the format's line rules, and one ``csv.reader`` over its
+lines.  The economies, basket and series loaders read a regular file of at
+least ``_BLOCK_CHARS`` characters by the block path in
+``monmin._ingest_blocks`` first: each block of ``_BLOCK_ROWS`` rows is
+converted and checked a column at a time, into values made by the types'
+column forms.  At the first doubt (any row that may be refused, a line
+that is not valid UTF-8, or a cell the block path does not read itself)
+the file is closed and loaded again by the row path, which alone reports
+issues, so the issues are the same whichever path ran.  The row path
+turns one row at a time into values.  It alone loads rates files, smaller
+files, whose gain would not pay for compiling the block path, and any
+input that is not a regular file, since a FIFO cannot be read twice.
 
 What a ``write_*`` function writes loads back equal, except that every
 cell loads back stripped of leading and trailing whitespace.  A row with
@@ -83,8 +84,8 @@ _ESCAPED_RE = re.compile("[\udc80-\udcff]")  # bytes that ``surrogateescape`` co
 # that ends in a line break is not caught: its closing quote follows on that line.
 _DROPPED_LINE_RE = re.compile(r"(?:\r\n|\r(?!\n)|\n)[^\S\r\n]*[#\r\n]")
 _ROW_ERRORS = (MonMinError, InvalidOperation, ValueError)
-_BLOCK_CHARS = 1 << 16  # the block path reads about this many characters of whole lines at a time
-_BLOCK_ROWS = 256  # and converts and checks this many rows per column pass
+_BLOCK_CHARS = 1 << 16  # the size, in bytes, from which a file is tried by the block path first
+_BLOCK_ROWS = 256  # the rows the block path converts and checks per column pass
 _CURRENCY = attrgetter("currency")
 
 _ECONOMIES_HEADER = ["country", "currency", "gdp", "population", "as_of"]
@@ -228,12 +229,17 @@ def _records(reader, numbers: list[int], errors: list[Issue], width: int, option
             numbers.clear()
 
 
-def _table_lines(fh, directives, numbers: list[int], errors: list[Issue]):
-    """The file's lines for the csv reader, read one at a time.
+def _open(path):
+    """A data file opened for :func:`_table_lines`: a leading BOM skipped, bad bytes kept, line ends as read."""
+    return open(path, encoding="utf-8-sig", errors="surrogateescape", newline="")
+
+
+def _table_lines(fh, directives, numbers, errors: list[Issue]):
+    """The file's lines for the csv reader, read one at a time: the line rules of both load paths.
 
     Blank and ``#`` lines are dropped, so they never form part of a quoted
     cell; ``#`` directives count only before the first line passed on.
-    Each line's number goes into ``numbers`` as it is passed on, and a
+    Each line's number is appended to ``numbers`` as it is passed on, and a
     line that is not valid UTF-8 is an issue on that line.
     """
     with fh:
@@ -264,7 +270,7 @@ def _read_table(path, expected: list[str], optional: tuple[str, ...] = ()) -> _S
 
     The file is read as ``rows`` is consumed, so no more than one row's
     lines are held at a time; the block path, tried first, holds one
-    block of lines and rows.  Undecodable bytes are kept as lone
+    block of rows.  Undecodable bytes are kept as lone
     surrogates (``surrogateescape``) and reported per physical line.
     Each row comes with the width checked and its cells stripped.
     """
@@ -274,8 +280,7 @@ def _read_table(path, expected: list[str], optional: tuple[str, ...] = ()) -> _S
     directives: dict[str, tuple[int, str]] = {}
     numbers: list[int] = []
     errors: list[Issue] = []
-    fh = open(path, encoding="utf-8-sig", errors="surrogateescape", newline="")
-    lines = _table_lines(fh, directives, numbers, errors)
+    lines = _table_lines(_open(path), directives, numbers, errors)
     rows = _records(csv.reader(lines), numbers, errors, len(expected) + len(optional), len(optional))
     first = next(rows, None)
     if first is None:
