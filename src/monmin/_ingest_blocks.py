@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import csv
 from collections import deque
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from itertools import groupby, islice, repeat
 from operator import mul
 
 from . import ingest
-from .core import CurrencyCode, EconomySnapshot, TimeStandard, _iso_date, _quotes, _snapshots
+from .core import _FIGURES, CurrencyCode, EconomySnapshot, TimeStandard, _iso_date, _quotes, _snapshots
 from .errors import MonMinError
 from .ingest import IngestReport, Issue, _baskets, _Once, _scale_factor
 
@@ -76,9 +76,9 @@ def _columns(fh, expected: list[str], optional: tuple[str, ...]):
 
 
 def _load(path, expected: list[str], build, optional: tuple[str, ...] = ()):
-    """``build(scale, columns)`` over the file; None at the first doubt, with the file closed."""
+    """``build(scale, columns)`` over the file, in ``core._FIGURES``; None at the first doubt, with the file closed."""
     try:
-        with ingest._open(path) as fh:
+        with ingest._open(path) as fh, localcontext(_FIGURES):
             return build(*_columns(fh, expected, optional))
     except _DOUBTS:
         return None

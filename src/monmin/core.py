@@ -7,11 +7,14 @@ and the pure operations on them: computing per-economy minute values,
 deriving them across exchange rates, re-pricing quotes in minutes,
 hypothetical parity rates, and salary normalization.
 
-All arithmetic is `decimal.Decimal` under the caller's context, which is
-the interpreter's default 28-digit precision unless the caller changes it.
-Nothing here rounds for display: the report layer does, under its own
-context, whatever the caller's.  Every type is a frozen value, every
-operation a pure function, so everything is safe to share across threads.
+Every figure is a `decimal.Decimal` computed in one context, ``_FIGURES``,
+whatever the caller's context is: 28 significant digits, ties to even,
+with ``Overflow`` trapped, the default context's values.  The functions
+below use its methods; the loaders, the table builders and the series
+enter it once per file, block or series, never once per row.  Nothing
+here rounds for display: the report layer does, under its own context.
+Every type is a frozen value, every operation a pure function, so
+everything is safe to share across threads.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import date
-from decimal import Decimal, Overflow
+from decimal import ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation, Overflow
 from enum import Enum
 from itertools import repeat
 
@@ -64,6 +67,19 @@ MINUTES_PER_YEAR_ASTRONOMICAL = Decimal("525948.766")
 _CODE_RE = re.compile(r"^[A-Z0-9]{3,4}$")
 
 _ZERO = Decimal(0)
+
+#: The context of every figure monmin computes: the default context's values, named one by one, so that
+#: neither the caller's context nor a changed ``decimal.DefaultContext`` moves a digit.
+_FIGURES = Context(
+    prec=28,
+    rounding=ROUND_HALF_EVEN,
+    Emin=-999999,
+    Emax=999999,
+    capitals=1,
+    clamp=0,
+    flags=[],
+    traps=[InvalidOperation, DivisionByZero, Overflow],
+)
 
 
 def _slot_setters(cls, *names):
@@ -225,7 +241,7 @@ class EconomySnapshot:
         _snapshot_as_of(self, as_of)
 
     def gdp_per_capita(self) -> Decimal:
-        return self.gdp / self.population
+        return _FIGURES.divide(self.gdp, self.population)
 
 
 _SNAPSHOT_SLOTS = _slot_setters(EconomySnapshot, "country", "currency", "gdp", "population", "as_of")
@@ -337,8 +353,8 @@ class RateTable:
             back = self._rates.get((quote, base))
             if back is None:
                 continue
-            product = fwd.rate * back.rate
-            if abs(product - 1) > rel_tol:
+            product = _FIGURES.multiply(fwd.rate, back.rate)
+            if _FIGURES.abs(_FIGURES.subtract(product, 1)) > rel_tol:
                 found.append((fwd, back, product))
         return found
 
@@ -399,26 +415,35 @@ def compute_cm(econ: EconomySnapshot, std: TimeStandard = TimeStandard()) -> Mon
     the country.
     """
     try:
-        value = econ.gdp / econ.population / std.minutes_per_year
+        value = _FIGURES.divide(_FIGURES.divide(econ.gdp, econ.population), std.minutes_per_year)
     except Overflow:
         raise _overflow(f"{econ.country}: cm = gdp / population / minutes_per_year") from None
     return MonMinValue(econ.currency, value, CmSource.COMPUTED_FROM_GDP)
 
 
 def cross_cm(ref: MonMinValue, rate: ExchangeRate) -> MonMinValue:
-    """Minute value in another currency: ref value times the directed rate."""
+    """Minute value in another currency: ref value times the directed rate.
+
+    A product past the decimal exponent range raises an ``Overflow:``
+    :class:`MonMinError` that names the currency.
+    """
     if rate.base != ref.currency:
         raise CurrencyMismatch(
             f"rate base {rate.base} does not match reference currency {ref.currency}"
         )
-    return MonMinValue(
-        currency=rate.quote, value=ref.value * rate.rate, source=CmSource.CROSS_RATE
-    )
+    try:
+        value = _FIGURES.multiply(ref.value, rate.rate)
+    except Overflow:
+        raise _overflow(f"{rate.quote}: cm = {rate.base} cm * rate {rate.base}->{rate.quote}") from None
+    return MonMinValue(currency=rate.quote, value=value, source=CmSource.CROSS_RATE)
 
 
 def invert_cm(cm: MonMinValue) -> Decimal:
-    """Minutes represented by one unit of the currency: 1 / value."""
-    return 1 / cm.value
+    """Minutes represented by one unit of the currency: 1 / value; past the decimal range, an error naming it."""
+    try:
+        return _FIGURES.divide(1, cm.value)
+    except Overflow:
+        raise _overflow(f"{cm.currency}: inverse_cm = 1 / cm") from None
 
 
 def to_monmin(price: PriceQuote, cm: MonMinValue) -> MonMinPrice:
@@ -428,7 +453,7 @@ def to_monmin(price: PriceQuote, cm: MonMinValue) -> MonMinPrice:
             f"price in {price.currency} cannot use a {cm.currency} minute value"
         )
     return MonMinPrice(
-        item=price.item, currency_context=cm.currency, monmin=price.amount / cm.value
+        item=price.item, currency_context=cm.currency, monmin=_FIGURES.divide(price.amount, cm.value)
     )
 
 
@@ -440,7 +465,7 @@ def from_monmin(mp: MonMinPrice, cm: MonMinValue, unit: str = "") -> PriceQuote:
             f"{cm.currency} minute value"
         )
     return PriceQuote(
-        item=mp.item, unit=unit, currency=cm.currency, amount=mp.monmin * cm.value
+        item=mp.item, unit=unit, currency=cm.currency, amount=_FIGURES.multiply(mp.monmin, cm.value)
     )
 
 
@@ -471,7 +496,7 @@ def parity_rate(
         if strict_items:
             raise ItemMismatch(message)
         warnings.warn(message, ItemMismatchWarning, stacklevel=2)
-    return current_rate.rate * ref_price.monmin / local_price.monmin
+    return _FIGURES.divide(_FIGURES.multiply(current_rate.rate, ref_price.monmin), local_price.monmin)
 
 
 def percent_of_salary(price: MonMinPrice, salary: MonMinPrice) -> Decimal:
@@ -487,4 +512,4 @@ def percent_of_salary(price: MonMinPrice, salary: MonMinPrice) -> Decimal:
         )
     if salary.monmin <= 0:
         raise NonPositiveInput(f"salary must be > 0, got {salary.monmin}")
-    return 100 * price.monmin / salary.monmin
+    return _FIGURES.divide(_FIGURES.multiply(100, price.monmin), salary.monmin)

@@ -1,7 +1,5 @@
 """Exception hierarchy shared by all monmin modules."""
 
-from decimal import getcontext
-
 __all__ = [
     "CurrencyMismatch",
     "DuplicateCountry",
@@ -82,5 +80,7 @@ class ItemMismatchWarning(UserWarning):
 
 
 def _overflow(what: str) -> MonMinError:
-    """The error for ``what`` past the decimal exponent range: a figure, and its row where one is known."""
-    return MonMinError(f"Overflow: {what} exceeds the decimal range (largest exponent {getcontext().Emax})")
+    """The error for ``what`` past the exponent range of the figures' context: a figure, and its row where one is known."""
+    from .core import _FIGURES  # here: core imports this module
+
+    return MonMinError(f"Overflow: {what} exceeds the decimal range (largest exponent {_FIGURES.Emax})")

@@ -47,14 +47,14 @@ import csv
 import os
 import re
 from dataclasses import dataclass
-from decimal import Context, Decimal, InvalidOperation, Overflow, Underflow, getcontext
+from decimal import Context, Decimal, InvalidOperation, Overflow, Underflow, getcontext, localcontext
 from itertools import compress, repeat
 from operator import attrgetter, is_not
 from pathlib import Path
 from stat import S_ISREG
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .core import CurrencyCode, EconomySnapshot, ExchangeRate, PriceQuote, RateTable, TimeStandard
+from .core import _FIGURES, CurrencyCode, EconomySnapshot, ExchangeRate, PriceQuote, RateTable, TimeStandard
 from .errors import (
     CurrencyMismatch, DuplicateCountry, DuplicatePair, MalformedRow, MonMinError, NonMonotoneYears,
     UnknownCurrency,
@@ -165,7 +165,8 @@ class _Once(dict):
 def _finite(text: str, scale: Decimal | None = None) -> Decimal:
     """A finite number, multiplied by ``scale`` only when a scale is given.
 
-    The multiplication rounds to the context's precision, so an unscaled
+    A loader calls it in ``core._FIGURES``, entered once per file.  The
+    multiplication rounds to that context's precision, so an unscaled
     number skips it and keeps every digit.  A product past either end of
     the context's exponent range is refused here: one that raises
     ``Overflow``, a number other than zero whose product underflows to
@@ -342,18 +343,19 @@ def load_economies(path) -> tuple[list[EconomySnapshot], IngestReport]:
     snapshots: list[EconomySnapshot] = []
     seen: dict[str, int] = {}
     codes = _Once(CurrencyCode)
-    for lineno, (country, code, gdp_text, pop_text, as_of) in scan.rows:
-        try:
-            snapshot = EconomySnapshot(
-                country, codes[code], _finite(gdp_text, scale), int(pop_text), as_of
-            )
-            if country in seen:
-                raise DuplicateCountry(f"{country} already defined on line {seen[country]}")
-        except _ROW_ERRORS as exc:
-            errors.append(_issue(lineno, exc))
-            continue
-        seen[country] = lineno
-        snapshots.append(snapshot)
+    with localcontext(_FIGURES):  # for the scale products
+        for lineno, (country, code, gdp_text, pop_text, as_of) in scan.rows:
+            try:
+                snapshot = EconomySnapshot(
+                    country, codes[code], _finite(gdp_text, scale), int(pop_text), as_of
+                )
+                if country in seen:
+                    raise DuplicateCountry(f"{country} already defined on line {seen[country]}")
+            except _ROW_ERRORS as exc:
+                errors.append(_issue(lineno, exc))
+                continue
+            seen[country] = lineno
+            snapshots.append(snapshot)
     if errors:
         return [], IngestReport(0, errors=tuple(errors))
     return snapshots, IngestReport(len(snapshots))
@@ -468,19 +470,20 @@ def load_series(
     scale = _scale_factor(scan.directives, errors)
     years: list[AggregateYear] = []
     last_year: int | None = None
-    for lineno, (year_text, m1_text, gdp_text, pop_text, events) in scan.rows:
-        try:
-            year = AggregateYear(
-                int(year_text), _finite(m1_text, scale), _finite(gdp_text, scale),
-                int(pop_text), events,
-            )
-            if last_year is not None and year.year <= last_year:
-                raise NonMonotoneYears(f"{year.year} does not follow {last_year}")
-        except _ROW_ERRORS as exc:
-            errors.append(_issue(lineno, exc))
-            continue
-        last_year = year.year
-        years.append(year)
+    with localcontext(_FIGURES):  # for the scale products
+        for lineno, (year_text, m1_text, gdp_text, pop_text, events) in scan.rows:
+            try:
+                year = AggregateYear(
+                    int(year_text), _finite(m1_text, scale), _finite(gdp_text, scale),
+                    int(pop_text), events,
+                )
+                if last_year is not None and year.year <= last_year:
+                    raise NonMonotoneYears(f"{year.year} does not follow {last_year}")
+            except _ROW_ERRORS as exc:
+                errors.append(_issue(lineno, exc))
+                continue
+            last_year = year.year
+            years.append(year)
     if not errors and not years:
         errors.append(Issue(scan.header_line, "EmptySeries: no data rows"))
     if errors:

@@ -58,6 +58,7 @@ from decimal import (
     DivisionByZero,
     InvalidOperation,
     Overflow,
+    localcontext,
 )
 from enum import Enum
 from itertools import accumulate, chain, groupby, repeat
@@ -65,6 +66,7 @@ from operator import attrgetter, eq, itemgetter, lt, mul, truediv
 from typing import TYPE_CHECKING, Callable, Collection, Iterator, Mapping, Sequence, TextIO
 
 from .core import (
+    _FIGURES,
     _ZERO,
     CmSource,
     MonMinValue,
@@ -75,7 +77,7 @@ from .core import (
     cross_cm,
     invert_cm,
 )
-from .errors import CurrencyMismatch, NonPositiveInput, ShapeMismatch, UnknownCurrency
+from .errors import CurrencyMismatch, NonPositiveInput, ShapeMismatch, UnknownCurrency, _overflow
 from .ingest import Basket, _plain, _sci_text
 
 if TYPE_CHECKING:  # only the series functions import it
@@ -102,7 +104,6 @@ __all__ = [
 ]
 
 _BILLION = Decimal("1e9")
-_INFINITY = Decimal("Infinity")
 
 
 class TableId(Enum):
@@ -415,7 +416,7 @@ def write_table(
         raise ValueError(f"unknown format {fmt!r}")
     names = [c.name for c in spec.columns]
     if isinstance(rows, RowView) and rows.names == tuple(names):
-        columns = rows._columns
+        columns = rows.columns
     else:
         rows = rows if isinstance(rows, (Sequence, RowView)) else list(rows)
         columns = lambda start, stop: list(zip(*_checked_values(spec, names, rows[start:stop], start)))
@@ -454,7 +455,8 @@ class RowView:
 
     ``columns(start, stop)`` makes rows ``start`` to ``stop - 1`` as one
     sequence of values per spec column, in the order :attr:`names` holds,
-    or raises if one of those rows cannot be made.  :func:`write_table`
+    or raises if one of those rows cannot be made.  Each block is made in
+    ``core._FIGURES``, whatever the caller's context.  :func:`write_table`
     formats those columns as they are made.  Reading the view gives dicts
     of the same values: iteration makes every row in turn, a block at a
     time, and indexing (negative indices and slices too) only the rows
@@ -462,22 +464,27 @@ class RowView:
     number of times.
     """
 
-    __slots__ = ("names", "_columns", "_count")
+    __slots__ = ("names", "_make", "_count")
 
     def __init__(self, spec: TableSpec, columns: Callable[[int, int], list[Sequence]], count: int):
         self.names = tuple(c.name for c in spec.columns)
-        self._columns = columns
+        self._make = columns
         self._count = count
+
+    def columns(self, start: int, stop: int) -> list[Sequence]:
+        """Rows ``start`` to ``stop - 1``, one sequence of values per column."""
+        with localcontext(_FIGURES):
+            return self._make(start, stop)
 
     def __len__(self) -> int:
         return self._count
 
     def _row(self, index: int) -> dict:
-        return dict(zip(self.names, map(itemgetter(0), self._columns(index, index + 1))))
+        return dict(zip(self.names, map(itemgetter(0), self.columns(index, index + 1))))
 
     def __iter__(self) -> Iterator[dict]:
         for start, stop in _spans(self._count, len(self.names)):
-            for values in zip(*self._columns(start, stop)):
+            for values in zip(*self.columns(start, stop)):
                 yield dict(zip(self.names, values))
 
     def __getitem__(self, index):
@@ -491,11 +498,6 @@ class RowView:
 # table builders: full-precision rows plus the pinned rounding profile
 
 
-def _made_rows(make: Callable[[int], tuple]) -> Callable[[int, int], list]:
-    """A wide table's ``columns``, a few rows to a block: each row made by ``make(i)``, then the block transposed."""
-    return lambda start, stop: list(zip(*map(make, range(start, stop))))
-
-
 _SNAPSHOT_FIELDS = ("country", "currency.code", "gdp", "population")
 
 
@@ -505,9 +507,9 @@ def build_table1(snapshots, std: TimeStandard = TimeStandard()):
     A row divides ``gdp / population`` once, for the per-capita column,
     and that quotient by the minutes per year for ``cm``: the division
     :func:`compute_cm` makes, left to right, so the same figure to the last
-    digit, with no :class:`MonMinValue` made per row.  A ``cm`` that is not
-    positive and finite is refused with the minute value's own message
-    when its block is made, and one past the decimal exponent range with
+    digit, with no :class:`MonMinValue` made per row.  A ``cm`` that
+    underflows to zero is refused with the minute value's own message when
+    its block is made, and one past the decimal exponent range with
     :func:`compute_cm`'s, which names the country.
     """
     spec = TableSpec(
@@ -536,9 +538,9 @@ def build_table1(snapshots, std: TimeStandard = TimeStandard()):
             for snapshot in block:
                 compute_cm(snapshot, std)  # raises the overflow with the country named
             raise
-        if not (all(map(lt, repeat(_ZERO), cm)) and all(map(lt, cm, repeat(_INFINITY)))):
+        if not all(map(lt, repeat(_ZERO), cm)):
             for snapshot, value in zip(block, cm):
-                if not _ZERO < value < _INFINITY:
+                if not _ZERO < value:
                     MonMinValue(snapshot.currency, value, source)  # raises its refusal
         return [country, code, gdp, population, per_capita, cm, [source.value] * len(block)]
 
@@ -641,6 +643,54 @@ def _cm_for(basket: Basket, cms: Mapping[str, MonMinValue]) -> MonMinValue:
     return cm
 
 
+_MINUTES = "minutes = amount / cm"
+_PERCENT = "percent = 100 * amount / salary"
+
+
+def _percent(amount: Decimal, salary: Decimal) -> Decimal:
+    """An amount as a percent of a salary, both in minutes of value 1: ``100 * (amount / 1) / salary``."""
+    return 100 * (amount / 1) / salary
+
+
+def _name_overflow(what: str, figure: Callable, quotes) -> None:
+    """Raise the ``Overflow:`` error of the first quote whose ``figure(amount, divisor)`` is past the decimal range.
+
+    ``quotes`` gives ``(currency, (item, unit), amount, divisor)`` for each
+    quote of a block that failed, so a block is searched only after it
+    fails.  The error names the currency, the item and unit, and ``what``.
+    """
+    for currency, (item, unit), amount, divisor in quotes:
+        try:
+            figure(amount, divisor)
+        except Overflow:
+            raise _overflow(f"{currency}: {item} ({unit}): {what}") from None
+
+
+def _label_rows(baskets: Sequence[Basket], labels: list, amounts: list[list], divisors: list, figure: Callable,
+                what: str, raw: bool = False) -> Callable[[int, int], list]:
+    """A wide table's ``columns``, a row per label and a few rows to a block, the block transposed.
+
+    A row is its label's item and unit, each basket's amount when ``raw``
+    is set, then ``figure(amount, divisor)`` for each basket.  A figure past
+    the decimal range raises :func:`_name_overflow`'s error.
+    """
+    def make(i):
+        row = [column[i] for column in amounts]
+        return (*labels[i], *(row if raw else ()), *map(figure, row, divisors))
+
+    def columns(start, stop):
+        try:
+            return list(zip(*map(make, range(start, stop))))
+        except Overflow:
+            _name_overflow(what, figure, (
+                (basket.currency, labels[i], column[i], divisor)
+                for i in range(start, stop) for basket, column, divisor in zip(baskets, amounts, divisors)
+            ))
+            raise
+
+    return columns
+
+
 def _salary_minutes(basket: Basket) -> Decimal:
     """A basket's salary under a unit minute value: the denominator of its percents.
 
@@ -650,7 +700,7 @@ def _salary_minutes(basket: Basket) -> Decimal:
     """
     if basket.salary is None:
         raise ShapeMismatch(f"basket {basket.country} has no salary row")
-    salary = basket.salary.amount / 1
+    salary = _FIGURES.divide(basket.salary.amount, 1)
     if salary <= 0:
         raise NonPositiveInput(f"salary must be > 0, got {salary}")
     return salary
@@ -673,12 +723,7 @@ def build_table3(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
     spec = TableSpec(TableId.T3, tuple(columns))
     values = [_cm_for(b, cms).value for b in baskets]
     labels, amounts = _aligned_amounts(baskets)
-
-    def make(i):
-        raw = [column[i] for column in amounts]
-        return (*labels[i], *raw, *map(truediv, raw, values))
-
-    return spec, RowView(spec, _made_rows(make), len(labels))
+    return spec, RowView(spec, _label_rows(baskets, labels, amounts, values, truediv, _MINUTES, raw=True), len(labels))
 
 
 def _country_columns(table_id: TableId, baskets: Sequence[Basket], decimals: int):
@@ -716,11 +761,7 @@ def build_table4(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
     values = [_cm_for(b, cms).value for b in baskets]
     labels, amounts = _aligned_amounts(baskets)
     _with_salary_row(baskets, labels, amounts)
-
-    def make(i):
-        return (*labels[i], *[column[i] / value for column, value in zip(amounts, values)])
-
-    return spec, RowView(spec, _made_rows(make), len(labels))
+    return spec, RowView(spec, _label_rows(baskets, labels, amounts, values, truediv, _MINUTES), len(labels))
 
 
 def build_table4b(baskets: Sequence[Basket]):
@@ -734,11 +775,7 @@ def build_table4b(baskets: Sequence[Basket]):
     salaries = [_salary_minutes(b) for b in baskets]
     labels, amounts = _aligned_amounts(baskets)
     _with_salary_row(baskets, labels, amounts)
-
-    def make(i):
-        return (*labels[i], *[100 * (column[i] / 1) / salary for column, salary in zip(amounts, salaries)])
-
-    return spec, RowView(spec, _made_rows(make), len(labels))
+    return spec, RowView(spec, _label_rows(baskets, labels, amounts, salaries, _percent, _PERCENT), len(labels))
 
 
 def _quote_view(spec: TableSpec, baskets: Sequence[Basket], more: Callable) -> RowView:
@@ -788,7 +825,12 @@ def build_basket_listing(baskets: Sequence[Basket], cms: Mapping[str, MonMinValu
 
     def more(k, quotes, roles):
         amounts = list(map(_AMOUNT, quotes))
-        minutes = list(map(truediv, amounts, repeat(values[k].value)))
+        value = values[k].value
+        try:
+            minutes = list(map(truediv, amounts, repeat(value)))
+        except Overflow:
+            _name_overflow(_MINUTES, truediv, ((baskets[k].currency, _LABEL(q), q.amount, value) for q in quotes))
+            raise
         return [_plain_pass(amounts), roles, minutes, [values[k].source.value] * len(quotes)]
 
     return spec, _quote_view(spec, baskets, more)
@@ -812,9 +854,13 @@ def build_percent_listing(baskets: Sequence[Basket]):
     salaries = [_salary_minutes(basket) for basket in baskets]
 
     def more(k, quotes, roles):
-        # 100 * (amount / 1) / salary, a quote at a time
+        # _percent, a quote at a time
         amounts = map(truediv, map(_AMOUNT, quotes), repeat(1))
-        return [list(map(truediv, map(mul, repeat(100), amounts), repeat(salaries[k])))]
+        try:
+            return [list(map(truediv, map(mul, repeat(100), amounts), repeat(salaries[k])))]
+        except Overflow:
+            _name_overflow(_PERCENT, _percent, ((baskets[k].currency, _LABEL(q), q.amount, salaries[k]) for q in quotes))
+            raise
 
     return spec, _quote_view(spec, baskets, more)
 

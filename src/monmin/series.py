@@ -5,15 +5,20 @@ by that year's minute value, i.e. M1 * population * minutes_per_year /
 GDP.  A simple strict local-extrema scan over the resulting curve finds
 its peaks and troughs; runs of exactly equal values count once, at the
 first year of the run, and the series endpoints are never extrema.
+
+Each year's ``m1 * population * minutes_per_year`` is formed exactly, in
+``_PRODUCTS``, and divided by gdp once, in ``core._FIGURES``: so two years
+whose exact values are equal get equal figures.  Each context is entered
+once per series.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, Overflow
+from decimal import MAX_PREC, Decimal, Overflow, localcontext
 from itertools import groupby
-from operator import itemgetter
+from operator import attrgetter, itemgetter, truediv
 
-from .core import _ZERO, CurrencyCode, TimeStandard, _finite_decimal, _made, _slot_setters
+from .core import _FIGURES, _ZERO, CurrencyCode, TimeStandard, _finite_decimal, _made, _slot_setters
 from .errors import EmptySeries, NonMonotoneYears, NonPositiveInput, TooShort, _overflow
 
 __all__ = [
@@ -48,6 +53,11 @@ class AggregateYear:
 
 
 _YEAR_SLOTS = _slot_setters(AggregateYear, "year", "m1", "gdp", "population", "events")
+
+# Exact products: as many digits as a product has, within the figures' exponent range and traps.
+_PRODUCTS = _FIGURES.copy()
+_PRODUCTS.prec = MAX_PREC
+_YEAR, _GDP = attrgetter("year"), attrgetter("gdp")
 
 
 def _years(year, m1, gdp, population, events) -> list[AggregateYear] | None:
@@ -101,8 +111,8 @@ class ExtremaReport:
 
 
 def m1_in_monmin(y: AggregateYear, std: TimeStandard = TimeStandard()) -> Decimal:
-    """One year's M1 in minutes: m1 * population * minutes_per_year / gdp."""
-    return y.m1 * y.population * std.minutes_per_year / y.gdp
+    """One year's M1 in minutes: the exact m1 * population * minutes_per_year, divided once by gdp."""
+    return _FIGURES.divide(_PRODUCTS.multiply(_PRODUCTS.multiply(y.m1, y.population), std.minutes_per_year), y.gdp)
 
 
 def series_in_monmin(s: AggregateSeries) -> list[tuple[int, Decimal]]:
@@ -111,8 +121,13 @@ def series_in_monmin(s: AggregateSeries) -> list[tuple[int, Decimal]]:
     A value past the decimal exponent range raises an ``Overflow:``
     :class:`MonMinError` that names its year.
     """
+    minutes, years = s.std.minutes_per_year, s.years
     try:
-        return [(y.year, m1_in_monmin(y, s.std)) for y in s.years]
+        with localcontext(_PRODUCTS):
+            products = [y.m1 * y.population * minutes for y in years]
+        with localcontext(_FIGURES):
+            values = list(map(truediv, products, map(_GDP, years)))
+        return list(zip(map(_YEAR, years), values))
     except Overflow:
         for y in s.years:  # the year is looked for only here, at no cost to the list above
             try:

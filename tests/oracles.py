@@ -129,3 +129,24 @@ def reference_plot_data(series, extrema=None):
             row.append(markers.get(y.year, ""))
         writer.writerow(row)
     return buffer.getvalue()
+
+
+def table5_population_interval(m1, minutes, gdp, minutes_per_year=525600):
+    """The populations consistent with one printed table 5 row, as an exact ``Fraction`` interval ``(low, high)``.
+
+    ``m1`` and ``gdp`` are printed in billions of currency and ``minutes``
+    (M1 in minutes) in billions of minutes, each to a whole unit, so each is
+    known only to within 0.5.  A population is consistent with the row when
+    some m1, gdp and minute figure within those bounds satisfy
+    ``minutes = m1 * population * minutes_per_year / gdp``.  The population
+    that solves it, ``minutes * gdp / (m1 * minutes_per_year)``, rises with
+    ``minutes`` and ``gdp`` and falls with ``m1``, so the bounds of the
+    interval come from the corners of the three input intervals.
+    """
+    from fractions import Fraction
+
+    half, billion = Fraction(1, 2), 10**9  # m1 and gdp are both in billions, so only the minutes scale
+    m1, minutes, gdp = Fraction(m1), Fraction(minutes), Fraction(gdp)
+    low = (minutes - half) * billion * (gdp - half) / ((m1 + half) * minutes_per_year)
+    high = (minutes + half) * billion * (gdp + half) / ((m1 - half) * minutes_per_year)
+    return low, high

@@ -5,6 +5,7 @@ criterion; any failure shows up as a normal pytest failure.
 """
 import csv
 import io
+import math
 import random
 from decimal import Decimal as D
 
@@ -27,6 +28,7 @@ from monmin import (
     invert_cm,
     load_basket,
     load_economies,
+    load_series,
     m1_in_monmin,
     parity_rate,
     percent_of_salary,
@@ -52,7 +54,7 @@ from expected_tables import (
     TABLE5,
     ulp,
 )
-from oracles import brute_force_extrema
+from oracles import brute_force_extrema, table5_population_interval
 
 USD = CurrencyCode("USD")
 STD = TimeStandard()
@@ -337,3 +339,46 @@ def test_criterion_9_table5_minute_column_full_reproduction():
     rows = {int(r["year"]): r for r in _golden_rows("table5.csv")}
     for year, (_, printed_minutes, _) in TABLE5.items():
         assert abs(D(rows[year]["m1_monmin_billions"]) - printed_minutes) <= 1, year
+
+
+# The populations (whole persons, the exact interval widened to integers) that the printed table 5
+# rows from 1991 on admit, at their print precision: m1, gdp and minutes each within 0.5 of the
+# printed figure.  Each lies 0.2% (1991) to 3.2% (2010) below the fixture's census population.
+TABLE5_IMPLIED_POPULATION = {
+    1991: (252035696, 252395798), 1992: (254978535, 255311679), 1993: (257729951, 258030588),
+    1994: (260095740, 260373590), 1995: (262756426, 263031871), 1996: (264975768, 265258143),
+    1997: (267682648, 267976731), 1998: (270106394, 270403904), 1999: (272574570, 272867956),
+    2000: (274981293, 275270725), 2001: (277274460, 277571923), 2002: (279894516, 280172931),
+    2003: (282213575, 282486099), 2004: (284618550, 284877688), 2005: (287198833, 287449204),
+    2006: (289553827, 289803589), 2007: (292085702, 292338607), 2008: (294496627, 294750264),
+    2009: (296951016, 297175955), 2010: (299356189, 299571396), 2011: (301697010, 301894678),
+    2012: (304275355, 304446155), 2013: (306639888, 306795269), 2014: (309151752, 309296842),
+    2015: (311535963, 311670925), 2016: (313959849, 314089781),
+}
+
+
+def _fixture_population() -> dict[int, int]:
+    series, report = load_series(FIXTURES / "series_us.csv")
+    assert report.ok
+    return {year.year: year.population for year in series.years}
+
+
+def test_criterion_9_table5_minutes_to_1990_are_consistent_with_the_fixture_population():
+    """Every printed row from 1960 to 1990 admits the fixture's population at the table's print precision."""
+    population = _fixture_population()
+    years = range(1960, 1991)
+    for year in years:
+        low, high = table5_population_interval(*TABLE5[year])
+        assert low <= population[year] <= high, year
+    _pass(9, f"table 5's minute column is consistent with the fixture's population in all {len(years)} years 1960-1990")
+
+
+def test_criterion_9_table5_minutes_from_1991_imply_another_population():
+    """No printed row from 1991 to 2016 admits the fixture's population: each implies a smaller one."""
+    population = _fixture_population()
+    assert sorted(TABLE5_IMPLIED_POPULATION) == [year for year in TABLE5 if year >= 1991]
+    for year, (low, high) in TABLE5_IMPLIED_POPULATION.items():
+        exact_low, exact_high = table5_population_interval(*TABLE5[year])
+        assert (low, high) == (math.floor(exact_low), math.ceil(exact_high)), year
+        assert high < population[year], year
+    _pass(9, f"the fixture's population lies above the implied interval in all {len(TABLE5_IMPLIED_POPULATION)} years 1991-2016")

@@ -263,6 +263,20 @@ class TestSeries:
         assert code == 2
         assert "3 points" in err
 
+    def test_years_of_exactly_equal_minutes_are_one_plateau(self, capsys, tmp_path):
+        """2002 has seven times 2001's m1 and gdp, so both years are exactly equal in minutes: the peak is 2001."""
+        m1, gdp, population = 628191900381928, 422288594494217, 945827561
+        series = tmp_path / "s.csv"
+        series.write_text("year,m1,gdp,population\n" + "".join(
+            f"{year},{year_m1},{year_gdp},{population}\n"
+            for year, year_m1, year_gdp in [
+                (2000, m1 // 2, gdp), (2001, m1, gdp), (2002, 7 * m1, 7 * gdp), (2003, m1 // 2, gdp),
+            ]
+        ))
+        code, out, err = run(capsys, "series", "--series", str(series), "--extrema")
+        assert code == 0, err
+        assert out.splitlines()[-2:] == ["peaks: 2001", "troughs: "]
+
     def test_out_file_matches_stdout(self, capsys, fixtures, tmp_path):
         code, out, _ = run(capsys, "series", "--series", str(fixtures / "series_us.csv"))
         target = tmp_path / "t5.csv"
@@ -969,8 +983,10 @@ def overflow(what: str) -> str:
     return f"error: Overflow: {what} exceeds the decimal range (largest exponent 999999)"
 
 
-OVERFLOW = overflow("a result")
 CM_OF = "{}: cm = gdp / population / minutes_per_year"
+# the first quote past the range in basket_food.csv at USD=1E-999999, and in basket_commodities.csv
+FOOD_OVERFLOW = overflow("USD: Meal, Inexpensive Restaurant (restaurant): minutes = amount / cm")
+COMMODITIES_OVERFLOW = overflow("USD: Electricity (1 MWh): minutes = amount / cm")
 TABLE1_HEADER = "country,currency,gdp,population,gdp_per_capita,cm,source\n"
 
 
@@ -1023,13 +1039,16 @@ class TestDecimalOverflow:
         assert (code, out.splitlines()[1:]) == (2, ["Small,USD,0,10,0,100000000.0000000,computed_from_gdp"])
         assert err.splitlines() == [overflow(CM_OF.format("Big"))]
 
-    @pytest.mark.parametrize("cm", ["USD=9E+999999", "USD=1E-999999"], ids=["huge", "tiny"])
-    def test_report_table2(self, capsys, cm):
+    @pytest.mark.parametrize("cm,what", [
+        ("USD=9E+999999", "EUR: cm = USD cm * rate USD->EUR"),
+        ("USD=1E-999999", "JPY: inverse_cm = 1 / cm"),
+    ], ids=["huge", "tiny"])
+    def test_report_table2(self, capsys, cm, what):
         code, out, err = run(
             capsys, "report", "--table", "2", "--rates", str(FIXTURES / "rates_table2.csv"), "--cm", cm
         )
         assert (code, out) == (2, "")
-        assert err.splitlines() == [OVERFLOW]
+        assert err.splitlines() == [overflow(what)]
 
     def test_basket(self, capsys):
         code, out, err = run(
@@ -1038,8 +1057,18 @@ class TestDecimalOverflow:
         )
         assert code == 2
         assert out == "country,currency,item,unit,amount,role,monmin,cm_source\n"
-        assert err.splitlines()[-1] == OVERFLOW
+        assert err.splitlines()[-1] == COMMODITIES_OVERFLOW
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [["percent"], ["report", "--table", "4b"]], ids=["percent", "report-4b"])
+    def test_a_percent_past_the_range_names_its_quote(self, capsys, tmp_path, command):
+        basket = write_basket_file(tmp_path / "b.csv", [
+            "A,USD,Bread,kg,1,item", "A,USD,Gold,oz,9E+999999,item", "A,USD,Pay,month,1,salary",
+        ])
+        code, out, err = run(capsys, *command, "--basket", basket)
+        assert code == 2
+        assert out.splitlines()[1:] == (["A,USD,Bread,kg,100.00"] if command == ["percent"] else ["Bread,kg,100.00"])
+        assert err.splitlines() == [overflow("USD: Gold (oz): percent = 100 * amount / salary")]
 
     def test_minute_value_note_stays_short(self, capsys):
         """The ``cm CODE=...`` note of a tiny minute value is not a million zeros long."""
@@ -1050,7 +1079,7 @@ class TestDecimalOverflow:
         assert code == 2
         assert len(err.encode()) < 4096
         assert "cm USD=1E-999999 source=manual" in err.splitlines()
-        assert err.splitlines()[-1] == OVERFLOW
+        assert err.splitlines()[-1] == FOOD_OVERFLOW
 
 
 class TestMinuteValueNotes:
@@ -1103,7 +1132,9 @@ class TestOutputFileReplacedOnSuccess:
         for target in (existing, absent):
             code, out, err = run(capsys, *argv, "--out", str(target))
             assert (code, out) == (2, "")
-            assert err.splitlines()[-1] == (overflow(CM_OF.format("Big")) if command == "cm" else OVERFLOW)
+            assert err.splitlines()[-1] == {
+                "report-4": FOOD_OVERFLOW, "cm": overflow(CM_OF.format("Big")), "basket": COMMODITIES_OVERFLOW,
+            }[command]
         assert existing.read_bytes() == b"keep,me\n1,2\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv", "existing.csv"]
 

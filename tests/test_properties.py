@@ -52,10 +52,12 @@ from monmin import (
     write_series,
     write_table,
 )
+from monmin import ingest
 from monmin.cli import main
 from monmin.ingest import _plain
 from monmin.report import format_cell
 
+from conftest import FIXTURES, GOLDEN
 from oracles import (
     brute_force_extrema,
     reference_cell,
@@ -587,3 +589,72 @@ def test_series_scale_line_multiplies_m1_and_gdp(series, scale, bom):
     ))
     want = _round_trip(write_series, load_series, scaled)[0]
     assert _scaled_load(load_series, text, scale, bom) == want == scaled
+
+
+def _manual_cms(*pairs: str) -> dict[str, MonMinValue]:
+    return {code: MonMinValue(CurrencyCode(code), D(value)) for code, value in (pair.split("=") for pair in pairs)}
+
+
+def _every_output() -> dict[str, str]:
+    """Each golden table, both listings and the plot data: the fixtures loaded, built and written as CSV."""
+    from monmin import build_table1, build_table2, build_table5, write_plot_data
+
+    economies, _ = load_economies(FIXTURES / "economies_table1.csv")
+    commodities, _ = load_basket(FIXTURES / "basket_commodities.csv")
+    food, _ = load_basket(FIXTURES / "basket_food.csv")
+    rates, _ = load_rates(FIXTURES / "rates_table2.csv")
+    series, _ = load_series(FIXTURES / "series_us.csv")
+    commodity_cms = _manual_cms("USD=0.121001", "CZK=0.951979", "EUR=0.077722", "GBP=0.014648")
+    table2_cms = _manual_cms("USD=0.11918", "GBP=0.170789", "JPY=0.00157685", "CNY=0.00023033")
+    food_cms = _manual_cms("USD=0.12101", "EUR=0.07772", "GBP=0.014548", "JPY=8.2873", "CNY=0.0347", "CZK=0.95198")
+    built = {
+        "table1.csv": build_table1(economies),
+        "table2.csv": build_table2(table2_cms.pop("USD"), rates, table2_cms),
+        "table3.csv": build_table3(commodities, commodity_cms),
+        "table4.csv": build_table4(food, food_cms),
+        "table4b.csv": build_table4b(food),
+        "table5.csv": build_table5(series),
+        "basket_commodities.csv": build_basket_listing(commodities, commodity_cms),
+        "percent_food.csv": build_percent_listing(food),
+    }
+    outputs = {name: render_table(*table) for name, table in built.items()}
+    outputs["table1.txt"] = render_table(*built["table1.csv"], fmt="text")
+    plot = io.StringIO()
+    write_plot_data(series, plot, detect_extrema(series_in_monmin(series)))
+    outputs["plot_series_us.csv"] = plot.getvalue()
+    return outputs
+
+
+_SIGNALS = [decimal.Inexact, decimal.Rounded, decimal.Subnormal, decimal.Underflow, decimal.Clamped,
+            decimal.FloatOperation]
+_ROUNDINGS = [decimal.ROUND_UP, decimal.ROUND_DOWN, decimal.ROUND_CEILING, decimal.ROUND_FLOOR,
+              decimal.ROUND_HALF_UP, decimal.ROUND_HALF_DOWN, decimal.ROUND_HALF_EVEN, decimal.ROUND_05UP]
+
+
+@st.composite
+def caller_contexts(draw):
+    emax = draw(st.integers(min_value=1, max_value=decimal.MAX_EMAX))
+    return decimal.Context(
+        prec=draw(st.integers(min_value=1, max_value=60)),
+        rounding=draw(st.sampled_from(_ROUNDINGS)),
+        Emax=emax,
+        Emin=-emax,
+        capitals=draw(st.integers(min_value=0, max_value=1)),
+        clamp=draw(st.integers(min_value=0, max_value=1)),
+        traps=draw(st.lists(st.sampled_from(_SIGNALS), unique=True)),
+    )
+
+
+@given(context=st.one_of(
+    st.just(decimal.Context(prec=6, rounding=decimal.ROUND_FLOOR, traps=[decimal.Inexact])), caller_contexts()
+), block_path=st.booleans())
+@settings(deadline=None, max_examples=25)
+def test_every_output_is_the_same_whatever_the_caller_context(context, block_path):
+    """Loaded, built and written under the caller's context, every golden output keeps its default-context bytes.
+
+    The block path is tried on the fixtures too when ``block_path`` is set.
+    """
+    with mock.patch.object(ingest, "_BLOCK_CHARS", 1 if block_path else ingest._BLOCK_CHARS):
+        with decimal.localcontext(context):
+            outputs = _every_output()
+    assert outputs == {name: (GOLDEN / name).read_text(encoding="utf-8") for name in outputs}

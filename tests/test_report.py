@@ -52,7 +52,7 @@ from monmin import (
     write_table,
 )
 from monmin import report
-from monmin.errors import UnknownCurrency
+from monmin.errors import MonMinError, UnknownCurrency
 
 from expected_tables import TABLE2_MANUAL, TABLE3_CM, TABLE4_COUNTRIES
 from oracles import brute_force_extrema, reference_plot_data, reference_render
@@ -281,12 +281,22 @@ class TestTable1:
         assert str(caught.value) == "minute value must be > 0, got 0E-1000026 USD"
 
     def test_minute_value_that_overflows_to_infinity_is_refused(self):
+        """A caller's context that lets a quotient overflow to infinity does not: table 1's line names the country."""
         big = EconomySnapshot("Big", CurrencyCode("USD"), D("1E+400"), 10, date(2019, 1, 1))
         spec, rows = build_table1([big], TimeStandard(D("1E-999999")))
         with decimal.localcontext(decimal.Context(traps=[decimal.InvalidOperation])):
-            with pytest.raises(NonPositiveInput) as caught:
+            with pytest.raises(MonMinError) as caught:
                 render_table(spec, rows)
-        assert str(caught.value) == "USD: minute value must be finite, got Infinity"
+        assert str(caught.value) == (
+            "Overflow: Big: cm = gdp / population / minutes_per_year exceeds the decimal range (largest exponent 999999)"
+        )
+
+    def test_figures_do_not_follow_the_caller_context(self, fixtures):
+        """Built and written under ``Context(prec=6)``, the United States cm still prints ``0.1210095``."""
+        snapshots, _ = load_economies(fixtures / "economies_table1.csv")
+        with decimal.localcontext(decimal.Context(prec=6)):
+            lines = render_table(*build_table1(snapshots)).splitlines()
+        assert lines[1] == "United States,USD,20891400000000,328467812,63603,0.1210095,computed_from_gdp"
 
     def test_a_minute_value_that_rounds_to_zero_prints_fixed_point(self):
         """The quantized cm is ``0E-7``; its cell reads ``0.0000000``, never the scientific text."""
