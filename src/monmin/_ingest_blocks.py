@@ -43,8 +43,9 @@ def _columns(fh, expected: list[str], optional: tuple[str, ...]):
 
     The rows are read and checked as ``ingest._read_table`` and
     ``ingest._records`` do; where they would report an issue, this raises a
-    doubt instead.  A bad ``# scale=`` line is a doubt too, even in a basket
-    file, which has none.  The cells are not stripped: ``Decimal`` and
+    doubt instead.  An issue ``ingest._table_lines`` or ``_scale_factor``
+    finds, a bad ``# scale=`` line even in a basket file, which has none, is
+    a doubt after the block it is found in, or at the end.  The cells are not stripped: ``Decimal`` and
     ``int`` ignore the whitespace ``str.strip`` removes, a code or role with
     any is a doubt, and a loader strips only the other texts it reads.
     """
@@ -53,14 +54,14 @@ def _columns(fh, expected: list[str], optional: tuple[str, ...]):
     reader = csv.reader(ingest._table_lines(fh, directives, _NO_NUMBERS, errors))
     header = next(reader, None)
     scale = _scale_factor(directives, errors)
-    if errors or header is None or list(map(str.strip, header)) not in (expected, expected + list(optional)):
+    if header is None or list(map(str.strip, header)) not in (expected, expected + list(optional)):
         raise _Doubt
     width = len(expected) + len(optional)
 
     def columns():
         size = min(16, ingest._BLOCK_ROWS)  # the first blocks are small, so a doubt on an early row costs little
         while rows := list(islice(reader, size)):
-            if errors:  # a line that is not valid UTF-8
+            if errors:  # a bad scale factor, or a line that is not valid UTF-8
                 raise _Doubt
             size = min(2 * size, ingest._BLOCK_ROWS)
             widths = set(map(len, rows))

@@ -12,7 +12,9 @@ whatever the caller's context is: 28 significant digits, ties to even,
 with ``Overflow`` trapped, the default context's values.  The functions
 below use its methods; the loaders, the table builders and the series
 enter it once per file, block or series, never once per row.  Nothing
-here rounds for display: the report layer does, under its own context.
+here rounds for display: the report layer rounds each figure once, under
+its own context.  The plot data, the CLI's ``cm … source=`` notes and
+``convert --decimals`` beyond 28 digits show the 28-digit figure itself.
 Every type is a frozen value, every operation a pure function, so
 everything is safe to share across threads.
 """

@@ -1,13 +1,15 @@
 """Deterministic table rendering with per-column rounding rules.
 
-Computation upstream keeps full precision; every figure is rounded here,
-exactly once, with half-away-from-zero ties, by one ``quantize`` under
-this module's own display context.  So the caller's ``decimal`` context
-(precision, rounding mode, traps, exponent letter) changes no cell, and a
-cell wider than 28 digits prints every digit.  The arithmetic that makes
-a row's figures, in the builders below, still runs under the caller's
-context.  Two output variants exist: CSV for machines and aligned text
-for humans.  Identical inputs always produce byte-identical output.
+Every figure is computed in ``core._FIGURES``, the 28-digit context of
+:mod:`monmin.core`, whatever the caller's ``decimal`` context: the
+builders below make their rows in it, a block at a time inside
+:class:`RowView`.  Each figure is rounded here once, for display, with
+half-away-from-zero ties, by one ``quantize`` under this module's own
+display context.  So the caller's context (precision, rounding mode,
+traps, exponent letter) changes no cell, and a cell wider than 28 digits
+prints every digit; the plot data shows each 28-digit figure as it is.
+Two output variants exist: CSV for machines and aligned text for humans.
+Identical inputs always produce byte-identical output.
 
 Builders assemble the six standard report tables (per-country minute
 values, cross-rate minute values, commodity and food baskets in minutes,

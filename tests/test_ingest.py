@@ -1,6 +1,7 @@
 import csv
 import json
 from decimal import Decimal as D
+from unittest import mock
 
 import pytest
 
@@ -24,6 +25,9 @@ from monmin import (
     write_rates,
     write_series,
 )
+from monmin import ingest
+
+from test_ingest_blocks import block_path_only, row_path, same
 
 
 def put(tmp_path, name, text):
@@ -204,11 +208,37 @@ class TestInvalidUtf8:
             (3, self.E9.format(4)), (4, "MalformedRow: [<class 'decimal.ConversionSyntax'>]"),
         ]
 
+    # 3,056 rows end exactly at a block (16 + 32 + 64 + 128 + 11 * 256 rows), so the line after them is read
+    # only once that block is made
+    @pytest.mark.parametrize("rows", [0, 3056], ids=["no-rows", "a-last-full-block"])
+    def test_in_a_comment_after_the_last_row_of_a_large_file(self, tmp_path, rows):
+        """The block path reads that line only after its last block, and must still leave the file to the row path."""
+        path = tmp_path / "e.csv"
+        body = "".join(f"Land {i},USD,{i}.5,{i + 1},2019-01-01\n" for i in range(rows)).encode()
+        path.write_bytes(b"country,currency,gdp,population,as_of\n" + body + b"# a note\n" * 8000 + b"# caf\xe9\n")
+        assert path.stat().st_size > ingest._BLOCK_CHARS
+        data, report = load_economies(path)
+        assert not data
+        assert [(e.line, e.message) for e in report.errors] == [(rows + 8002, self.E9.format(6))]
+
     def test_valid_non_ascii_text_loads(self, tmp_path):
         path = put(tmp_path, "e.csv",
                    "country,currency,gdp,population,as_of\nČesko,CZK,100,10,2019-01-01\n")
         snapshots, report = load_economies(path)
         assert report.ok and snapshots[0].country == "Česko"
+
+
+class TestBlockPathAlone:
+    """A clean file of at least one block that the block path loads without the row path."""
+
+    def test_series_rows_with_and_without_events_in_one_block(self, tmp_path):
+        path = put(tmp_path, "s.csv", "year,m1,gdp,population,events\n" + "".join(
+            f"{1000 + t},{t}.5,{t + 1}.25,{t + 5}" + (",War\n" if t % 2 else "\n") for t in range(3000)
+        ))
+        with mock.patch.object(ingest, "_BLOCK_CHARS", 1):
+            got = block_path_only(load_series, path)
+        same(got, row_path(load_series, path))
+        assert got[0].years[1].events == "War" and got[0].years[2].events == ""
 
 
 class TestLoadRates:
