@@ -70,8 +70,9 @@ _CODE_RE = re.compile(r"^[A-Z0-9]{3,4}$")
 
 _ZERO = Decimal(0)
 
-#: The context of every figure monmin computes: the default context's values, named one by one, so that
-#: neither the caller's context nor a changed ``decimal.DefaultContext`` moves a digit.
+# The context of every figure monmin computes: the default context's values, named one by one, so that
+# neither the caller's context nor a changed ``decimal.DefaultContext`` moves a digit.  Its methods set
+# its flags, which are never read.
 _FIGURES = Context(
     prec=28,
     rounding=ROUND_HALF_EVEN,
