@@ -43,9 +43,9 @@ def _columns(fh, expected: list[str], optional: tuple[str, ...]):
 
     The rows are read and checked as ``ingest._read_table`` and
     ``ingest._records`` do; where they would report an issue, this raises a
-    doubt instead.  An issue ``ingest._table_lines`` or ``_scale_factor``
-    finds, a bad ``# scale=`` line even in a basket file, which has none, is
-    a doubt after the block it is found in, or at the end.  The cells are not stripped: ``Decimal`` and
+    doubt instead.  An issue that ``ingest._table_lines`` or ``_scale_factor``
+    reports (a bad ``# scale=`` line, even in a basket file) is a doubt after
+    its block, or at the end.  The cells are not stripped: ``Decimal`` and
     ``int`` ignore the whitespace ``str.strip`` removes, a code or role with
     any is a doubt, and a loader strips only the other texts it reads.
     """

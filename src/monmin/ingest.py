@@ -22,7 +22,7 @@ number (a row's first line when it spans several).
 Both load paths read a file through one line reader, ``_table_lines``,
 which holds the format's line rules, and one ``csv.reader`` over its
 lines.  The economies, basket and series loaders read a regular file of at
-least ``_BLOCK_CHARS`` characters by the block path in
+least ``_BLOCK_CHARS`` bytes by the block path in
 ``monmin._ingest_blocks`` first: each block of ``_BLOCK_ROWS`` rows is
 converted and checked a column at a time, into values made by the types'
 column forms.  At the first doubt (any row that may be refused, a line
