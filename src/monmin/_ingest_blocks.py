@@ -6,7 +6,8 @@ never compiles this module.  The file's lines come from the row path's own
 line reader, ``ingest._table_lines``, through one ``csv.reader``; each
 block of about ``ingest._BLOCK_ROWS`` rows is turned into columns, each
 converted and checked in one C-level pass, and into values by the types'
-column forms.  At the first doubt, any row or line the row path may refuse
+column forms, all in ``core._LOADING``, the row path's context too, entered
+once per file.  At the first doubt, any row or line the row path may refuse
 or a cell this path does not read itself, the file is closed and the
 loader returns None, so that the row path loads it again and reports its
 issues.  A ``MonMinError`` that a type raises, such as ``AggregateSeries``
@@ -22,7 +23,7 @@ from itertools import groupby, islice, repeat
 from operator import mul
 
 from . import ingest
-from .core import _FIGURES, CurrencyCode, EconomySnapshot, TimeStandard, _iso_date, _quotes, _snapshots
+from .core import _LOADING, CurrencyCode, EconomySnapshot, TimeStandard, _iso_date, _quotes, _snapshots
 from .errors import MonMinError
 from .ingest import IngestReport, Issue, _baskets, _Once, _scale_factor
 
@@ -77,9 +78,9 @@ def _columns(fh, expected: list[str], optional: tuple[str, ...]):
 
 
 def _load(path, expected: list[str], build, optional: tuple[str, ...] = ()):
-    """``build(scale, columns)`` over the file, in ``core._FIGURES``; None at the first doubt, with the file closed."""
+    """``build(scale, columns)`` over the file, in ``core._LOADING``; None at the first doubt, with the file closed."""
     try:
-        with ingest._open(path) as fh, localcontext(_FIGURES):
+        with ingest._open(path) as fh, localcontext(_LOADING):
             return build(*_columns(fh, expected, optional))
     except _DOUBTS:
         return None
@@ -89,17 +90,11 @@ def _numbers(texts, scale: Decimal | None = None) -> list[Decimal]:
     """A column of numbers, each multiplied by ``scale`` when one is given, as ``ingest._finite`` does.
 
     A number that is not finite is left for the type's column form to refuse.
-    A number other than zero whose product underflows to zero is a doubt:
-    a zero m1 passes the column form, and ``_finite`` refuses it.  So is any
-    subnormal product, which ``_finite`` refuses when it lost digits.
+    A product that ``_finite`` refuses raises the loading context's trap,
+    ``Overflow`` or ``Underflow``: a doubt.
     """
-    values = list(map(Decimal, texts))
-    if scale is None:
-        return values
-    products = list(map(mul, values, repeat(scale)))
-    if any(map(Decimal.is_subnormal, products)) or (not all(products) and products.count(0) != values.count(0)):
-        raise _Doubt
-    return products
+    values = map(Decimal, texts)
+    return list(values if scale is None else map(mul, values, repeat(scale)))
 
 
 def load_economies(path):

@@ -10,8 +10,10 @@ hypothetical parity rates, and salary normalization.
 Every figure is a `decimal.Decimal` computed in one context, ``_FIGURES``,
 whatever the caller's context is: 28 significant digits, ties to even,
 with ``Overflow`` trapped, the default context's values.  The functions
-below use its methods; the loaders, the table builders and the series
-enter it once per file, block or series, never once per row.  Nothing
+below use its methods; the table builders and the series enter it once
+per block or series, never once per row.  Every loader reads, scales and
+checks its cells in ``_LOADING``, the same context with ``Underflow``
+trapped too, entered once per file.  Nothing
 here rounds for display: the report layer rounds each figure once, under
 its own context.  The plot data, the CLI's ``cm … source=`` notes and
 ``convert --decimals`` beyond 28 digits show the 28-digit figure itself.
@@ -25,7 +27,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import date
-from decimal import ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation, Overflow
+from decimal import ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation, Overflow, Underflow
 from enum import Enum
 from itertools import repeat
 
@@ -83,6 +85,11 @@ _FIGURES = Context(
     flags=[],
     traps=[InvalidOperation, DivisionByZero, Overflow],
 )
+
+# The context of every load: a scaled cell past either end of the exponent range raises ``Overflow``, or
+# ``Underflow`` when it lost digits (a nonzero cell scaled to zero among them); an exact subnormal loads.
+_LOADING = _FIGURES.copy()
+_LOADING.traps[Underflow] = True
 
 
 def _slot_setters(cls, *names):
@@ -348,7 +355,10 @@ class RateTable:
         return f"RateTable({list(self._rates.values())!r})"
 
     def reciprocal_mismatches(self, rel_tol: Decimal = Decimal("1e-6")):
-        """Pairs (a,b)/(b,a) whose rate product strays from 1 beyond rel_tol."""
+        """Pairs (a,b)/(b,a) whose rate product strays from 1 beyond rel_tol.
+
+        A product past the decimal exponent range is given as infinity.
+        """
         found = []
         for (base, quote), fwd in self._rates.items():
             if base > quote:
@@ -356,7 +366,10 @@ class RateTable:
             back = self._rates.get((quote, base))
             if back is None:
                 continue
-            product = _FIGURES.multiply(fwd.rate, back.rate)
+            try:
+                product = _FIGURES.multiply(fwd.rate, back.rate)
+            except Overflow:
+                product = Decimal("Infinity")
             if _FIGURES.abs(_FIGURES.subtract(product, 1)) > rel_tol:
                 found.append((fwd, back, product))
         return found
@@ -485,7 +498,9 @@ def parity_rate(
     item would equal the reference market's.
 
     Differing item names warn by default (``ItemMismatchWarning``) and
-    raise :class:`ItemMismatch` when ``strict_items`` is set.
+    raise :class:`ItemMismatch` when ``strict_items`` is set.  A rate past
+    the decimal exponent range raises an ``Overflow:`` :class:`MonMinError`
+    that names the figure.
     """
     if local_price.monmin <= 0:
         raise NonPositiveInput(
@@ -499,7 +514,10 @@ def parity_rate(
         if strict_items:
             raise ItemMismatch(message)
         warnings.warn(message, ItemMismatchWarning, stacklevel=2)
-    return _FIGURES.divide(_FIGURES.multiply(current_rate.rate, ref_price.monmin), local_price.monmin)
+    try:
+        return _FIGURES.divide(_FIGURES.multiply(current_rate.rate, ref_price.monmin), local_price.monmin)
+    except Overflow:
+        raise _overflow("parity rate = rate * ref / local") from None
 
 
 def percent_of_salary(price: MonMinPrice, salary: MonMinPrice) -> Decimal:

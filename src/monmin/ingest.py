@@ -14,7 +14,11 @@ monetary columns (gdp; m1 and gdp for series) into absolute units, so
 ignored.  A leading byte-order mark is skipped.  A quoted cell may span
 lines, but a blank or ``#`` line is never part of a cell.  Numbers must
 be finite, and a line that is not valid UTF-8 is an error on that line.
-Without a ``# scale=`` line numbers are kept exactly as written.
+Without a ``# scale=`` line numbers are kept exactly as written.  Every
+loader, on either path, reads, scales and checks its cells in
+``core._LOADING``, entered once per file: a scaled number past either end
+of its exponent range is refused by that context's traps, and no issue or
+warning text depends on the caller's ``decimal`` context.
 Loading is all-or-nothing: any error row means the returned dataset is
 empty and the report lists every problem with its 1-based physical line
 number (a row's first line when it spans several).
@@ -47,14 +51,14 @@ import csv
 import os
 import re
 from dataclasses import dataclass
-from decimal import Context, Decimal, InvalidOperation, Overflow, Underflow, getcontext, localcontext
+from decimal import Context, Decimal, InvalidOperation, Overflow, Underflow, localcontext
 from itertools import compress, repeat
 from operator import attrgetter, is_not
 from pathlib import Path
 from stat import S_ISREG
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .core import _FIGURES, CurrencyCode, EconomySnapshot, ExchangeRate, PriceQuote, RateTable, TimeStandard
+from .core import _LOADING, CurrencyCode, EconomySnapshot, ExchangeRate, PriceQuote, RateTable, TimeStandard
 from .errors import (
     CurrencyMismatch, DuplicateCountry, DuplicatePair, MalformedRow, MonMinError, NonMonotoneYears,
     UnknownCurrency,
@@ -165,15 +169,12 @@ class _Once(dict):
 def _finite(text: str, scale: Decimal | None = None) -> Decimal:
     """A finite number, multiplied by ``scale`` only when a scale is given.
 
-    A loader calls it in ``core._FIGURES``, entered once per file.  The
+    A loader calls it in ``core._LOADING``, entered once per file.  The
     multiplication rounds to that context's precision, so an unscaled
     number skips it and keeps every digit.  A product past either end of
-    the context's exponent range is refused here: one that raises
-    ``Overflow``, a number other than zero whose product underflows to
-    zero, and a subnormal product that lost digits (the ``Underflow``
-    condition, checked under a copy of the context that traps it).  An
-    exact subnormal product loads.  A product the context turns into an
-    infinity instead is refused by the value's type.
+    the context's exponent range is refused by its traps: one that raises
+    ``Overflow``, and one that lost digits to the lower end, zero among
+    them (``Underflow``).  An exact subnormal product loads.
     """
     value = Decimal(text)
     if not value.is_finite():
@@ -181,16 +182,9 @@ def _finite(text: str, scale: Decimal | None = None) -> Decimal:
     if scale is None:
         return value
     try:
-        product = value * scale
-        if product.is_subnormal():
-            context = getcontext().copy()
-            context.traps[Underflow] = True
-            context.multiply(value, scale)
-        if product or not value:
-            return product
+        return value * scale
     except (Overflow, Underflow):
-        pass
-    raise ValueError(f"{text!r} times the scale factor {scale} is past the decimal exponent limit")
+        raise ValueError(f"{text!r} times the scale factor {scale} is past the decimal exponent limit") from None
 
 
 def _issue(line: int, exc: Exception) -> Issue:
@@ -343,7 +337,7 @@ def load_economies(path) -> tuple[list[EconomySnapshot], IngestReport]:
     snapshots: list[EconomySnapshot] = []
     seen: dict[str, int] = {}
     codes = _Once(CurrencyCode)
-    with localcontext(_FIGURES):  # for the scale products
+    with localcontext(_LOADING):
         for lineno, (country, code, gdp_text, pop_text, as_of) in scan.rows:
             try:
                 snapshot = EconomySnapshot(
@@ -365,40 +359,36 @@ def load_rates(path) -> tuple[RateTable, IngestReport]:
     """Load a directed rate table; reciprocal drift is a warning, not an error."""
     scan = _read_table(path, _RATES_HEADER)
     errors = scan.errors
-    warnings: list[Issue] = []
     rates: list[ExchangeRate] = []
     seen: dict[tuple[str, str], int] = {}
     codes = _Once(CurrencyCode)
-    for lineno, (base, quote, rate_text, as_of) in scan.rows:
-        try:
-            rate = ExchangeRate(
-                base=codes[base],
-                quote=codes[quote],
-                rate=_finite(rate_text),
-                as_of=as_of or None,
-            )
-            key = (rate.base.code, rate.quote.code)
-            if key in seen:
-                raise DuplicatePair(f"{key[0]}->{key[1]} already defined on line {seen[key]}")
-        except _ROW_ERRORS as exc:
-            errors.append(_issue(lineno, exc))
-            continue
-        seen[key] = lineno
-        rates.append(rate)
-    if errors:
-        return RateTable(), IngestReport(0, errors=tuple(errors))
-    table = RateTable(rates)
-    for fwd, back, product in table.reciprocal_mismatches():
-        lineno = max(
-            seen[(fwd.base.code, fwd.quote.code)], seen[(back.base.code, back.quote.code)]
-        )
-        warnings.append(
-            Issue(
-                lineno,
-                f"reciprocal rates {fwd.base}->{fwd.quote} and {back.base}->{back.quote} "
-                f"multiply to {product}, expected 1",
-            )
-        )
+    with localcontext(_LOADING):
+        for lineno, (base, quote, rate_text, as_of) in scan.rows:
+            try:
+                rate = ExchangeRate(
+                    base=codes[base],
+                    quote=codes[quote],
+                    rate=_finite(rate_text),
+                    as_of=as_of or None,
+                )
+                key = (rate.base.code, rate.quote.code)
+                if key in seen:
+                    raise DuplicatePair(f"{key[0]}->{key[1]} already defined on line {seen[key]}")
+            except _ROW_ERRORS as exc:
+                errors.append(_issue(lineno, exc))
+                continue
+            seen[key] = lineno
+            rates.append(rate)
+        if errors:
+            return RateTable(), IngestReport(0, errors=tuple(errors))
+        table = RateTable(rates)
+        warnings: list[Issue] = []
+        for fwd, back, product in table.reciprocal_mismatches():
+            lineno = max(seen[(fwd.base.code, fwd.quote.code)], seen[(back.base.code, back.quote.code)])
+            to = f"to {product}" if product.is_finite() else f"past the decimal range (largest exponent {_LOADING.Emax})"
+            warnings.append(Issue(
+                lineno, f"reciprocal rates {fwd.base}->{fwd.quote} and {back.base}->{back.quote} multiply {to}, expected 1"
+            ))
     return table, IngestReport(len(rates), warnings=tuple(warnings))
 
 
@@ -428,22 +418,23 @@ def load_basket(path, known_currencies=None) -> tuple[list[Basket], IngestReport
     groups: dict[tuple[str, str], list] = {}  # (country, code) -> [items, salary]
     codes = _Once(CurrencyCode)
     texts = _Once(str)
-    for lineno, (country, code, item, unit, amount_text, role) in scan.rows:
-        try:
-            if role not in ("item", "salary"):
-                raise MalformedRow(f"role must be item or salary, got {role!r}")
-            if known is not None and code not in known:
-                raise UnknownCurrency(f"{code} is not in the known set")
-            quote = PriceQuote(texts[item], texts[unit], codes[code], _finite(amount_text))
-            group = groups.setdefault((country, code), [[], None])
-            if role == "item":
-                group[0].append(quote)
-            elif group[1] is None:
-                group[1] = quote
-            else:
-                raise MalformedRow(f"duplicate salary row for {country}")
-        except _ROW_ERRORS as exc:
-            errors.append(_issue(lineno, exc))
+    with localcontext(_LOADING):
+        for lineno, (country, code, item, unit, amount_text, role) in scan.rows:
+            try:
+                if role not in ("item", "salary"):
+                    raise MalformedRow(f"role must be item or salary, got {role!r}")
+                if known is not None and code not in known:
+                    raise UnknownCurrency(f"{code} is not in the known set")
+                quote = PriceQuote(texts[item], texts[unit], codes[code], _finite(amount_text))
+                group = groups.setdefault((country, code), [[], None])
+                if role == "item":
+                    group[0].append(quote)
+                elif group[1] is None:
+                    group[1] = quote
+                else:
+                    raise MalformedRow(f"duplicate salary row for {country}")
+            except _ROW_ERRORS as exc:
+                errors.append(_issue(lineno, exc))
     if errors:
         return [], IngestReport(0, errors=tuple(errors))
     return _baskets(groups, codes)
@@ -470,7 +461,7 @@ def load_series(
     scale = _scale_factor(scan.directives, errors)
     years: list[AggregateYear] = []
     last_year: int | None = None
-    with localcontext(_FIGURES):  # for the scale products
+    with localcontext(_LOADING):
         for lineno, (year_text, m1_text, gdp_text, pop_text, events) in scan.rows:
             try:
                 year = AggregateYear(

@@ -654,18 +654,23 @@ def _percent(amount: Decimal, salary: Decimal) -> Decimal:
     return 100 * (amount / 1) / salary
 
 
-def _name_overflow(what: str, figure: Callable, quotes) -> None:
-    """Raise the ``Overflow:`` error of the first quote whose ``figure(amount, divisor)`` is past the decimal range.
+def _named(figure: Callable, what: str, labels, *columns) -> list:
+    """``list(map(figure, *columns))``, or the ``Overflow:`` error of the first cell past the decimal range.
 
-    ``quotes`` gives ``(currency, (item, unit), amount, divisor)`` for each
-    quote of a block that failed, so a block is searched only after it
-    fails.  The error names the currency, the item and unit, and ``what``.
+    Each column is a sequence, or an endless ``repeat``.  ``labels`` gives
+    each cell's ``(currency, (item, unit))`` and is read only after a
+    figure overflows, up to the first cell that does.  The error names the
+    currency, the item and unit, and ``what``.
     """
-    for currency, (item, unit), amount, divisor in quotes:
-        try:
-            figure(amount, divisor)
-        except Overflow:
-            raise _overflow(f"{currency}: {item} ({unit}): {what}") from None
+    try:
+        return list(map(figure, *columns))
+    except Overflow:
+        for (currency, (item, unit)), *cell in zip(labels, *columns):
+            try:
+                figure(*cell)
+            except Overflow:
+                raise _overflow(f"{currency}: {item} ({unit}): {what}") from None
+        raise
 
 
 def _label_rows(baskets: Sequence[Basket], labels: list, amounts: list[list], divisors: list, figure: Callable,
@@ -674,23 +679,14 @@ def _label_rows(baskets: Sequence[Basket], labels: list, amounts: list[list], di
 
     A row is its label's item and unit, each basket's amount when ``raw``
     is set, then ``figure(amount, divisor)`` for each basket.  A figure past
-    the decimal range raises :func:`_name_overflow`'s error.
+    the decimal range raises :func:`_named`'s error.
     """
     def make(i):
         row = [column[i] for column in amounts]
-        return (*labels[i], *(row if raw else ()), *map(figure, row, divisors))
+        named = ((basket.currency, labels[i]) for basket in baskets)
+        return (*labels[i], *(row if raw else ()), *_named(figure, what, named, row, divisors))
 
-    def columns(start, stop):
-        try:
-            return list(zip(*map(make, range(start, stop))))
-        except Overflow:
-            _name_overflow(what, figure, (
-                (basket.currency, labels[i], column[i], divisor)
-                for i in range(start, stop) for basket, column, divisor in zip(baskets, amounts, divisors)
-            ))
-            raise
-
-    return columns
+    return lambda start, stop: list(zip(*map(make, range(start, stop))))
 
 
 def _salary_minutes(basket: Basket) -> Decimal:
@@ -827,12 +823,8 @@ def build_basket_listing(baskets: Sequence[Basket], cms: Mapping[str, MonMinValu
 
     def more(k, quotes, roles):
         amounts = list(map(_AMOUNT, quotes))
-        value = values[k].value
-        try:
-            minutes = list(map(truediv, amounts, repeat(value)))
-        except Overflow:
-            _name_overflow(_MINUTES, truediv, ((baskets[k].currency, _LABEL(q), q.amount, value) for q in quotes))
-            raise
+        labels = ((baskets[k].currency, _LABEL(q)) for q in quotes)
+        minutes = _named(truediv, _MINUTES, labels, amounts, repeat(values[k].value))
         return [_plain_pass(amounts), roles, minutes, [values[k].source.value] * len(quotes)]
 
     return spec, _quote_view(spec, baskets, more)
@@ -861,7 +853,8 @@ def build_percent_listing(baskets: Sequence[Basket]):
         try:
             return [list(map(truediv, map(mul, repeat(100), amounts), repeat(salaries[k])))]
         except Overflow:
-            _name_overflow(_PERCENT, _percent, ((baskets[k].currency, _LABEL(q), q.amount, salaries[k]) for q in quotes))
+            labels = ((baskets[k].currency, _LABEL(q)) for q in quotes)
+            _named(_percent, _PERCENT, labels, list(map(_AMOUNT, quotes)), repeat(salaries[k]))
             raise
 
     return spec, _quote_view(spec, baskets, more)

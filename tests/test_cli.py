@@ -324,6 +324,17 @@ class TestReportCommand:
             "error: table 2 needs a single-base rate table, got bases ['EUR', 'USD']",
         ]
 
+    def test_table2_warns_on_reciprocal_rates_past_the_range_then_refuses_two_bases(self, capsys, tmp_path):
+        rates = tmp_path / "r.csv"
+        rates.write_text("base,quote,rate,as_of\nUSD,EUR,9E+999999,\nEUR,USD,9E+999999,\n")
+        code, out, err = run(capsys, "report", "--table", "2", "--rates", str(rates))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"{rates}:3: warning: reciprocal rates EUR->USD and USD->EUR multiply past the decimal range"
+            " (largest exponent 999999), expected 1",
+            "error: table 2 needs a single-base rate table, got bases ['EUR', 'USD']",
+        ]
+
     def test_economies_sharing_a_currency_need_explicit_cm(self, capsys, tmp_path):
         economies = tmp_path / "e.csv"
         economies.write_text(
@@ -1021,8 +1032,12 @@ class TestDecimalOverflow:
              "", "1960: m1 in minutes = m1 * population * minutes_per_year / gdp"),
             (["report", "--table", "5", "--series", str(FIXTURES / "series_us.csv"), "--tetcy", "1E+999999"],
              "", "1960: m1 in minutes = m1 * population * minutes_per_year / gdp"),
+            (["parity", "--rate", "9E+999999", "--ref", "9E+999999", "--local", "1"],
+             "", "parity rate = rate * ref / local"),
+            (["parity", "--rate", "1E+999999", "--ref", "1", "--local", "1E-999999"],
+             "", "parity rate = rate * ref / local"),
         ],
-        ids=["cm", "report-1", "basket", "convert", "series", "report-5"],
+        ids=["cm", "report-1", "basket", "convert", "series", "report-5", "parity-product", "parity-quotient"],
     )
     def test_the_line_names_the_country_or_year_and_the_figure(self, capsys, argv, printed, what):
         code, out, err = run(capsys, *argv)

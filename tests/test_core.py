@@ -334,6 +334,11 @@ class TestRateTable:
         assert len(mismatches) == 1
         assert mismatches[0][2] == D("0.8")
 
+    def test_a_product_off_by_exactly_the_tolerance_is_no_mismatch(self):
+        edge = RateTable([ExchangeRate(USD, EUR, D("2.000002")), ExchangeRate(EUR, USD, D("0.5"))])
+        assert edge.reciprocal_mismatches() == []
+        assert len(edge.reciprocal_mismatches(rel_tol=D("0.999999e-6"))) == 1
+
     def test_rate_invariants(self):
         with pytest.raises(NonPositiveInput):
             ExchangeRate(USD, EUR, D(0))

@@ -126,6 +126,14 @@ class TestPhysicalLayout:
         assert report.ok and report.records_accepted == 2
         assert [s.country for s in snapshots] == ["North\nLand", "C"]
 
+    def test_a_scale_line_inside_a_header_that_spans_lines_is_a_comment(self, tmp_path):
+        # the "#" line is dropped from the quoted cell, so the header reads right; only lines before it are directives
+        path = put(tmp_path, "e.csv",
+                   '"country\n# scale=1e9\n",currency,gdp,population,as_of\nX,USD,542,1000,2019-01-01\n')
+        snapshots, report = load_economies(path)
+        assert report.ok
+        assert snapshots[0].gdp == D("542")
+
     def test_multi_line_row_issues_carry_its_first_line(self, tmp_path):
         path = put(tmp_path, "e.csv",
                    self.HEADER
@@ -262,6 +270,16 @@ class TestLoadRates:
         assert len(report.warnings) == 1
         assert report.warnings[0].line == 3
         assert "0.8" in report.warnings[0].message
+
+    def test_reciprocal_pair_past_the_decimal_range_warns(self, tmp_path):
+        path = put(tmp_path, "r.csv",
+                   "base,quote,rate,as_of\nUSD,EUR,9E+999999,\nEUR,USD,9E+999999,\n")
+        table, report = load_rates(path)
+        assert report.ok and len(table) == 2
+        assert report.warnings == (ingest.Issue(
+            3, "reciprocal rates EUR->USD and USD->EUR multiply past the decimal range (largest exponent 999999),"
+            " expected 1"
+        ),)
 
     def test_duplicate_pair(self, tmp_path):
         path = put(tmp_path, "r.csv",

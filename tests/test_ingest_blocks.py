@@ -10,6 +10,7 @@ inputs that stay on the row path.
 import csv
 import io
 import os
+import stat
 import tempfile
 import threading
 from contextlib import ExitStack
@@ -349,6 +350,16 @@ class TestBlockEdges:
         self.economies(path, last=b"Extra,USD,1,1,2019-01-01,6\n")
         assert self.issues(load_economies(path)) == [(3002, "MalformedRow: expected 5 columns, got 6")]
 
+    def test_a_zero_gdp_is_refused(self, tmp_path):
+        path = tmp_path / "e.csv"
+        self.economies(path, last=b"Zero,USD,0,1,2019-01-01\n")
+        assert self.issues(load_economies(path)) == [(3002, "NonPositiveInput: Zero: gdp must be > 0, got 0")]
+
+    def test_a_country_defined_twice_is_refused(self, tmp_path):
+        path = tmp_path / "e.csv"
+        self.economies(path, last=b"Land 7,USD,1,1,2019-01-01\n")
+        assert self.issues(load_economies(path)) == [(3002, "DuplicateCountry: Land 7 already defined on line 9")]
+
     def test_an_unknown_role_is_refused(self, tmp_path):
         path = tmp_path / "b.csv"
         self.basket(path, "M0,EUR,Gold,oz,1,extra\n")
@@ -422,6 +433,13 @@ def test_small_files_and_other_inputs_take_the_row_path(tmp_path):
     assert ingest._block_path(large) is _ingest_blocks
     for path in (small, tmp_path / "missing.csv", tmp_path):
         assert ingest._block_path(path) is None
+
+
+def test_a_large_input_that_is_not_a_regular_file_takes_the_row_path(tmp_path):
+    # a pipe whose stat size reads a block or more must still be read only once
+    pipe = os.stat_result((stat.S_IFIFO | 0o600, 0, 0, 0, 0, 0, ingest._BLOCK_CHARS, 0, 0, 0))
+    with mock.patch.object(os, "stat", return_value=pipe):
+        assert ingest._block_path(tmp_path / "input.csv") is None
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")

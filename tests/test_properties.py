@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import decimal
 import io
+import json
 import re
 import tempfile
 from decimal import Decimal as D
@@ -54,9 +55,10 @@ from monmin import (
 )
 from monmin import ingest
 from monmin.cli import main
-from monmin.ingest import _plain
+from monmin.ingest import Issue, _plain
 from monmin.report import format_cell
 
+import test_ingest
 from conftest import FIXTURES, GOLDEN
 from oracles import (
     brute_force_extrema,
@@ -625,6 +627,28 @@ def _every_output() -> dict[str, str]:
     return outputs
 
 
+def _every_issue() -> dict[str, str]:
+    """Each dirty fixture's issues, loaded as ``TestIssueGoldens`` loads them, in its golden file's form."""
+    limit = csv.field_size_limit(64)  # so a short cell can raise csv.Error
+    try:
+        return {
+            f"ingest_{fmt}.issues": "".join(
+                json.dumps(list(issue)) + "\n" for issue in loader(FIXTURES / f"dirty_{fmt}.csv", **kwargs)[1].errors
+            )
+            for fmt, (loader, kwargs) in test_ingest.TestIssueGoldens.LOADS.items()
+        }
+    finally:
+        csv.field_size_limit(limit)
+
+
+def _reciprocal_warnings() -> tuple[Issue, ...]:
+    """The warnings of a rate pair whose product, 1E+10, prints with an exponent."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "r.csv"
+        path.write_text("base,quote,rate,as_of\nUSD,EUR,1E+5,\nEUR,USD,1E+5,\n", encoding="utf-8")
+        return load_rates(path)[1].warnings
+
+
 _SIGNALS = [decimal.Inexact, decimal.Rounded, decimal.Subnormal, decimal.Underflow, decimal.Clamped,
             decimal.FloatOperation]
 _ROUNDINGS = [decimal.ROUND_UP, decimal.ROUND_DOWN, decimal.ROUND_CEILING, decimal.ROUND_FLOOR,
@@ -652,9 +676,13 @@ def caller_contexts(draw):
 def test_every_output_is_the_same_whatever_the_caller_context(context, block_path):
     """Loaded, built and written under the caller's context, every golden output keeps its default-context bytes.
 
+    So do the dirty fixtures' issues and a reciprocal rate pair's warning.
     The block path is tried on the fixtures too when ``block_path`` is set.
     """
     with mock.patch.object(ingest, "_BLOCK_CHARS", 1 if block_path else ingest._BLOCK_CHARS):
         with decimal.localcontext(context):
             outputs = _every_output()
+            outputs.update(_every_issue())
+            warnings = _reciprocal_warnings()
     assert outputs == {name: (GOLDEN / name).read_text(encoding="utf-8") for name in outputs}
+    assert warnings == (Issue(3, "reciprocal rates EUR->USD and USD->EUR multiply to 1E+10, expected 1"),)
