@@ -158,16 +158,30 @@ def _finite_decimal(value, label: str, subject=None) -> Decimal:
 
     The message names the value's ``label``, after ``subject:`` when one
     is given, and the value itself: ``Gold: amount must be finite, got NaN``.
-    Each type's ``__post_init__`` calls it for every number; only
-    :class:`EconomySnapshot`'s hand-written ``__init__`` calls it just for a
-    value that is not already a finite Decimal, which keeps a function
-    call off the rows of a dirty economies file.
     """
     if type(value) is not Decimal:
         value = as_decimal(value)
     if not value.is_finite():
         name = label if subject is None else f"{subject}: {label}"
         raise NonPositiveInput(f"{name} must be finite, got {value}")
+    return value
+
+
+def _number(value, label: str, subject=None, zero: bool = False) -> Decimal:
+    """:func:`_finite_decimal` of ``value``, refused with NonPositiveInput below zero, or at zero unless ``zero``.
+
+    The message is shaped like the finite one: ``Gold: amount must be >= 0,
+    got -1``.  Every value type but :class:`MonMinValue`, whose message puts
+    the currency last, calls it for each number in its ``__post_init__``, so
+    a number is checked in full before the next field; only
+    :class:`EconomySnapshot`'s hand-written ``__init__`` calls it just for a
+    gdp that is not already a positive Decimal, which keeps a function call
+    off the rows of a dirty economies file.
+    """
+    value = _finite_decimal(value, label, subject)
+    if value < 0 or not (value or zero):
+        name = label if subject is None else f"{subject}: {label}"
+        raise NonPositiveInput(f"{name} must be {'>=' if zero else '>'} 0, got {value}")
     return value
 
 
@@ -205,13 +219,7 @@ class TimeStandard:
     minutes_per_year: Decimal = MINUTES_PER_YEAR
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "minutes_per_year", _finite_decimal(self.minutes_per_year, "minutes_per_year")
-        )
-        if self.minutes_per_year <= 0:
-            raise NonPositiveInput(
-                f"minutes_per_year must be > 0, got {self.minutes_per_year}"
-            )
+        object.__setattr__(self, "minutes_per_year", _number(self.minutes_per_year, "minutes_per_year"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,12 +242,10 @@ class EconomySnapshot:
     def __init__(
         self, country: str, currency: CurrencyCode, gdp: Decimal, population: int, as_of: date
     ) -> None:
-        if type(gdp) is not Decimal or not gdp.is_finite():
-            gdp = _finite_decimal(gdp, "gdp", country)
+        if type(gdp) is not Decimal or not gdp.is_finite() or gdp <= _ZERO:
+            gdp = _number(gdp, "gdp", country)
         if isinstance(as_of, str):
             as_of = _iso_date(as_of)
-        if gdp <= _ZERO:
-            raise NonPositiveInput(f"{country}: gdp must be > 0, got {gdp}")
         if not isinstance(population, int) or population <= 0:
             raise NonPositiveInput(
                 f"{country}: population must be a positive integer, got {population!r}"
@@ -305,15 +311,9 @@ class ExchangeRate:
     as_of: date | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "rate", _finite_decimal(self.rate, f"rate {self.base}->{self.quote}")
-        )
+        object.__setattr__(self, "rate", _number(self.rate, f"rate {self.base}->{self.quote}"))
         if isinstance(self.as_of, str):
             object.__setattr__(self, "as_of", _iso_date(self.as_of))
-        if self.rate <= 0:
-            raise NonPositiveInput(
-                f"rate {self.base}->{self.quote} must be > 0, got {self.rate}"
-            )
         if self.base == self.quote:
             raise ValueError(f"base and quote must differ, both are {self.base}")
 
@@ -357,7 +357,9 @@ class RateTable:
     def reciprocal_mismatches(self, rel_tol: Decimal = Decimal("1e-6")):
         """Pairs (a,b)/(b,a) whose rate product strays from 1 beyond rel_tol.
 
-        A product past the decimal exponent range is given as infinity.
+        A product past the decimal exponent range is given as infinity, and
+        one too small to keep its digits in it (``_LOADING``'s ``Underflow``)
+        as zero, which no product of two positive rates is.
         """
         found = []
         for (base, quote), fwd in self._rates.items():
@@ -367,9 +369,11 @@ class RateTable:
             if back is None:
                 continue
             try:
-                product = _FIGURES.multiply(fwd.rate, back.rate)
+                product = _LOADING.multiply(fwd.rate, back.rate)
             except Overflow:
                 product = Decimal("Infinity")
+            except Underflow:
+                product = _ZERO
             if _FIGURES.abs(_FIGURES.subtract(product, 1)) > rel_tol:
                 found.append((fwd, back, product))
         return found
@@ -386,9 +390,7 @@ class PriceQuote:
 
     def __post_init__(self):
         _currency_code(self.currency)
-        object.__setattr__(self, "amount", _finite_decimal(self.amount, "amount", self.item))
-        if self.amount < 0:
-            raise NonPositiveInput(f"{self.item}: amount must be >= 0, got {self.amount}")
+        object.__setattr__(self, "amount", _number(self.amount, "amount", self.item, zero=True))
 
 
 _QUOTE_SLOTS = _slot_setters(PriceQuote, "item", "unit", "currency", "amount")
@@ -414,11 +416,7 @@ class MonMinPrice:
     monmin: Decimal
 
     def __post_init__(self):
-        object.__setattr__(self, "monmin", _finite_decimal(self.monmin, "minute price", self.item))
-        if self.monmin < 0:
-            raise NonPositiveInput(
-                f"{self.item}: minute price must be >= 0, got {self.monmin}"
-            )
+        object.__setattr__(self, "monmin", _number(self.monmin, "minute price", self.item, zero=True))
 
 
 def compute_cm(econ: EconomySnapshot, std: TimeStandard = TimeStandard()) -> MonMinValue:

@@ -385,7 +385,12 @@ def load_rates(path) -> tuple[RateTable, IngestReport]:
         warnings: list[Issue] = []
         for fwd, back, product in table.reciprocal_mismatches():
             lineno = max(seen[(fwd.base.code, fwd.quote.code)], seen[(back.base.code, back.quote.code)])
-            to = f"to {product}" if product.is_finite() else f"past the decimal range (largest exponent {_LOADING.Emax})"
+            if product.is_finite() and product:
+                to = f"to {product}"
+            elif product:
+                to = f"past the decimal range (largest exponent {_LOADING.Emax})"
+            else:
+                to = f"past the decimal range (smallest exponent {_LOADING.Emin})"
             warnings.append(Issue(
                 lineno, f"reciprocal rates {fwd.base}->{fwd.quote} and {back.base}->{back.quote} multiply {to}, expected 1"
             ))

@@ -64,7 +64,7 @@ from decimal import (
 )
 from enum import Enum
 from itertools import accumulate, chain, groupby, repeat
-from operator import attrgetter, eq, itemgetter, lt, mul, truediv
+from operator import attrgetter, eq, itemgetter, lt, truediv
 from typing import TYPE_CHECKING, Callable, Collection, Iterator, Mapping, Sequence, TextIO
 
 from .core import (
@@ -650,8 +650,14 @@ _PERCENT = "percent = 100 * amount / salary"
 
 
 def _percent(amount: Decimal, salary: Decimal) -> Decimal:
-    """An amount as a percent of a salary, both in minutes of value 1: ``100 * (amount / 1) / salary``."""
-    return 100 * (amount / 1) / salary
+    """An amount as a percent of a salary in minutes of value 1: ``100 * amount / salary``.
+
+    The amount is not divided by 1 first, as :func:`to_monmin` at value 1
+    would: in the 28-digit figures context ``100 * (amount / 1)`` and
+    ``100 * amount`` round alike, since multiplying by 100 only appends two
+    zeros to the coefficient, and they overflow alike.
+    """
+    return 100 * amount / salary
 
 
 def _named(figure: Callable, what: str, labels, *columns) -> list:
@@ -693,8 +699,9 @@ def _salary_minutes(basket: Basket) -> Decimal:
     """A basket's salary under a unit minute value: the denominator of its percents.
 
     The minute value cancels in a percent of salary, so prices are taken in
-    minutes of value 1, ``100 * (amount / 1) / (salary / 1)``: exactly what
+    minutes of value 1, ``100 * amount / (salary / 1)``: exactly what
     :func:`percent_of_salary` gives for :func:`to_monmin` prices at value 1.
+    Dividing by 1 rounds a salary of more than 28 digits, as that would.
     """
     if basket.salary is None:
         raise ShapeMismatch(f"basket {basket.country} has no salary row")
@@ -848,14 +855,8 @@ def build_percent_listing(baskets: Sequence[Basket]):
     salaries = [_salary_minutes(basket) for basket in baskets]
 
     def more(k, quotes, roles):
-        # _percent, a quote at a time
-        amounts = map(truediv, map(_AMOUNT, quotes), repeat(1))
-        try:
-            return [list(map(truediv, map(mul, repeat(100), amounts), repeat(salaries[k])))]
-        except Overflow:
-            labels = ((baskets[k].currency, _LABEL(q)) for q in quotes)
-            _named(_percent, _PERCENT, labels, list(map(_AMOUNT, quotes)), repeat(salaries[k]))
-            raise
+        labels = ((baskets[k].currency, _LABEL(q)) for q in quotes)
+        return [_named(_percent, _PERCENT, labels, list(map(_AMOUNT, quotes)), repeat(salaries[k]))]
 
     return spec, _quote_view(spec, baskets, more)
 

@@ -18,7 +18,7 @@ from decimal import MAX_PREC, Decimal, Overflow, localcontext
 from itertools import groupby
 from operator import attrgetter, itemgetter, truediv
 
-from .core import _FIGURES, _ZERO, CurrencyCode, TimeStandard, _finite_decimal, _made, _slot_setters
+from .core import _FIGURES, _ZERO, CurrencyCode, TimeStandard, _made, _number, _slot_setters
 from .errors import EmptySeries, NonMonotoneYears, NonPositiveInput, TooShort, _overflow
 
 __all__ = [
@@ -42,12 +42,8 @@ class AggregateYear:
     events: str = ""  # pass-through annotation, never interpreted
 
     def __post_init__(self):
-        object.__setattr__(self, "m1", _finite_decimal(self.m1, "m1", self.year))
-        object.__setattr__(self, "gdp", _finite_decimal(self.gdp, "gdp", self.year))
-        if self.m1 < 0:
-            raise NonPositiveInput(f"{self.year}: m1 must be >= 0, got {self.m1}")
-        if self.gdp <= 0:
-            raise NonPositiveInput(f"{self.year}: gdp must be > 0, got {self.gdp}")
+        object.__setattr__(self, "m1", _number(self.m1, "m1", self.year, zero=True))
+        object.__setattr__(self, "gdp", _number(self.gdp, "gdp", self.year))
         if self.population <= 0:
             raise NonPositiveInput(f"{self.year}: population must be > 0, got {self.population}")
 
@@ -111,8 +107,15 @@ class ExtremaReport:
 
 
 def m1_in_monmin(y: AggregateYear, std: TimeStandard = TimeStandard()) -> Decimal:
-    """One year's M1 in minutes: the exact m1 * population * minutes_per_year, divided once by gdp."""
-    return _FIGURES.divide(_PRODUCTS.multiply(_PRODUCTS.multiply(y.m1, y.population), std.minutes_per_year), y.gdp)
+    """One year's M1 in minutes: the exact m1 * population * minutes_per_year, divided once by gdp.
+
+    A value past the decimal exponent range raises an ``Overflow:``
+    :class:`MonMinError` that names the year.
+    """
+    try:
+        return _FIGURES.divide(_PRODUCTS.multiply(_PRODUCTS.multiply(y.m1, y.population), std.minutes_per_year), y.gdp)
+    except Overflow:
+        raise _overflow(f"{y.year}: m1 in minutes = m1 * population * minutes_per_year / gdp") from None
 
 
 def series_in_monmin(s: AggregateSeries) -> list[tuple[int, Decimal]]:
@@ -129,11 +132,8 @@ def series_in_monmin(s: AggregateSeries) -> list[tuple[int, Decimal]]:
             values = list(map(truediv, products, map(_GDP, years)))
         return list(zip(map(_YEAR, years), values))
     except Overflow:
-        for y in s.years:  # the year is looked for only here, at no cost to the list above
-            try:
-                m1_in_monmin(y, s.std)
-            except Overflow:
-                raise _overflow(f"{y.year}: m1 in minutes = m1 * population * minutes_per_year / gdp") from None
+        for y in s.years:
+            m1_in_monmin(y, s.std)  # raises the overflow with the year named
         raise
 
 

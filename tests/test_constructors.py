@@ -185,6 +185,22 @@ def test_rejections_keep_their_type_and_text(make, error, message):
     assert str(caught.value) == message
 
 
+# a value with two faults is refused for the earlier field: each number is checked finite, then for its sign,
+# before the next field is looked at
+TWO_FAULTS = [
+    (lambda: AggregateYear(1960, D(-1), D("NaN"), 10), "1960: m1 must be >= 0, got -1"),
+    (lambda: EconomySnapshot("X", USD, D(0), 10, "2019-13-01"), "X: gdp must be > 0, got 0"),
+    (lambda: ExchangeRate(USD, CurrencyCode("EUR"), D(0), "2019-13-01"), "rate USD->EUR must be > 0, got 0"),
+]
+
+
+@pytest.mark.parametrize("make,message", TWO_FAULTS, ids=["AggregateYear", "EconomySnapshot", "ExchangeRate"])
+def test_a_number_is_checked_in_full_before_the_next_field(make, message):
+    with pytest.raises(NonPositiveInput) as caught:
+        make()
+    assert str(caught.value) == message
+
+
 NON_FINITE = ["Infinity", "-Infinity", "NaN", "sNaN"]
 
 

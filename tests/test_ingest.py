@@ -74,6 +74,12 @@ class TestLoadEconomies:
         assert snapshots == [] and report.records_accepted == 0
         assert [e.line for e in report.errors] == [3]
 
+    def test_a_row_with_a_zero_gdp_and_a_bad_date_is_refused_for_its_gdp(self, tmp_path):
+        path = put(tmp_path, "e.csv", "country,currency,gdp,population,as_of\nX,USD,0,10,2019-13-01\n")
+        snapshots, report = row_path(load_economies, path)
+        assert snapshots == []
+        assert report.errors == (ingest.Issue(2, "NonPositiveInput: X: gdp must be > 0, got 0"),)
+
     def test_duplicate_country(self, tmp_path):
         path = put(tmp_path, "e.csv",
                    "country,currency,gdp,population,as_of\n"
@@ -280,6 +286,25 @@ class TestLoadRates:
             3, "reciprocal rates EUR->USD and USD->EUR multiply past the decimal range (largest exponent 999999),"
             " expected 1"
         ),)
+
+    def test_reciprocal_pair_below_the_decimal_range_warns(self, tmp_path):
+        path = put(tmp_path, "r.csv",
+                   "base,quote,rate,as_of\nUSD,EUR,1E-999999,2019-01-01\nEUR,USD,1E-999999,2019-01-01\n")
+        table, report = load_rates(path)
+        assert report.ok and len(table) == 2
+        assert report.warnings == (ingest.Issue(
+            3, "reciprocal rates EUR->USD and USD->EUR multiply past the decimal range (smallest exponent -999999),"
+            " expected 1"
+        ),)
+
+    @pytest.mark.parametrize("back,to", [
+        ("3.3E-30", "to 9.9E-1000020"),
+        ("1.23456789E-30", "past the decimal range (smallest exponent -999999)"),
+    ], ids=["exact-subnormal", "inexact-subnormal"])
+    def test_a_subnormal_product_keeps_its_text_only_when_exact(self, tmp_path, back, to):
+        path = put(tmp_path, "r.csv", f"base,quote,rate,as_of\nUSD,EUR,3E-999990,\nEUR,USD,{back},\n")
+        _, report = load_rates(path)
+        assert report.warnings == (ingest.Issue(3, f"reciprocal rates EUR->USD and USD->EUR multiply {to}, expected 1"),)
 
     def test_duplicate_pair(self, tmp_path):
         path = put(tmp_path, "r.csv",

@@ -355,6 +355,13 @@ class TestBlockEdges:
         self.economies(path, last=b"Zero,USD,0,1,2019-01-01\n")
         assert self.issues(load_economies(path)) == [(3002, "NonPositiveInput: Zero: gdp must be > 0, got 0")]
 
+    def test_a_zero_population_is_refused(self, tmp_path):
+        path = tmp_path / "e.csv"
+        self.economies(path, last=b"Zero,USD,1,0,2019-01-01\n")
+        assert self.issues(load_economies(path)) == [
+            (3002, "NonPositiveInput: Zero: population must be a positive integer, got 0")
+        ]
+
     def test_a_country_defined_twice_is_refused(self, tmp_path):
         path = tmp_path / "e.csv"
         self.economies(path, last=b"Land 7,USD,1,1,2019-01-01\n")

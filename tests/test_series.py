@@ -8,6 +8,7 @@ from monmin import (
     CurrencyCode,
     EmptySeries,
     ExtremaReport,
+    MonMinError,
     NonMonotoneYears,
     NonPositiveInput,
     TimeStandard,
@@ -49,6 +50,14 @@ class TestM1InMonMin:
             year(1960, 1, 100, 0)
         with pytest.raises(NonPositiveInput):
             year(1960, -1, 100, 1000)
+
+    def test_a_value_past_the_decimal_range_names_its_year(self):
+        with pytest.raises(MonMinError) as caught:
+            m1_in_monmin(year(1960, "9E+999999", "1E-999999", 10), STD)
+        assert str(caught.value) == (
+            "Overflow: 1960: m1 in minutes = m1 * population * minutes_per_year / gdp"
+            " exceeds the decimal range (largest exponent 999999)"
+        )
 
 
 class TestSeriesInMonMin:

@@ -24,15 +24,17 @@ an f-string on Python before 3.12, is no site.
 Every site of every ``--module`` is a mutant (by default every module
 under ``src/``), or ``--sample N`` of them, drawn with the fixed
 ``SEED`` so that a sample is the same on every run.  Each mutant runs
-the tier-1 suite with ``-x -q -p no:cacheprovider`` in a temporary copy
-of the checkout, never in the checkout itself; two copies (one where
-there is a single CPU) run mutants side by side.  The unmutated suite
-runs once in each copy first: a killed mutant means something only where
-it passes, so the probe exits 1 before any mutant when it fails.  A
-mutant is killed when the suite fails on it (or runs past ten minutes)
-and survives when the whole suite passes.  One line is printed per
-mutant, ``module:line``, the mutation, killed or survived and the seconds
-it took, then a summary.  Only the stdlib is used.
+the tier-1 suite with ``-x -q -p no:cacheprovider`` and Hypothesis
+seeded with ``SEED``, so that every run draws the same generated
+examples, in a temporary copy of the checkout, never in the checkout
+itself; two copies (one where there is a single CPU) run mutants side by
+side.  The unmutated suite runs once in each copy first: a killed
+mutant means something only where it passes, so the probe exits 1
+before any mutant when it fails.  A mutant is killed when the suite
+fails on it (or runs past ten minutes) and survives when the whole suite
+passes.  One line is printed per mutant, ``module:line``, the mutation,
+killed or survived and the seconds it took, then a summary.  Only the
+stdlib is used.
 """
 from __future__ import annotations
 
@@ -53,9 +55,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-x", "-p", "no:cacheprovider"]
+SEED = 1  # of --sample, and of Hypothesis, so that the unmutated suite and every mutant see the same examples
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-x", "-p", "no:cacheprovider",
+         "--hypothesis-seed", str(SEED)]
 TIMEOUT = 600  # seconds; a suite run that takes longer (a mutant that loops) counts as killed
-SEED = 1  # of --sample
 _NOT_COPIED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks", ".work",
                                      "*.egg-info")
 
