@@ -650,14 +650,15 @@ _PERCENT = "percent = 100 * amount / salary"
 
 
 def _percent(amount: Decimal, salary: Decimal) -> Decimal:
-    """An amount as a percent of a salary in minutes of value 1: ``100 * amount / salary``.
+    """An amount as a percent of a salary, both in minutes of value 1: ``100 * (amount / 1) / salary``.
 
-    The amount is not divided by 1 first, as :func:`to_monmin` at value 1
-    would: in the 28-digit figures context ``100 * (amount / 1)`` and
-    ``100 * amount`` round alike, since multiplying by 100 only appends two
-    zeros to the coefficient, and they overflow alike.
+    Dividing by 1 rounds the amount in the figures context as
+    :func:`_salary_minutes` rounds the salary, and as :func:`to_monmin` at
+    value 1 would.  Without it an amount below the decimal range keeps the
+    digits the salary lost: a salary row of ``1.5E-1000026`` would read
+    75, as ``150E-1000026 / 2E-1000026``.
     """
-    return 100 * amount / salary
+    return 100 * (amount / 1) / salary
 
 
 def _named(figure: Callable, what: str, labels, *columns) -> list:
@@ -699,9 +700,8 @@ def _salary_minutes(basket: Basket) -> Decimal:
     """A basket's salary under a unit minute value: the denominator of its percents.
 
     The minute value cancels in a percent of salary, so prices are taken in
-    minutes of value 1, ``100 * amount / (salary / 1)``: exactly what
+    minutes of value 1, ``100 * (amount / 1) / (salary / 1)``: exactly what
     :func:`percent_of_salary` gives for :func:`to_monmin` prices at value 1.
-    Dividing by 1 rounds a salary of more than 28 digits, as that would.
     """
     if basket.salary is None:
         raise ShapeMismatch(f"basket {basket.country} has no salary row")

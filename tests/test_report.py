@@ -55,7 +55,7 @@ from monmin import report
 from monmin.errors import MonMinError, UnknownCurrency
 
 from expected_tables import TABLE2_MANUAL, TABLE3_CM, TABLE4_COUNTRIES
-from oracles import brute_force_extrema, reference_plot_data, reference_render
+from oracles import brute_force_extrema, reference_percent, reference_plot_data, reference_render
 
 
 def manual(code, value):
@@ -441,6 +441,22 @@ class TestTable4And4b:
         assert len(rows) == 2
         assert rows[-1] == {"item": "Salary", "unit": "month", "A": 100, "B": 100}
         assert render_table(spec, rows).splitlines()[-1] == "Salary,month,100.00,100.00"
+
+    def test_amounts_below_the_decimal_range_round_like_their_salary(self):
+        """An amount is rounded by ``/ 1`` as its salary is, so a salary of ``1.5E-1000026`` (rounded to
+        ``2E-1000026``) still reads 100, in table 4b and in the percent listing, as the per-quote way gives."""
+        usd, eur = CurrencyCode("USD"), CurrencyCode("EUR")
+        tiny = D("1.5E-1000026")  # one digit below the smallest subnormal exponent
+        baskets = [
+            Basket(country, code, (PriceQuote("Bread", "kg", code, tiny),), PriceQuote("Salary", "month", code, salary))
+            for country, code, salary in (("A", usd, tiny), ("B", eur, D("1E-1000026")))
+        ]
+        spec, rows = build_table4b(baskets)
+        assert render_table(spec, rows).splitlines()[1:] == ["Bread,kg,100.00,200.00", "Salary,month,100.00,100.00"]
+        spec, view = build_percent_listing(baskets)
+        assert [row["percent"] for row in view] == [
+            reference_percent(quote, basket.salary) for basket in baskets for quote, _ in basket.quotes()
+        ] == [100, 100, 200, 100]
 
     def test_salary_in_only_some_baskets_is_refused(self, fixtures):
         baskets, _ = load_basket(fixtures / "basket_food.csv")
