@@ -457,6 +457,9 @@ class TestTable4And4b:
         assert [row["percent"] for row in view] == [
             reference_percent(quote, basket.salary) for basket in baskets for quote, _ in basket.quotes()
         ] == [100, 100, 200, 100]
+        assert render_table(spec, view).splitlines()[1:] == [
+            "A,USD,Bread,kg,100.00", "A,USD,Salary,month,100.00", "B,EUR,Bread,kg,200.00", "B,EUR,Salary,month,100.00",
+        ]
 
     def test_salary_in_only_some_baskets_is_refused(self, fixtures):
         baskets, _ = load_basket(fixtures / "basket_food.csv")
