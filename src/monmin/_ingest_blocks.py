@@ -6,8 +6,10 @@ never compiles this module.  The file's lines come from the row path's own
 line reader, ``ingest._table_lines``, through one ``csv.reader``; each
 block of about ``ingest._BLOCK_ROWS`` rows is turned into columns, each
 converted and checked in one C-level pass, and into values by the types'
-column forms, all in ``core._LOADING``, the row path's context too, entered
-once per file.  At the first doubt, any row or line the row path may refuse
+column forms, all in ``core._FIGURES``, the row path's context too, entered
+once per file.  A number is read in ``_IN_RANGE``, whose exponent range is
+the input range, so a number past it raises that context's trap.  At the
+first doubt, any row or line the row path may refuse
 or a cell this path does not read itself, the file is closed and the
 loader returns None, so that the row path loads it again and reports its
 issues.  A ``MonMinError`` that a type raises, such as ``AggregateSeries``
@@ -18,17 +20,22 @@ from __future__ import annotations
 
 import csv
 from collections import deque
-from decimal import Decimal, localcontext
+from decimal import MAX_PREC, Decimal, Subnormal, localcontext
 from itertools import groupby, islice, repeat
 from operator import mul
 
 from . import ingest
-from .core import _LOADING, CurrencyCode, EconomySnapshot, TimeStandard, _iso_date, _quotes, _snapshots
-from .errors import MonMinError
+from .core import _FIGURES, CurrencyCode, EconomySnapshot, TimeStandard, _iso_date, _quotes, _snapshots
+from .errors import _BOUND, MonMinError
 from .ingest import IngestReport, Issue, _baskets, _Once, _scale_factor
 
 _NO_NUMBERS = deque(maxlen=0)  # this path names no line, so it keeps no line number
 _ROLES = frozenset(("item", "salary"))
+
+# Every digit of a number read, within the input range: past it, ``Overflow`` or ``Subnormal``.
+_IN_RANGE = _FIGURES.copy()
+_IN_RANGE.prec, _IN_RANGE.Emin, _IN_RANGE.Emax = MAX_PREC, -_BOUND, _BOUND
+_IN_RANGE.traps[Subnormal] = True
 
 
 class _Doubt(Exception):
@@ -46,9 +53,10 @@ def _columns(fh, expected: list[str], optional: tuple[str, ...]):
     ``ingest._records`` do; where they would report an issue, this raises a
     doubt instead.  An issue that ``ingest._table_lines`` or ``_scale_factor``
     reports (a bad ``# scale=`` line, even in a basket file) is a doubt after
-    its block, or at the end.  The cells are not stripped: ``Decimal`` and
-    ``int`` ignore the whitespace ``str.strip`` removes, a code or role with
-    any is a doubt, and a loader strips only the other texts it reads.
+    its block, or at the end.  The cells are not stripped: ``int`` ignores
+    the whitespace ``str.strip`` removes, :func:`_numbers` strips a number
+    itself, a code or role with any is a doubt, and a loader strips only the
+    other texts it reads.
     """
     directives: dict[str, tuple[int, str]] = {}
     errors: list[Issue] = []
@@ -78,9 +86,9 @@ def _columns(fh, expected: list[str], optional: tuple[str, ...]):
 
 
 def _load(path, expected: list[str], build, optional: tuple[str, ...] = ()):
-    """``build(scale, columns)`` over the file, in ``core._LOADING``; None at the first doubt, with the file closed."""
+    """``build(scale, columns)`` over the file, in ``core._FIGURES``; None at the first doubt, with the file closed."""
     try:
-        with ingest._open(path) as fh, localcontext(_LOADING):
+        with ingest._open(path) as fh, localcontext(_FIGURES):
             return build(*_columns(fh, expected, optional))
     except _DOUBTS:
         return None
@@ -90,11 +98,19 @@ def _numbers(texts, scale: Decimal | None = None) -> list[Decimal]:
     """A column of numbers, each multiplied by ``scale`` when one is given, as ``ingest._finite`` does.
 
     A number that is not finite is left for the type's column form to refuse.
-    A product that ``_finite`` refuses raises the loading context's trap,
-    ``Overflow`` or ``Underflow``: a doubt.
+    A number that ``_finite`` refuses past the input range, as written or
+    scaled, raises a trap of ``_IN_RANGE``: a doubt, and so does a text with
+    ``_``, which ``Decimal`` reads and ``create_decimal`` does not.
     """
-    values = map(Decimal, texts)
-    return list(values if scale is None else map(mul, values, repeat(scale)))
+    values = map(_IN_RANGE.create_decimal, map(str.strip, texts))
+    return list(values if scale is None else map(_IN_RANGE.create_decimal, map(mul, values, repeat(scale))))
+
+
+def _populations(texts) -> list[int]:
+    """A column of populations; a cell long enough to hold more digits than ``ingest`` allows is a doubt."""
+    if max(map(len, texts)) > _BOUND:
+        raise _Doubt
+    return list(map(int, texts))
 
 
 def load_economies(path):
@@ -109,7 +125,7 @@ def load_economies(path):
             country = list(map(str.strip, country))
             made = _snapshots(
                 country, list(map(codes.__getitem__, code)), _numbers(gdp, scale),
-                list(map(int, population)), list(map(dates.__getitem__, as_of)),
+                _populations(population), list(map(dates.__getitem__, as_of)),
             )
             seen.update(country)
             if made is None or len(seen) != len(snapshots) + len(made):
@@ -164,7 +180,7 @@ def load_series(path, currency: CurrencyCode, std: TimeStandard):
         years: list[AggregateYear] = []
         for year, m1, gdp, population, events in blocks:
             made = _years(
-                list(map(int, year)), _numbers(m1, scale), _numbers(gdp, scale), list(map(int, population)),
+                list(map(int, year)), _numbers(m1, scale), _numbers(gdp, scale), _populations(population),
                 list(map(str.strip, events)),
             )
             if made is None:

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import click
 
-from .errors import CurrencyMismatch, IngestFailure, MonMinError, ShapeMismatch, _overflow
+from .errors import _BOUND, CurrencyMismatch, IngestFailure, MonMinError, ShapeMismatch, _outside
 
 _TETCY_HELP = "Minutes per year (default 525600; env MONMIN_TETCY)."
 # The printed result holds every decimal asked for, and memory grows with them.
@@ -72,7 +72,7 @@ def _read_config(ctx, param, path) -> None:
         raise click.UsageError(f"config file not found: {path}")
     except UnicodeDecodeError as exc:
         raise click.UsageError(f"config file {path} is not valid UTF-8: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of more digits than Python reads
         raise click.UsageError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise click.UsageError(f"config file {path} must hold a JSON object")
@@ -80,12 +80,15 @@ def _read_config(ctx, param, path) -> None:
 
 
 def _decimal_flag(text, flag: str) -> Decimal:
+    """A flag's decimal number: finite, and in the input range unless it is zero."""
     try:
         value = Decimal(str(text))
     except InvalidOperation:
         raise click.UsageError(f"{flag} expects a decimal number, got {text!r}")
     if not value.is_finite():
         raise click.UsageError(f"{flag} expects a finite decimal number, got {text!r}")
+    if not -_BOUND <= value.adjusted() <= _BOUND and value:
+        raise click.UsageError(_outside(f"{flag} {text!r}"))
     return value
 
 
@@ -310,13 +313,7 @@ def cmd_convert(amount, currency, cm_value, economies_path, country, std, decima
         raise click.UsageError(
             "missing minute-value source: pass --cm or --economies with --country"
         )
-    quote = PriceQuote("amount", "", cm.currency, amount)
-    try:
-        minutes = to_monmin(quote, cm).monmin
-    except Overflow:
-        raise click.UsageError(
-            f"--amount {quote.amount} at minute value {cm.value} exceeds the decimal range"
-        )
+    minutes = to_monmin(PriceQuote("amount", "", cm.currency, amount), cm).monmin
     click.echo(report.format_cell(report.ColumnRule("monmin", decimals=decimals), minutes))
 
 
@@ -484,8 +481,8 @@ def _run(argv) -> int:
     except (MonMinError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
-    except Overflow:
-        click.echo(f"error: {_overflow('a result')}", err=True)
+    except Overflow:  # the guard of last resort: no figure from bounded inputs gets here
+        click.echo("error: Overflow: a result exceeds the decimal range (largest exponent 999999)", err=True)
         return 2
     return 0
 

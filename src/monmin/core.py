@@ -10,10 +10,12 @@ hypothetical parity rates, and salary normalization.
 Every figure is a `decimal.Decimal` computed in one context, ``_FIGURES``,
 whatever the caller's context is: 28 significant digits, ties to even,
 with ``Overflow`` trapped, the default context's values.  The functions
-below use its methods; the table builders and the series enter it once
-per block or series, never once per row.  Every loader reads, scales and
-checks its cells in ``_LOADING``, the same context with ``Underflow``
-trapped too, entered once per file.  Nothing
+below use its methods; the table builders, the series and the loaders
+enter it once per block, series or file, never once per row.  The
+loaders and the CLI's flags refuse any number past the input range
+(``errors._BOUND``), so no figure made from what they read leaves the
+context's exponent range; a value a library caller builds directly is not
+bounded, and a figure made from it may raise ``decimal.Overflow``.  Nothing
 here rounds for display: the report layer rounds each figure once, under
 its own context.  The plot data, the CLI's ``cm … source=`` notes and
 ``convert --decimals`` beyond 28 digits show the 28-digit figure itself.
@@ -27,7 +29,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from datetime import date
-from decimal import ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation, Overflow, Underflow
+from decimal import ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation, Overflow
 from enum import Enum
 from itertools import repeat
 
@@ -37,7 +39,6 @@ from .errors import (
     ItemMismatch,
     ItemMismatchWarning,
     NonPositiveInput,
-    _overflow,
 )
 
 __all__ = [
@@ -85,11 +86,6 @@ _FIGURES = Context(
     flags=[],
     traps=[InvalidOperation, DivisionByZero, Overflow],
 )
-
-# The context of every load: a scaled cell past either end of the exponent range raises ``Overflow``, or
-# ``Underflow`` when it lost digits (a nonzero cell scaled to zero among them); an exact subnormal loads.
-_LOADING = _FIGURES.copy()
-_LOADING.traps[Underflow] = True
 
 
 def _slot_setters(cls, *names):
@@ -355,12 +351,7 @@ class RateTable:
         return f"RateTable({list(self._rates.values())!r})"
 
     def reciprocal_mismatches(self, rel_tol: Decimal = Decimal("1e-6")):
-        """Pairs (a,b)/(b,a) whose rate product strays from 1 beyond rel_tol.
-
-        A product past the decimal exponent range is given as infinity, and
-        one too small to keep its digits in it (``_LOADING``'s ``Underflow``)
-        as zero, which no product of two positive rates is.
-        """
+        """Pairs (a,b)/(b,a) whose rate product strays from 1 beyond rel_tol."""
         found = []
         for (base, quote), fwd in self._rates.items():
             if base > quote:
@@ -368,12 +359,7 @@ class RateTable:
             back = self._rates.get((quote, base))
             if back is None:
                 continue
-            try:
-                product = _LOADING.multiply(fwd.rate, back.rate)
-            except Overflow:
-                product = Decimal("Infinity")
-            except Underflow:
-                product = _ZERO
+            product = _FIGURES.multiply(fwd.rate, back.rate)
             if _FIGURES.abs(_FIGURES.subtract(product, 1)) > rel_tol:
                 found.append((fwd, back, product))
         return found
@@ -424,40 +410,24 @@ def compute_cm(econ: EconomySnapshot, std: TimeStandard = TimeStandard()) -> Mon
 
     Full 28-digit precision is kept; callers round only when reporting.
     :func:`monmin.report.build_table1` makes the same division in each row,
-    without building a :class:`MonMinValue`.  A quotient past the decimal
-    exponent range raises an ``Overflow:`` :class:`MonMinError` that names
-    the country.
+    without building a :class:`MonMinValue`.
     """
-    try:
-        value = _FIGURES.divide(_FIGURES.divide(econ.gdp, econ.population), std.minutes_per_year)
-    except Overflow:
-        raise _overflow(f"{econ.country}: cm = gdp / population / minutes_per_year") from None
+    value = _FIGURES.divide(_FIGURES.divide(econ.gdp, econ.population), std.minutes_per_year)
     return MonMinValue(econ.currency, value, CmSource.COMPUTED_FROM_GDP)
 
 
 def cross_cm(ref: MonMinValue, rate: ExchangeRate) -> MonMinValue:
-    """Minute value in another currency: ref value times the directed rate.
-
-    A product past the decimal exponent range raises an ``Overflow:``
-    :class:`MonMinError` that names the currency.
-    """
+    """Minute value in another currency: ref value times the directed rate."""
     if rate.base != ref.currency:
         raise CurrencyMismatch(
             f"rate base {rate.base} does not match reference currency {ref.currency}"
         )
-    try:
-        value = _FIGURES.multiply(ref.value, rate.rate)
-    except Overflow:
-        raise _overflow(f"{rate.quote}: cm = {rate.base} cm * rate {rate.base}->{rate.quote}") from None
-    return MonMinValue(currency=rate.quote, value=value, source=CmSource.CROSS_RATE)
+    return MonMinValue(currency=rate.quote, value=_FIGURES.multiply(ref.value, rate.rate), source=CmSource.CROSS_RATE)
 
 
 def invert_cm(cm: MonMinValue) -> Decimal:
-    """Minutes represented by one unit of the currency: 1 / value; past the decimal range, an error naming it."""
-    try:
-        return _FIGURES.divide(1, cm.value)
-    except Overflow:
-        raise _overflow(f"{cm.currency}: inverse_cm = 1 / cm") from None
+    """Minutes represented by one unit of the currency: 1 / value."""
+    return _FIGURES.divide(1, cm.value)
 
 
 def to_monmin(price: PriceQuote, cm: MonMinValue) -> MonMinPrice:
@@ -496,9 +466,7 @@ def parity_rate(
     item would equal the reference market's.
 
     Differing item names warn by default (``ItemMismatchWarning``) and
-    raise :class:`ItemMismatch` when ``strict_items`` is set.  A rate past
-    the decimal exponent range raises an ``Overflow:`` :class:`MonMinError`
-    that names the figure.
+    raise :class:`ItemMismatch` when ``strict_items`` is set.
     """
     if local_price.monmin <= 0:
         raise NonPositiveInput(
@@ -512,10 +480,7 @@ def parity_rate(
         if strict_items:
             raise ItemMismatch(message)
         warnings.warn(message, ItemMismatchWarning, stacklevel=2)
-    try:
-        return _FIGURES.divide(_FIGURES.multiply(current_rate.rate, ref_price.monmin), local_price.monmin)
-    except Overflow:
-        raise _overflow("parity rate = rate * ref / local") from None
+    return _FIGURES.divide(_FIGURES.multiply(current_rate.rate, ref_price.monmin), local_price.monmin)
 
 
 def percent_of_salary(price: MonMinPrice, salary: MonMinPrice) -> Decimal:

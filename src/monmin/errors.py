@@ -79,8 +79,12 @@ class ItemMismatchWarning(UserWarning):
     """Non-fatal variant of ItemMismatch (the computation still runs)."""
 
 
-def _overflow(what: str) -> MonMinError:
-    """The error for ``what`` past the exponent range of the figures' context: a figure, and its row where one is known."""
-    from .core import _FIGURES  # here: core imports this module
+#: The input range: a nonzero number read from a file or a flag has an adjusted exponent
+#: within ±_BOUND, and a population at most ``_BOUND + 1`` digits.  README derives from it
+#: that no figure computed from such inputs leaves the decimal range.
+_BOUND = 99999
 
-    return MonMinError(f"Overflow: {what} exceeds the decimal range (largest exponent {_FIGURES.Emax})")
+
+def _outside(what: str) -> str:
+    """The refusal of ``what``, an input past the input range, named as it was read."""
+    return f"{what} is outside the input range (exponent -{_BOUND} to {_BOUND})"

@@ -14,11 +14,13 @@ monetary columns (gdp; m1 and gdp for series) into absolute units, so
 ignored.  A leading byte-order mark is skipped.  A quoted cell may span
 lines, but a blank or ``#`` line is never part of a cell.  Numbers must
 be finite, and a line that is not valid UTF-8 is an error on that line.
-Without a ``# scale=`` line numbers are kept exactly as written.  Every
-loader, on either path, reads, scales and checks its cells in
-``core._LOADING``, entered once per file: a scaled number past either end
-of its exponent range is refused by that context's traps, and no issue or
-warning text depends on the caller's ``decimal`` context.
+Without a ``# scale=`` line numbers are kept exactly as written.  A
+number other than zero, as written and again after its scale, and the
+scale factor itself must have an adjusted exponent within the input
+range, ``errors._BOUND`` either side of zero, and a population at most
+``_BOUND + 1`` digits.  Every loader, on either path, scales its cells in
+``core._FIGURES``, entered once per file, so no issue or warning text
+depends on the caller's ``decimal`` context.
 Loading is all-or-nothing: any error row means the returned dataset is
 empty and the report lists every problem with its 1-based physical line
 number (a row's first line when it spans several).
@@ -51,17 +53,17 @@ import csv
 import os
 import re
 from dataclasses import dataclass
-from decimal import Context, Decimal, InvalidOperation, Overflow, Underflow, localcontext
+from decimal import Context, Decimal, InvalidOperation, localcontext
 from itertools import compress, repeat
 from operator import attrgetter, is_not
 from pathlib import Path
 from stat import S_ISREG
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .core import _LOADING, CurrencyCode, EconomySnapshot, ExchangeRate, PriceQuote, RateTable, TimeStandard
+from .core import _FIGURES, CurrencyCode, EconomySnapshot, ExchangeRate, PriceQuote, RateTable, TimeStandard
 from .errors import (
     CurrencyMismatch, DuplicateCountry, DuplicatePair, MalformedRow, MonMinError, NonMonotoneYears,
-    UnknownCurrency,
+    UnknownCurrency, _BOUND, _outside,
 )
 
 if TYPE_CHECKING:  # only load_series imports it
@@ -167,24 +169,36 @@ class _Once(dict):
 
 
 def _finite(text: str, scale: Decimal | None = None) -> Decimal:
-    """A finite number, multiplied by ``scale`` only when a scale is given.
+    """A finite number in the input range, multiplied by ``scale`` only when a scale is given.
 
-    A loader calls it in ``core._LOADING``, entered once per file.  The
+    A loader calls it in ``core._FIGURES``, entered once per file.  The
     multiplication rounds to that context's precision, so an unscaled
-    number skips it and keeps every digit.  A product past either end of
-    the context's exponent range is refused by its traps: one that raises
-    ``Overflow``, and one that lost digits to the lower end, zero among
-    them (``Underflow``).  An exact subnormal product loads.
+    number skips it and keeps every digit.  A number other than zero is
+    refused past the input range as written, and a product again after its
+    scale; a zero of any exponent loads.  The checks are written out here,
+    with no function call, since a dirty file loads row by row.
     """
     value = Decimal(text)
     if not value.is_finite():
         raise ValueError(f"not a finite number: {text!r}")
+    if not -_BOUND <= value.adjusted() <= _BOUND and value:
+        raise ValueError(_outside(repr(text)))
     if scale is None:
         return value
-    try:
-        return value * scale
-    except (Overflow, Underflow):
-        raise ValueError(f"{text!r} times the scale factor {scale} is past the decimal exponent limit") from None
+    value *= scale
+    if not -_BOUND <= value.adjusted() <= _BOUND and value:
+        raise ValueError(_outside(f"{text!r} times the scale factor {scale}"))
+    return value
+
+
+def _population(row, population: int) -> None:
+    """Refuse ``row``'s ``population`` past ``_BOUND + 1`` digits.
+
+    A loader calls it only for a cell of more than ``_BOUND`` characters,
+    the only kind that can hold so many digits, so no other row pays for it.
+    """
+    if population >= 10 ** (_BOUND + 1):
+        raise ValueError(_outside(f"{row}: a population of more than {_BOUND + 1} digits"))
 
 
 def _issue(line: int, exc: Exception) -> Issue:
@@ -306,6 +320,9 @@ def _scale_factor(directives, errors: list[Issue]) -> Decimal | None:
     if scale <= 0:
         errors.append(Issue(lineno, f"NonPositiveInput: scale must be > 0, got {text}"))
         return None
+    if not -_BOUND <= scale.adjusted() <= _BOUND:
+        errors.append(Issue(lineno, f"MalformedRow: {_outside(f'scale factor {text!r}')}"))
+        return None
     return scale
 
 
@@ -337,12 +354,14 @@ def load_economies(path) -> tuple[list[EconomySnapshot], IngestReport]:
     snapshots: list[EconomySnapshot] = []
     seen: dict[str, int] = {}
     codes = _Once(CurrencyCode)
-    with localcontext(_LOADING):
+    with localcontext(_FIGURES):
         for lineno, (country, code, gdp_text, pop_text, as_of) in scan.rows:
             try:
                 snapshot = EconomySnapshot(
                     country, codes[code], _finite(gdp_text, scale), int(pop_text), as_of
                 )
+                if len(pop_text) > _BOUND:
+                    _population(country, snapshot.population)
                 if country in seen:
                     raise DuplicateCountry(f"{country} already defined on line {seen[country]}")
             except _ROW_ERRORS as exc:
@@ -362,7 +381,7 @@ def load_rates(path) -> tuple[RateTable, IngestReport]:
     rates: list[ExchangeRate] = []
     seen: dict[tuple[str, str], int] = {}
     codes = _Once(CurrencyCode)
-    with localcontext(_LOADING):
+    with localcontext(_FIGURES):
         for lineno, (base, quote, rate_text, as_of) in scan.rows:
             try:
                 rate = ExchangeRate(
@@ -385,14 +404,8 @@ def load_rates(path) -> tuple[RateTable, IngestReport]:
         warnings: list[Issue] = []
         for fwd, back, product in table.reciprocal_mismatches():
             lineno = max(seen[(fwd.base.code, fwd.quote.code)], seen[(back.base.code, back.quote.code)])
-            if product.is_finite() and product:
-                to = f"to {product}"
-            elif product:
-                to = f"past the decimal range (largest exponent {_LOADING.Emax})"
-            else:
-                to = f"past the decimal range (smallest exponent {_LOADING.Emin})"
             warnings.append(Issue(
-                lineno, f"reciprocal rates {fwd.base}->{fwd.quote} and {back.base}->{back.quote} multiply {to}, expected 1"
+                lineno, f"reciprocal rates {fwd.base}->{fwd.quote} and {back.base}->{back.quote} multiply to {product}, expected 1"
             ))
     return table, IngestReport(len(rates), warnings=tuple(warnings))
 
@@ -423,7 +436,7 @@ def load_basket(path, known_currencies=None) -> tuple[list[Basket], IngestReport
     groups: dict[tuple[str, str], list] = {}  # (country, code) -> [items, salary]
     codes = _Once(CurrencyCode)
     texts = _Once(str)
-    with localcontext(_LOADING):
+    with localcontext(_FIGURES):
         for lineno, (country, code, item, unit, amount_text, role) in scan.rows:
             try:
                 if role not in ("item", "salary"):
@@ -466,13 +479,15 @@ def load_series(
     scale = _scale_factor(scan.directives, errors)
     years: list[AggregateYear] = []
     last_year: int | None = None
-    with localcontext(_LOADING):
+    with localcontext(_FIGURES):
         for lineno, (year_text, m1_text, gdp_text, pop_text, events) in scan.rows:
             try:
                 year = AggregateYear(
                     int(year_text), _finite(m1_text, scale), _finite(gdp_text, scale),
                     int(pop_text), events,
                 )
+                if len(pop_text) > _BOUND:
+                    _population(year.year, year.population)
                 if last_year is not None and year.year <= last_year:
                     raise NonMonotoneYears(f"{year.year} does not follow {last_year}")
             except _ROW_ERRORS as exc:

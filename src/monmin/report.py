@@ -8,6 +8,9 @@ half-away-from-zero ties, by one ``quantize`` under this module's own
 display context.  So the caller's context (precision, rounding mode,
 traps, exponent letter) changes no cell, and a cell wider than 28 digits
 prints every digit; the plot data shows each 28-digit figure as it is.
+Every input a loader or flag gives is in the input range, so no figure
+made from them leaves that context's exponent range; a figure made from
+values a library caller builds past it raises ``decimal.Overflow``.
 Two output variants exist: CSV for machines and aligned text for humans.
 Identical inputs always produce byte-identical output.
 
@@ -75,11 +78,10 @@ from .core import (
     RateTable,
     TimeStandard,
     as_decimal,
-    compute_cm,
     cross_cm,
     invert_cm,
 )
-from .errors import CurrencyMismatch, NonPositiveInput, ShapeMismatch, UnknownCurrency, _overflow
+from .errors import CurrencyMismatch, NonPositiveInput, ShapeMismatch, UnknownCurrency
 from .ingest import Basket, _plain, _sci_text
 
 if TYPE_CHECKING:  # only the series functions import it
@@ -511,8 +513,8 @@ def build_table1(snapshots, std: TimeStandard = TimeStandard()):
     :func:`compute_cm` makes, left to right, so the same figure to the last
     digit, with no :class:`MonMinValue` made per row.  A ``cm`` that
     underflows to zero is refused with the minute value's own message when
-    its block is made, and one past the decimal exponent range with
-    :func:`compute_cm`'s, which names the country.
+    its block is made.  No loaded snapshot can make one: its inputs are
+    bounded (README derives why); a snapshot a library caller builds can.
     """
     spec = TableSpec(
         TableId.T1,
@@ -533,13 +535,8 @@ def build_table1(snapshots, std: TimeStandard = TimeStandard()):
     def columns(start, stop):
         block = snapshots[start:stop]
         country, code, gdp, population = (list(map(attrgetter(name), block)) for name in _SNAPSHOT_FIELDS)
-        try:
-            per_capita = list(map(truediv, gdp, population))
-            cm = list(map(truediv, per_capita, repeat(minutes)))
-        except Overflow:
-            for snapshot in block:
-                compute_cm(snapshot, std)  # raises the overflow with the country named
-            raise
+        per_capita = list(map(truediv, gdp, population))
+        cm = list(map(truediv, per_capita, repeat(minutes)))
         if not all(map(lt, repeat(_ZERO), cm)):
             for snapshot, value in zip(block, cm):
                 if not _ZERO < value:
@@ -645,53 +642,30 @@ def _cm_for(basket: Basket, cms: Mapping[str, MonMinValue]) -> MonMinValue:
     return cm
 
 
-_MINUTES = "minutes = amount / cm"
-_PERCENT = "percent = 100 * amount / salary"
-
-
 def _percent(amount: Decimal, salary: Decimal) -> Decimal:
     """An amount as a percent of a salary, both in minutes of value 1: ``100 * (amount / 1) / salary``.
 
-    Dividing by 1 rounds the amount in the figures context as
-    :func:`_salary_minutes` rounds the salary, and as :func:`to_monmin` at
-    value 1 would.  Without it an amount below the decimal range keeps the
-    digits the salary lost: a salary row of ``1.5E-1000026`` would read
-    75, as ``150E-1000026 / 2E-1000026``.
+    Dividing by 1 rounds an amount of more than 28 digits in the figures
+    context, as :func:`_salary_minutes` rounds the salary and as
+    :func:`to_monmin` at value 1 would.  A loaded amount is in the input
+    range; for a quote a library caller builds below the decimal range the
+    step matters more: without it the amount keeps the digits the salary
+    lost, and a salary row of ``1.5E-1000026`` would read 75, as
+    ``150E-1000026 / 2E-1000026``.
     """
     return 100 * (amount / 1) / salary
 
 
-def _named(figure: Callable, what: str, labels, *columns) -> list:
-    """``list(map(figure, *columns))``, or the ``Overflow:`` error of the first cell past the decimal range.
-
-    Each column is a sequence, or an endless ``repeat``.  ``labels`` gives
-    each cell's ``(currency, (item, unit))`` and is read only after a
-    figure overflows, up to the first cell that does.  The error names the
-    currency, the item and unit, and ``what``.
-    """
-    try:
-        return list(map(figure, *columns))
-    except Overflow:
-        for (currency, (item, unit)), *cell in zip(labels, *columns):
-            try:
-                figure(*cell)
-            except Overflow:
-                raise _overflow(f"{currency}: {item} ({unit}): {what}") from None
-        raise
-
-
-def _label_rows(baskets: Sequence[Basket], labels: list, amounts: list[list], divisors: list, figure: Callable,
-                what: str, raw: bool = False) -> Callable[[int, int], list]:
+def _label_rows(labels: list, amounts: list[list], divisors: list, figure: Callable,
+                raw: bool = False) -> Callable[[int, int], list]:
     """A wide table's ``columns``, a row per label and a few rows to a block, the block transposed.
 
     A row is its label's item and unit, each basket's amount when ``raw``
-    is set, then ``figure(amount, divisor)`` for each basket.  A figure past
-    the decimal range raises :func:`_named`'s error.
+    is set, then ``figure(amount, divisor)`` for each basket.
     """
     def make(i):
         row = [column[i] for column in amounts]
-        named = ((basket.currency, labels[i]) for basket in baskets)
-        return (*labels[i], *(row if raw else ()), *_named(figure, what, named, row, divisors))
+        return (*labels[i], *(row if raw else ()), *map(figure, row, divisors))
 
     return lambda start, stop: list(zip(*map(make, range(start, stop))))
 
@@ -728,7 +702,7 @@ def build_table3(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
     spec = TableSpec(TableId.T3, tuple(columns))
     values = [_cm_for(b, cms).value for b in baskets]
     labels, amounts = _aligned_amounts(baskets)
-    return spec, RowView(spec, _label_rows(baskets, labels, amounts, values, truediv, _MINUTES, raw=True), len(labels))
+    return spec, RowView(spec, _label_rows(labels, amounts, values, truediv, raw=True), len(labels))
 
 
 def _country_columns(table_id: TableId, baskets: Sequence[Basket], decimals: int):
@@ -766,7 +740,7 @@ def build_table4(baskets: Sequence[Basket], cms: Mapping[str, MonMinValue]):
     values = [_cm_for(b, cms).value for b in baskets]
     labels, amounts = _aligned_amounts(baskets)
     _with_salary_row(baskets, labels, amounts)
-    return spec, RowView(spec, _label_rows(baskets, labels, amounts, values, truediv, _MINUTES), len(labels))
+    return spec, RowView(spec, _label_rows(labels, amounts, values, truediv), len(labels))
 
 
 def build_table4b(baskets: Sequence[Basket]):
@@ -780,7 +754,7 @@ def build_table4b(baskets: Sequence[Basket]):
     salaries = [_salary_minutes(b) for b in baskets]
     labels, amounts = _aligned_amounts(baskets)
     _with_salary_row(baskets, labels, amounts)
-    return spec, RowView(spec, _label_rows(baskets, labels, amounts, salaries, _percent, _PERCENT), len(labels))
+    return spec, RowView(spec, _label_rows(labels, amounts, salaries, _percent), len(labels))
 
 
 def _quote_view(spec: TableSpec, baskets: Sequence[Basket], more: Callable) -> RowView:
@@ -830,8 +804,7 @@ def build_basket_listing(baskets: Sequence[Basket], cms: Mapping[str, MonMinValu
 
     def more(k, quotes, roles):
         amounts = list(map(_AMOUNT, quotes))
-        labels = ((baskets[k].currency, _LABEL(q)) for q in quotes)
-        minutes = _named(truediv, _MINUTES, labels, amounts, repeat(values[k].value))
+        minutes = list(map(truediv, amounts, repeat(values[k].value)))
         return [_plain_pass(amounts), roles, minutes, [values[k].source.value] * len(quotes)]
 
     return spec, _quote_view(spec, baskets, more)
@@ -855,8 +828,7 @@ def build_percent_listing(baskets: Sequence[Basket]):
     salaries = [_salary_minutes(basket) for basket in baskets]
 
     def more(k, quotes, roles):
-        labels = ((baskets[k].currency, _LABEL(q)) for q in quotes)
-        return [_named(_percent, _PERCENT, labels, list(map(_AMOUNT, quotes)), repeat(salaries[k]))]
+        return [list(map(_percent, map(_AMOUNT, quotes), repeat(salaries[k])))]
 
     return spec, _quote_view(spec, baskets, more)
 

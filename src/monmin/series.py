@@ -9,17 +9,19 @@ first year of the run, and the series endpoints are never extrema.
 Each year's ``m1 * population * minutes_per_year`` is formed exactly, in
 ``_PRODUCTS``, and divided by gdp once, in ``core._FIGURES``: so two years
 whose exact values are equal get equal figures.  Each context is entered
-once per series.
+once per series.  The loaders bound every input (README derives why), so
+a series they load makes no figure past the decimal range; a year a
+library caller builds past it raises ``decimal.Overflow``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import MAX_PREC, Decimal, Overflow, localcontext
+from decimal import MAX_PREC, Decimal, localcontext
 from itertools import groupby
 from operator import attrgetter, itemgetter, truediv
 
 from .core import _FIGURES, _ZERO, CurrencyCode, TimeStandard, _made, _number, _slot_setters
-from .errors import EmptySeries, NonMonotoneYears, NonPositiveInput, TooShort, _overflow
+from .errors import EmptySeries, NonMonotoneYears, NonPositiveInput, TooShort
 
 __all__ = [
     "AggregateSeries",
@@ -107,34 +109,18 @@ class ExtremaReport:
 
 
 def m1_in_monmin(y: AggregateYear, std: TimeStandard = TimeStandard()) -> Decimal:
-    """One year's M1 in minutes: the exact m1 * population * minutes_per_year, divided once by gdp.
-
-    A value past the decimal exponent range raises an ``Overflow:``
-    :class:`MonMinError` that names the year.
-    """
-    try:
-        return _FIGURES.divide(_PRODUCTS.multiply(_PRODUCTS.multiply(y.m1, y.population), std.minutes_per_year), y.gdp)
-    except Overflow:
-        raise _overflow(f"{y.year}: m1 in minutes = m1 * population * minutes_per_year / gdp") from None
+    """One year's M1 in minutes: the exact m1 * population * minutes_per_year, divided once by gdp."""
+    return _FIGURES.divide(_PRODUCTS.multiply(_PRODUCTS.multiply(y.m1, y.population), std.minutes_per_year), y.gdp)
 
 
 def series_in_monmin(s: AggregateSeries) -> list[tuple[int, Decimal]]:
-    """Element-wise :func:`m1_in_monmin` over a series, order preserved.
-
-    A value past the decimal exponent range raises an ``Overflow:``
-    :class:`MonMinError` that names its year.
-    """
+    """Element-wise :func:`m1_in_monmin` over a series, order preserved."""
     minutes, years = s.std.minutes_per_year, s.years
-    try:
-        with localcontext(_PRODUCTS):
-            products = [y.m1 * y.population * minutes for y in years]
-        with localcontext(_FIGURES):
-            values = list(map(truediv, products, map(_GDP, years)))
-        return list(zip(map(_YEAR, years), values))
-    except Overflow:
-        for y in s.years:
-            m1_in_monmin(y, s.std)  # raises the overflow with the year named
-        raise
+    with localcontext(_PRODUCTS):
+        products = [y.m1 * y.population * minutes for y in years]
+    with localcontext(_FIGURES):
+        values = list(map(truediv, products, map(_GDP, years)))
+    return list(zip(map(_YEAR, years), values))
 
 
 def detect_extrema(values) -> ExtremaReport:

@@ -1,6 +1,7 @@
 import decimal
 import gc
 import json
+import operator
 import os
 import stat
 import subprocess
@@ -324,15 +325,15 @@ class TestReportCommand:
             "error: table 2 needs a single-base rate table, got bases ['EUR', 'USD']",
         ]
 
-    def test_table2_warns_on_reciprocal_rates_past_the_range_then_refuses_two_bases(self, capsys, tmp_path):
+    def test_table2_refuses_rates_past_the_input_range_on_their_lines(self, capsys, tmp_path):
         rates = tmp_path / "r.csv"
         rates.write_text("base,quote,rate,as_of\nUSD,EUR,9E+999999,\nEUR,USD,9E+999999,\n")
         code, out, err = run(capsys, "report", "--table", "2", "--rates", str(rates))
         assert (code, out) == (2, "")
         assert err.splitlines() == [
-            f"{rates}:3: warning: reciprocal rates EUR->USD and USD->EUR multiply past the decimal range"
-            " (largest exponent 999999), expected 1",
-            "error: table 2 needs a single-base rate table, got bases ['EUR', 'USD']",
+            f"{rates}:2: error: MalformedRow: {outside(repr('9E+999999'))}",
+            f"{rates}:3: error: MalformedRow: {outside(repr('9E+999999'))}",
+            f"error: {rates}: 2 error(s)",
         ]
 
     def test_economies_sharing_a_currency_need_explicit_cm(self, capsys, tmp_path):
@@ -463,15 +464,16 @@ class TestSettingsContract:
 
     @pytest.mark.parametrize("flag", sorted(SHARED_FLAGS))
     def test_a_shared_flag_is_refused_alike_by_every_command(self, capsys, tmp_path, flag):
-        bad = {"--cm": "USD", "--config": str(tmp_path / "absent.json"), "--currency": "U$D",
-               "--format": "xml", "--tetcy": "0"}[flag]
-        last = {}
-        for command in SHARED_FLAGS[flag]:
-            code, out, err = run(capsys, command, flag, bad)
-            assert (code, out) == (1, ""), command
-            last[command] = err.splitlines()[-1]
-        lines = set(last.values())
-        assert len(lines) == 1 and lines.pop().startswith("usage error: "), last
+        bad = {"--cm": ["USD", "USD=1E+100000"], "--config": [str(tmp_path / "absent.json")],
+               "--currency": ["U$D"], "--format": ["xml"], "--tetcy": ["0", "1E+100000"]}[flag]
+        for value in bad:
+            last = {}
+            for command in SHARED_FLAGS[flag]:
+                code, out, err = run(capsys, command, flag, value)
+                assert (code, out) == (1, ""), command
+                last[command] = err.splitlines()[-1]
+            lines = set(last.values())
+            assert len(lines) == 1 and lines.pop().startswith("usage error: "), last
 
     @pytest.mark.parametrize(
         "text,message",
@@ -487,17 +489,30 @@ class TestSettingsContract:
         code, out, err = run(capsys, "cm", "--economies", economies_arg(FIXTURES), "--config", path)
         assert (code, out, err.splitlines()[-1]) == (1, "", "usage error: " + message.format(path=path))
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on an integer's digits")
+    def test_config_integer_past_python_digit_limit_is_usage_error(self, capsys, tmp_path):
+        """``json`` refuses it with a plain ``ValueError``, whose text is Python's own."""
+        path = write_config(tmp_path, '{"tetcy": 1' + "0" * 5000 + "}")
+        code, out, err = run(capsys, "cm", "--economies", economies_arg(FIXTURES), "--config", path)
+        assert (code, out) == (1, "") and "Traceback" not in err
+        assert err.splitlines()[-1].startswith(f"usage error: config file {path} is not valid JSON: ")
+
+    @pytest.mark.parametrize("text,message", [
+        ("0", "--tetcy must be > 0, got 0"),
+        ("1E-100000", "--tetcy '1E-100000' is outside the input range (exponent -99999 to 99999)"),
+    ], ids=["zero", "past-the-range"])
     @pytest.mark.parametrize("source", ["flag", "env", "config"])
-    def test_tetcy_zero_from_every_source(self, capsys, monkeypatch, tmp_path, source):
+    def test_tetcy_zero_from_every_source(self, capsys, monkeypatch, tmp_path, source, text, message):
+        """Zero, and a number past the input range; a config gives the second as a string, as JSON has no such float."""
         argv = ["cm", "--economies", economies_arg(FIXTURES)]
         if source == "flag":
-            argv += ["--tetcy", "0"]
+            argv += ["--tetcy", text]
         elif source == "env":
-            monkeypatch.setenv("MONMIN_TETCY", "0")
+            monkeypatch.setenv("MONMIN_TETCY", text)
         else:
-            argv += ["--config", write_config(tmp_path, json.dumps({"tetcy": 0}))]
+            argv += ["--config", write_config(tmp_path, json.dumps({"tetcy": int(text) if text == "0" else text}))]
         code, out, err = run(capsys, *argv)
-        assert (code, out, err.splitlines()[-1]) == (1, "", "usage error: --tetcy must be > 0, got 0")
+        assert (code, out, err.splitlines()[-1]) == (1, "", f"usage error: {message}")
 
     def test_null_tetcy_in_config_is_the_default_standard(self, capsys, tmp_path):
         config = write_config(tmp_path, json.dumps({"tetcy": None}))
@@ -810,12 +825,15 @@ class TestNumericFlags:
 
 
 class TestConvertErrors:
-    def test_quotient_past_the_exponent_limit_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "convert", "--amount", "1E+999999", "--cm", "1E-999999")
+    @pytest.mark.parametrize("amount,cm,flag,text", [
+        ("1E+999999", "1E-999999", "--amount", "1E+999999"),
+        ("1", "1E-999999", "--cm", "1E-999999"),
+    ], ids=["amount", "cm"])
+    def test_a_flag_past_the_input_range_is_usage_error(self, capsys, amount, cm, flag, text):
+        """The quotient of ``--amount 1E+999999 --cm 1E-999999`` would pass the decimal range: its flags are refused first."""
+        code, out, err = run(capsys, "convert", "--amount", amount, "--cm", cm)
         assert (code, out) == (1, "")
-        assert err.splitlines()[-1] == (
-            "usage error: --amount 1E+999999 at minute value 1E-999999 exceeds the decimal range"
-        )
+        assert err.splitlines()[-1] == f"usage error: {outside(f'{flag} {text!r}')}"
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", ["two", 2.5, True, None])
@@ -990,111 +1008,108 @@ class TestFixedPointCells:
         assert (code, out) == (0, printed + "\n"), err
 
 
-def overflow(what: str) -> str:
-    return f"error: Overflow: {what} exceeds the decimal range (largest exponent 999999)"
+def outside(what: str) -> str:
+    return f"{what} is outside the input range (exponent -99999 to 99999)"
 
 
-CM_OF = "{}: cm = gdp / population / minutes_per_year"
-# the first quote past the range in basket_food.csv at USD=1E-999999, and in basket_commodities.csv
-FOOD_OVERFLOW = overflow("USD: Meal, Inexpensive Restaurant (restaurant): minutes = amount / cm")
-COMMODITIES_OVERFLOW = overflow("USD: Electricity (1 MWh): minutes = amount / cm")
+# What ``main`` prints for a figure past the decimal range, which no input in the range reaches.
+LAST_RESORT = "error: Overflow: a result exceeds the decimal range (largest exponent 999999)"
 TABLE1_HEADER = "country,currency,gdp,population,gdp_per_capita,cm,source\n"
 
 
-class TestDecimalOverflow:
-    """A result past the decimal exponent limit is a data error with a message, not a traceback.
+def overflow_when_dividing_by(monkeypatch, divisor):
+    """Make each ``x / divisor`` of the report layer raise ``decimal.Overflow``, as a figure past the range would."""
+    def truediv(a, b):
+        if b == divisor:
+            raise decimal.Overflow
+        return operator.truediv(a, b)
 
-    Output is streamed, so rows written to stdout before the failing one stay written.
+    monkeypatch.setattr(report, "truediv", truediv)
+
+
+class TestInputRange:
+    """A number past the input range is refused where it is read, never with a traceback.
+
+    A flag is a usage error that names it (exit 1), read before any file;
+    a file cell is an error on its line (exit 2).  These inputs once made a
+    figure past the decimal range, or under it.
     """
 
-    def test_cm_with_a_tiny_tetcy(self, capsys, tmp_path):
-        big = tmp_path / "e.csv"
-        big.write_text("country,currency,gdp,population,as_of\nBig,USD,1E+400,10,2019-01-01\n")
-        code, out, err = run(capsys, "cm", "--economies", str(big), "--tetcy", "1E-999999")
-        assert code == 2
-        assert out == TABLE1_HEADER
-        assert err.splitlines() == [overflow(CM_OF.format("Big"))]
-
     @pytest.mark.parametrize(
-        "argv,printed,what",
+        "argv,flag,text",
         [
-            (["cm", "--economies", economies_arg(FIXTURES), "--tetcy", "1E-999999"],
-             TABLE1_HEADER, CM_OF.format("United States")),
-            (["report", "--table", "1", "--economies", economies_arg(FIXTURES), "--tetcy", "1E-999999"],
-             TABLE1_HEADER, CM_OF.format("United States")),
+            (["cm", "--economies", economies_arg(FIXTURES)], "--tetcy", "1E-999999"),
+            (["report", "--table", "1", "--economies", economies_arg(FIXTURES)], "--tetcy", "1E-999999"),
+            (["basket", "--basket", str(FIXTURES / "basket_commodities.csv"), "--economies", economies_arg(FIXTURES)],
+             "--tetcy", "1E-999999"),
+            (["convert", "--amount", "1", "--economies", economies_arg(FIXTURES), "--country", "Japan"],
+             "--tetcy", "1E-999999"),
+            (["series", "--series", str(FIXTURES / "series_us.csv")], "--tetcy", "1E+999999"),
+            (["report", "--table", "5", "--series", str(FIXTURES / "series_us.csv")], "--tetcy", "1E+999999"),
+            (["parity", "--ref", "9E+999999", "--local", "1"], "--rate", "9E+999999"),
+            (["parity", "--ref", "1", "--local", "1E-999999"], "--rate", "1E+999999"),
+            (["parity", "--rate", "1", "--local", "1"], "--ref", "9E+999999"),
+            (["parity", "--rate", "1", "--ref", "1"], "--local", "1E-999999"),
+            (["report", "--table", "2", "--rates", str(FIXTURES / "rates_table2.csv")], "--cm", "USD=9E+999999"),
+            (["report", "--table", "2", "--rates", str(FIXTURES / "rates_table2.csv")], "--cm", "USD=1E-999999"),
             (["basket", "--basket", str(FIXTURES / "basket_commodities.csv"),
-              "--economies", economies_arg(FIXTURES), "--tetcy", "1E-999999"],
-             "", CM_OF.format("United States")),
-            (["convert", "--amount", "1", "--economies", economies_arg(FIXTURES), "--country", "Japan",
-              "--tetcy", "1E-999999"],
-             "", CM_OF.format("Japan")),
-            (["series", "--series", str(FIXTURES / "series_us.csv"), "--tetcy", "1E+999999"],
-             "", "1960: m1 in minutes = m1 * population * minutes_per_year / gdp"),
-            (["report", "--table", "5", "--series", str(FIXTURES / "series_us.csv"), "--tetcy", "1E+999999"],
-             "", "1960: m1 in minutes = m1 * population * minutes_per_year / gdp"),
-            (["parity", "--rate", "9E+999999", "--ref", "9E+999999", "--local", "1"],
-             "", "parity rate = rate * ref / local"),
-            (["parity", "--rate", "1E+999999", "--ref", "1", "--local", "1E-999999"],
-             "", "parity rate = rate * ref / local"),
+              "--cm", "CZK=1", "--cm", "EUR=1", "--cm", "GBP=1"], "--cm", "USD=1E-999999"),
+            (["report", "--table", "4", "--basket", str(FIXTURES / "basket_food.csv"),
+              "--economies", economies_arg(FIXTURES)], "--cm", "USD=1E-999999"),
         ],
-        ids=["cm", "report-1", "basket", "convert", "series", "report-5", "parity-product", "parity-quotient"],
+        ids=["cm", "report-1", "basket", "convert", "series", "report-5", "parity-product", "parity-quotient",
+             "parity-ref", "parity-local", "report-2-huge", "report-2-tiny", "basket-cm", "report-4-cm"],
     )
-    def test_the_line_names_the_country_or_year_and_the_figure(self, capsys, argv, printed, what):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, printed)
-        assert err.splitlines() == [overflow(what)]
+    def test_a_flag_past_the_range_is_a_usage_error_naming_it(self, capsys, argv, flag, text):
+        code, out, err = run(capsys, argv[0], flag, text, *argv[1:])  # the first flag given is the one named
+        number = text.partition("=")[2] or text
+        assert (code, out, err.splitlines()[-1]) == (1, "", f"usage error: {outside(f'{flag} {number!r}')}")
+        assert "Traceback" not in err
 
-    def test_the_first_row_past_the_range_is_named_after_the_rows_before_it(self, capsys, tmp_path):
+    def test_a_gdp_past_the_range_is_an_error_on_its_line(self, capsys, tmp_path):
         economies = tmp_path / "e.csv"
         economies.write_text(
             "country,currency,gdp,population,as_of\n"
             "Small,USD,1E-999990,10,2019-01-01\nBig,EUR,1E+400,10,2019-01-01\nHuge,GBP,1E+500,10,2019-01-01\n"
         )
-        code, out, err = run(capsys, "cm", "--economies", str(economies), "--tetcy", "1E-999999")
-        assert (code, out.splitlines()[1:]) == (2, ["Small,USD,0,10,0,100000000.0000000,computed_from_gdp"])
-        assert err.splitlines() == [overflow(CM_OF.format("Big"))]
-
-    @pytest.mark.parametrize("cm,what", [
-        ("USD=9E+999999", "EUR: cm = USD cm * rate USD->EUR"),
-        ("USD=1E-999999", "JPY: inverse_cm = 1 / cm"),
-    ], ids=["huge", "tiny"])
-    def test_report_table2(self, capsys, cm, what):
-        code, out, err = run(
-            capsys, "report", "--table", "2", "--rates", str(FIXTURES / "rates_table2.csv"), "--cm", cm
-        )
+        code, out, err = run(capsys, "cm", "--economies", str(economies))
         assert (code, out) == (2, "")
-        assert err.splitlines() == [overflow(what)]
-
-    def test_basket(self, capsys):
-        code, out, err = run(
-            capsys, "basket", "--basket", str(FIXTURES / "basket_commodities.csv"),
-            "--cm", "USD=1E-999999", "--cm", "CZK=1", "--cm", "EUR=1", "--cm", "GBP=1",
-        )
-        assert code == 2
-        assert out == "country,currency,item,unit,amount,role,monmin,cm_source\n"
-        assert err.splitlines()[-1] == COMMODITIES_OVERFLOW
-        assert "Traceback" not in err
+        assert err.splitlines() == [
+            f"{economies}:2: error: MalformedRow: {outside(repr('1E-999990'))}", f"error: {economies}: 1 error(s)",
+        ]
 
     @pytest.mark.parametrize("command", [["percent"], ["report", "--table", "4b"]], ids=["percent", "report-4b"])
-    def test_a_percent_past_the_range_names_its_quote(self, capsys, tmp_path, command):
+    def test_an_amount_past_the_range_is_an_error_on_its_line(self, capsys, tmp_path, command):
         basket = write_basket_file(tmp_path / "b.csv", [
             "A,USD,Bread,kg,1,item", "A,USD,Gold,oz,9E+999999,item", "A,USD,Pay,month,1,salary",
         ])
         code, out, err = run(capsys, *command, "--basket", basket)
-        assert code == 2
-        assert out.splitlines()[1:] == (["A,USD,Bread,kg,100.00"] if command == ["percent"] else ["Bread,kg,100.00"])
-        assert err.splitlines() == [overflow("USD: Gold (oz): percent = 100 * amount / salary")]
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"{basket}:3: error: MalformedRow: {outside(repr('9E+999999'))}", f"error: {basket}: 1 error(s)",
+        ]
 
-    def test_minute_value_note_stays_short(self, capsys):
-        """The ``cm CODE=...`` note of a tiny minute value is not a million zeros long."""
+    def test_rows_before_a_failing_row_stay_on_stdout(self, capsys, monkeypatch, tmp_path):
+        """Output is streamed: the row before the one whose figure fails is written, then the last-resort line."""
+        economies = tmp_path / "e.csv"
+        economies.write_text(
+            "country,currency,gdp,population,as_of\n"
+            "Small,USD,1,10,2019-01-01\nBig,EUR,1E+400,7,2019-01-01\nHuge,GBP,1E+500,10,2019-01-01\n"
+        )
+        overflow_when_dividing_by(monkeypatch, 7)
+        code, out, err = run(capsys, "cm", "--economies", str(economies))
+        assert (code, out) == (2, TABLE1_HEADER + "Small,USD,1,10,0,0.0000002,computed_from_gdp\n")
+        assert err.splitlines() == [LAST_RESORT]
+
+    def test_minute_value_note_at_the_edge_stays_short(self, capsys):
+        """The ``cm CODE=...`` note of the smallest minute value a flag takes is not 100,000 zeros long."""
         code, _, err = run(
             capsys, "report", "--table", "4", "--basket", str(FIXTURES / "basket_food.csv"),
-            "--economies", economies_arg(FIXTURES), "--cm", "USD=1E-999999",
+            "--economies", economies_arg(FIXTURES), "--cm", "USD=1E-99999",
         )
-        assert code == 2
+        assert code == 0
         assert len(err.encode()) < 4096
-        assert "cm USD=1E-999999 source=manual" in err.splitlines()
-        assert err.splitlines()[-1] == FOOD_OVERFLOW
+        assert "cm USD=1E-99999 source=manual" in err.splitlines()
 
 
 class TestMinuteValueNotes:
@@ -1132,24 +1147,23 @@ class TestOutputFileReplacedOnSuccess:
               "--cm", "CNY=0.0347", "--cm", "CZK=0.95198"]
 
     @pytest.mark.parametrize("command", ["report-4", "cm", "basket"])
-    def test_overflow_after_the_header_leaves_out_as_it_was(self, capsys, tmp_path, command):
+    def test_a_failure_after_the_header_leaves_out_as_it_was(self, capsys, monkeypatch, tmp_path, command):
+        """A figure of the first row raises ``decimal.Overflow`` once the header is written."""
         big = tmp_path / "big.csv"
-        big.write_text("country,currency,gdp,population,as_of\nBig,USD,1E+400,10,2019-01-01\n")
-        argv = {
-            "report-4": [*self.TABLE4, "--cm", "USD=1E-999999"],
-            "cm": ["cm", "--economies", str(big), "--tetcy", "1E-999999"],
-            "basket": ["basket", "--basket", str(FIXTURES / "basket_commodities.csv"),
-                       "--cm", "USD=1E-999999", "--cm", "CZK=1", "--cm", "EUR=1", "--cm", "GBP=1"],
+        big.write_text("country,currency,gdp,population,as_of\nBig,USD,1E+400,7,2019-01-01\n")
+        argv, divisor = {
+            "report-4": ([*self.TABLE4, "--cm", "USD=0.12101"], D("0.12101")),
+            "cm": (["cm", "--economies", str(big)], 7),
+            "basket": (["basket", "--basket", str(FIXTURES / "basket_commodities.csv"),
+                        "--cm", "USD=0.12101", "--cm", "CZK=1", "--cm", "EUR=1", "--cm", "GBP=1"], D("0.12101")),
         }[command]
+        overflow_when_dividing_by(monkeypatch, divisor)
         existing = tmp_path / "existing.csv"
         existing.write_bytes(b"keep,me\n1,2\n")
         absent = tmp_path / "absent.csv"
         for target in (existing, absent):
             code, out, err = run(capsys, *argv, "--out", str(target))
-            assert (code, out) == (2, "")
-            assert err.splitlines()[-1] == {
-                "report-4": FOOD_OVERFLOW, "cm": overflow(CM_OF.format("Big")), "basket": COMMODITIES_OVERFLOW,
-            }[command]
+            assert (code, out, err.splitlines()[-1]) == (2, "", LAST_RESORT)
         assert existing.read_bytes() == b"keep,me\n1,2\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv", "existing.csv"]
 

@@ -277,34 +277,37 @@ class TestLoadRates:
         assert report.warnings[0].line == 3
         assert "0.8" in report.warnings[0].message
 
-    def test_reciprocal_pair_past_the_decimal_range_warns(self, tmp_path):
-        path = put(tmp_path, "r.csv",
-                   "base,quote,rate,as_of\nUSD,EUR,9E+999999,\nEUR,USD,9E+999999,\n")
+    @pytest.mark.parametrize("fwd,back,refused", [
+        ("9E+999999", "9E+999999", [2, 3]),
+        ("1E-999999", "1E-999999", [2, 3]),
+        ("3E-999990", "3.3E-30", [2]),
+        ("3E-999990", "1.23456789E-30", [2]),
+        ("1", "1E+100000", [3]),
+        ("1E-100000", "1", [2]),
+    ])
+    def test_a_rate_past_the_input_range_is_refused_on_its_line(self, tmp_path, fwd, back, refused):
+        """Such a pair's product once left the decimal range, or lost digits below it."""
+        path = put(tmp_path, "r.csv", f"base,quote,rate,as_of\nUSD,EUR,{fwd},2019-01-01\nEUR,USD,{back},\n")
+        table, report = load_rates(path)
+        assert len(table) == 0 and report.warnings == ()
+        texts = {2: fwd, 3: back}
+        assert report.errors == tuple(
+            ingest.Issue(line, f"MalformedRow: {texts[line]!r} is outside the input range (exponent -99999 to 99999)")
+            for line in refused
+        )
+
+    @pytest.mark.parametrize("fwd,back,product", [
+        ("9.99E+99999", "9.99E+99999", "9.98001E+199999"),
+        ("1E-99999", "1E-99999", "1E-199998"),
+        ("9.99E+99999", "1E-99999", "9.99"),
+    ])
+    def test_a_pair_at_the_edges_of_the_range_warns_with_its_product(self, tmp_path, fwd, back, product):
+        path = put(tmp_path, "r.csv", f"base,quote,rate,as_of\nUSD,EUR,{fwd},\nEUR,USD,{back},\n")
         table, report = load_rates(path)
         assert report.ok and len(table) == 2
-        assert report.warnings == (ingest.Issue(
-            3, "reciprocal rates EUR->USD and USD->EUR multiply past the decimal range (largest exponent 999999),"
-            " expected 1"
-        ),)
-
-    def test_reciprocal_pair_below_the_decimal_range_warns(self, tmp_path):
-        path = put(tmp_path, "r.csv",
-                   "base,quote,rate,as_of\nUSD,EUR,1E-999999,2019-01-01\nEUR,USD,1E-999999,2019-01-01\n")
-        table, report = load_rates(path)
-        assert report.ok and len(table) == 2
-        assert report.warnings == (ingest.Issue(
-            3, "reciprocal rates EUR->USD and USD->EUR multiply past the decimal range (smallest exponent -999999),"
-            " expected 1"
-        ),)
-
-    @pytest.mark.parametrize("back,to", [
-        ("3.3E-30", "to 9.9E-1000020"),
-        ("1.23456789E-30", "past the decimal range (smallest exponent -999999)"),
-    ], ids=["exact-subnormal", "inexact-subnormal"])
-    def test_a_subnormal_product_keeps_its_text_only_when_exact(self, tmp_path, back, to):
-        path = put(tmp_path, "r.csv", f"base,quote,rate,as_of\nUSD,EUR,3E-999990,\nEUR,USD,{back},\n")
-        _, report = load_rates(path)
-        assert report.warnings == (ingest.Issue(3, f"reciprocal rates EUR->USD and USD->EUR multiply {to}, expected 1"),)
+        assert report.warnings == (
+            ingest.Issue(3, f"reciprocal rates EUR->USD and USD->EUR multiply to {product}, expected 1"),
+        )
 
     def test_duplicate_pair(self, tmp_path):
         path = put(tmp_path, "r.csv",

@@ -65,7 +65,10 @@ def same(got, want):
 
 FILLER = st.sampled_from(["", "   ", "# note", "  # indented note", "#", "\t"])
 CLEAN_PREAMBLE = ["", "# note", "# scale=1e3", "# scale=2", "#scale = 5", "   "]
-BAD_PREAMBLE = ["# scale=NaN", "# scale=0", "# scale=1E+999999", "# scale=x"]
+BAD_PREAMBLE = ["# scale=NaN", "# scale=0", "# scale=1E+999999", "# scale=1E+100000", "# scale=x"]
+# Numbers at the edges of the input range, and just past them: a draw past it expects a refusal.
+EDGES = ["9.99E+99999", "1E-99999"]
+PAST = ["1E+100000", "1E-100000"]
 
 
 class Quality:
@@ -133,7 +136,8 @@ def economies_files(draw):
             quality.cell([f"Land {i}", f"Land {i}, Rep", f"Česko {i}", f" Land {i} ", f"Land\n{i}",
                           f"Land\n\n{i}"], previous),
             quality.cell(["USD", "EUR", "CZK"], [" CZK", "usd", ""]),
-            quality.cell(["100", "1.5", "2E+3", " 7 ", "1_000"], ["0", "-1", "abc", "NaN", "Infinity", "1e999999"]),
+            quality.cell(["100", "1.5", "2E+3", " 7 ", "1_000", *EDGES],
+                         ["0", "0E-200000", "-1", "abc", "NaN", "Infinity", "1e999999", *PAST]),
             quality.cell(["10", "5", " 3"], ["0", "-2", "x", "1.0"]),
             quality.cell(["2019-01-01", "2020-02-29"] * 4 + [" 2019-01-01"], ["20190101", "2019-02-30", "2019-W01-1"]),
         ])
@@ -156,7 +160,7 @@ def basket_files(draw):
             quality.cell([code], ["GBP", " USD", "x"]),
             quality.cell(["Bread", "Milk", "Rice, white", "Čaj", " Bread ", "Multi\nline"], []),
             quality.cell(["kg", "1 l", "piece"], []),
-            quality.cell(["1", "2.50", "0", " 3 "], ["-1", "abc", "NaN"]),
+            quality.cell(["1", "2.50", "0", " 3 ", *EDGES, "0E-200000"], ["-1", "abc", "NaN", *PAST]),
             quality.cell(["item", "item", "salary"] if (country.strip(), code) not in salaried else ["item"],
                          ["salary", " item", "bogus"]),
         ]
@@ -178,8 +182,8 @@ def series_files(draw):
         year += draw(st.sampled_from([1, 1, 3] + [0, -1] * quality.dirty))
         row = [
             quality.cell([str(year), f" {year} "], ["x", "1.5"]),
-            quality.cell(["1", "2.5", "0"], ["-1", "abc"]),
-            quality.cell(["3", "4.25"], ["0", "NaN", "1E+999999"]),
+            quality.cell(["1", "2.5", "0", *EDGES, "0E-200000"], ["-1", "abc", *PAST]),
+            quality.cell(["3", "4.25", *EDGES], ["0", "0E-200000", "NaN", "1E+999999", *PAST]),
             quality.cell(["5", "7"], ["0", "x"]),
         ]
         if draw(st.booleans()):
@@ -537,29 +541,41 @@ class TestScale:
             (1, f"MalformedRow: bad scale factor {scale!r}")
         ]
 
-    @pytest.mark.parametrize("loader,body,line", [(load_economies, ECONOMIES, 3), (load_series, SERIES, 4)])
-    def test_scaled_cell_past_the_exponent_limit_is_an_issue_on_its_row(self, tmp_path, loader, body, line):
+    OUTSIDE = "MalformedRow: {} is outside the input range (exponent -99999 to 99999)"
+
+    @pytest.mark.parametrize("scale", ["1E+999999", "1E-999999", "1E-999990", "1E+100000", "1E-100000"])
+    @pytest.mark.parametrize("loader,body", [(load_economies, ECONOMIES), (load_series, SERIES)])
+    def test_scale_past_the_input_range_is_one_issue_on_its_line(self, tmp_path, loader, body, scale):
+        """Each of these scales once took a cell past the decimal range, or under it."""
         path = tmp_path / "f.csv"
-        path.write_text(body.format("1E+999999"))
+        path.write_text(body.format(scale))
         data, report = loader(path)
         assert not data
-        assert [(e.line, e.message) for e in report.errors] == [(
-            line, "MalformedRow: '100' times the scale factor 1E+999999 is past the decimal exponent limit"
-        )]
+        assert [(e.line, e.message) for e in report.errors] == [(1, self.OUTSIDE.format(f"scale factor {scale!r}"))]
 
-    # A number other than zero whose scaled product underflows to zero: a zero
-    # gdp would be blamed on a value the file never wrote, and a zero m1 loads.
-    UNDERFLOWS = {
+    @pytest.mark.parametrize("loader,body,line", [(load_economies, ECONOMIES, 3), (load_series, SERIES, 4)])
+    def test_scaled_cell_past_the_input_range_is_an_issue_on_its_row(self, tmp_path, loader, body, line):
+        path = tmp_path / "f.csv"
+        path.write_text(body.format("1E+99999"))
+        data, report = loader(path)
+        assert not data
+        assert [(e.line, e.message) for e in report.errors] == [
+            (line, self.OUTSIDE.format("'100' times the scale factor 1E+99999"))
+        ]
+
+    # A number other than zero whose scaled product is below the input range: at
+    # a scale of 1E-999999 it once underflowed to zero in the decimal range.
+    BELOW = {
         "gdp": (load_economies, "cm", "--economies",
-                "# scale=1E-999999\ncountry,currency,gdp,population,as_of\nX,USD,1,10,2019-01-01\nY,EUR,1E-30,2,2019-01-01\n"),
-        "m1": (load_series, "series", "--series", "# scale=1E-999999\nyear,m1,gdp,population\n2000,1,1,5\n2001,1E-30,2,5\n"),
+                "# scale=1E-99999\ncountry,currency,gdp,population,as_of\nX,USD,1,10,2019-01-01\nY,EUR,1E-30,2,2019-01-01\n"),
+        "m1": (load_series, "series", "--series", "# scale=1E-99999\nyear,m1,gdp,population\n2000,1,1,5\n2001,1E-30,2,5\n"),
     }
-    UNDERFLOW = "MalformedRow: '1E-30' times the scale factor 1E-999999 is past the decimal exponent limit"
+    BELOW_RANGE = OUTSIDE.format("'1E-30' times the scale factor 1E-99999")
 
     @pytest.mark.parametrize("block_rows,block_chars", [(None, None), (1, 1), (2, 40)])
-    @pytest.mark.parametrize("column", sorted(UNDERFLOWS))
-    def test_scaled_cell_that_underflows_to_zero_is_an_issue_on_its_row(self, tmp_path, column, block_rows, block_chars):
-        loader, _, _, body = self.UNDERFLOWS[column]
+    @pytest.mark.parametrize("column", sorted(BELOW))
+    def test_scaled_cell_below_the_input_range_is_an_issue_on_its_row(self, tmp_path, column, block_rows, block_chars):
+        loader, _, _, body = self.BELOW[column]
         path = tmp_path / "f.csv"
         path.write_text(body)
         with ExitStack() as patches:
@@ -568,33 +584,34 @@ class TestScale:
                 patches.enter_context(mock.patch.object(ingest, "_BLOCK_CHARS", block_chars))
             data, report = loader(path)
         assert not data
-        assert [(e.line, e.message) for e in report.errors] == [(4, self.UNDERFLOW)]
+        assert [(e.line, e.message) for e in report.errors] == [(4, self.BELOW_RANGE)]
 
     @pytest.mark.parametrize("block_rows,block_chars", [(None, None), (1, 1)])
     def test_a_zero_scaled_to_zero_still_loads(self, tmp_path, block_rows, block_chars):
+        """A zero of any exponent is in the range, and so is its product: ``0E-30`` scaled is ``0E-100029``."""
         path = tmp_path / "s.csv"
-        path.write_text("# scale=1E-999999\nyear,m1,gdp,population\n2000,0,1,5\n2001,0E-30,2,5\n")
+        path.write_text("# scale=1E-99999\nyear,m1,gdp,population\n2000,0,1,5\n2001,0E-30,2,5\n")
         with ExitStack() as patches:
             if block_rows:
                 patches.enter_context(mock.patch.object(ingest, "_BLOCK_ROWS", block_rows))
                 patches.enter_context(mock.patch.object(ingest, "_BLOCK_CHARS", block_chars))
                 patches.enter_context(mock.patch.object(ingest, "_read_table", side_effect=AssertionError("row path")))
             series, report = load_series(path)
-        assert report.ok and [y.m1 for y in series.years] == [0, 0]
+        assert report.ok and [str(y.m1) for y in series.years] == ["0E-99999", "0E-100029"]
 
-    # A subnormal product keeps fewer digits than every other scaled cell: an
-    # exact one (line 3) loads, one that lost digits (line 4) is refused.
+    # A product below the input range is refused whether or not it kept every
+    # digit: at a scale of 1E-999990 the one on line 3 once loaded, exact.
     SUBNORMAL = (
-        "# scale=1E-999990\nyear,m1,gdp,population\n"
+        "# scale=1E-99990\nyear,m1,gdp,population\n"
         "2000,1E-20,1,5\n2001,1.2345678901234567890123E-20,2,5\n"
     )
-    LOST_DIGITS = (
-        "MalformedRow: '1.2345678901234567890123E-20' times the scale factor 1E-999990 "
-        "is past the decimal exponent limit"
-    )
+    BELOW_ROWS = [
+        (3, OUTSIDE.format("'1E-20' times the scale factor 1E-99990")),
+        (4, OUTSIDE.format("'1.2345678901234567890123E-20' times the scale factor 1E-99990")),
+    ]
 
     @pytest.mark.parametrize("block_rows,block_chars", [(None, None), (1, 1), (2, 40)])
-    def test_subnormal_product_that_lost_digits_is_an_issue_on_its_row(self, tmp_path, block_rows, block_chars):
+    def test_a_product_below_the_range_is_refused_exact_or_not(self, tmp_path, block_rows, block_chars):
         path = tmp_path / "s.csv"
         path.write_text(self.SUBNORMAL)
         with ExitStack() as patches:
@@ -603,39 +620,42 @@ class TestScale:
                 patches.enter_context(mock.patch.object(ingest, "_BLOCK_CHARS", block_chars))
             series, report = load_series(path)
         assert not series
-        assert [(e.line, e.message) for e in report.errors] == [(4, self.LOST_DIGITS)]
+        assert [(e.line, e.message) for e in report.errors] == self.BELOW_ROWS
 
     @pytest.mark.parametrize("block_rows,block_chars", [(None, None), (1, 1)])
-    def test_exact_subnormal_product_loads(self, tmp_path, block_rows, block_chars):
+    def test_a_product_at_the_lower_edge_loads(self, tmp_path, block_rows, block_chars):
         path = tmp_path / "s.csv"
-        path.write_text(self.SUBNORMAL.rsplit("2001,", 1)[0] + "2001,2E-20,2,5\n")
+        path.write_text(self.SUBNORMAL.split("2000,", 1)[0] + "2000,1E-9,1,5\n2001,9.9E-9,2,5\n")
         with ExitStack() as patches:
             if block_rows:
                 patches.enter_context(mock.patch.object(ingest, "_BLOCK_ROWS", block_rows))
                 patches.enter_context(mock.patch.object(ingest, "_BLOCK_CHARS", block_chars))
+                patches.enter_context(mock.patch.object(ingest, "_read_table", side_effect=AssertionError("row path")))
             series, report = load_series(path)
-        assert report.ok and [str(y.m1) for y in series.years] == ["1E-1000010", "2E-1000010"]
+        assert report.ok and [str(y.m1) for y in series.years] == ["1E-99999", "9.9E-99999"]
 
-    def test_cli_exits_2_naming_the_subnormal_line(self, tmp_path, capsys):
+    def test_cli_exits_2_naming_the_lines_below_the_range(self, tmp_path, capsys):
         path = tmp_path / "s.csv"
         path.write_text(self.SUBNORMAL)
         code = main(["series", "--series", str(path)])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
-        assert f"{path}:4: error: {self.LOST_DIGITS}\n" in captured.err
+        assert captured.err.splitlines()[:2] == [f"{path}:{line}: error: {text}" for line, text in self.BELOW_ROWS]
 
-    @pytest.mark.parametrize("column", sorted(UNDERFLOWS))
-    def test_cli_exits_2_naming_the_underflowing_line(self, tmp_path, capsys, column):
-        _, command, flag, body = self.UNDERFLOWS[column]
+    @pytest.mark.parametrize("column", sorted(BELOW))
+    def test_cli_exits_2_naming_the_line_below_the_range(self, tmp_path, capsys, column):
+        _, command, flag, body = self.BELOW[column]
         path = tmp_path / "f.csv"
         path.write_text(body)
         code = main([command, flag, str(path)])
         err = capsys.readouterr().err
         assert code == 2
-        assert f"{path}:4: error: {self.UNDERFLOW}\n" in err
+        assert f"{path}:4: error: {self.BELOW_RANGE}\n" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("scale,line", [("NaN", 1), ("Infinity", 1), ("1E+999999", None)])
+    @pytest.mark.parametrize("scale,line", [
+        ("NaN", 1), ("Infinity", 1), ("1E+999999", 1), ("1E-999999", 1), ("1E-999990", 1), ("1E+99999", None),
+    ])
     @pytest.mark.parametrize("command,flag,body,row", [
         ("cm", "--economies", ECONOMIES, 3),
         ("series", "--series", SERIES, 4),

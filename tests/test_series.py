@@ -1,3 +1,4 @@
+import decimal
 from decimal import Decimal as D
 
 import pytest
@@ -8,12 +9,12 @@ from monmin import (
     CurrencyCode,
     EmptySeries,
     ExtremaReport,
-    MonMinError,
     NonMonotoneYears,
     NonPositiveInput,
     TimeStandard,
     TooShort,
     detect_extrema,
+    load_series,
     m1_in_monmin,
     series_in_monmin,
 )
@@ -51,13 +52,17 @@ class TestM1InMonMin:
         with pytest.raises(NonPositiveInput):
             year(1960, -1, 100, 1000)
 
-    def test_a_value_past_the_decimal_range_names_its_year(self):
-        with pytest.raises(MonMinError) as caught:
+    def test_a_year_built_past_the_range_raises_decimal_overflow(self, tmp_path):
+        """Only a year a library caller builds gets there: ``load_series`` refuses both cells."""
+        with pytest.raises(decimal.Overflow):
             m1_in_monmin(year(1960, "9E+999999", "1E-999999", 10), STD)
-        assert str(caught.value) == (
-            "Overflow: 1960: m1 in minutes = m1 * population * minutes_per_year / gdp"
-            " exceeds the decimal range (largest exponent 999999)"
-        )
+        with pytest.raises(decimal.Overflow):
+            series_in_monmin(AggregateSeries(USD, (year(1960, "9E+999999", "1E-999999", 10),)))
+        path = tmp_path / "s.csv"
+        path.write_text("year,m1,gdp,population\n1960,9E+999999,1E-999999,10\n")
+        _, report = load_series(path)
+        outside = "MalformedRow: '9E+999999' is outside the input range (exponent -99999 to 99999)"
+        assert [(e.line, e.message) for e in report.errors] == [(2, outside)]
 
 
 class TestSeriesInMonMin:
