@@ -1,13 +1,13 @@
 """The block path of the economies, basket and series loaders in :mod:`monmin.ingest`.
 
-A loader comes here only for a regular file of at least
-``ingest._BLOCK_CHARS`` bytes, so a process that reads only small files
-never compiles this module.  The file's lines come from the row path's own
-line reader, ``ingest._table_lines``, through one ``csv.reader``; each
-block of about ``ingest._BLOCK_ROWS`` rows is turned into columns, each
-converted and checked in one C-level pass, and into values by the types'
-column forms, all in ``core._FIGURES``, the row path's context too, entered
-once per file.  A number is read in ``_IN_RANGE``, whose exponent range is
+A loader comes here only through ``ingest._by_blocks``, for a regular
+file of at least ``ingest._BLOCK_CHARS`` bytes, so a process that reads
+only small files never compiles this module.  The file's lines come from
+the row path's own line reader, ``ingest._table_lines``, through one
+``csv.reader``; each block of about ``ingest._BLOCK_ROWS`` rows is turned
+into columns, each converted and checked in one C-level pass, and into
+values by the types' column forms, all in ``core._FIGURES``, the row
+path's context too, entered once per file.  A number is read in ``_IN_RANGE``, whose exponent range is
 the input range, so a number past it raises that context's trap.  At the
 first doubt, any row or line the row path may refuse
 or a cell this path does not read itself, the file is closed and the
@@ -85,11 +85,15 @@ def _columns(fh, expected: list[str], optional: tuple[str, ...]):
     return scale, columns()
 
 
-def _load(path, expected: list[str], build, optional: tuple[str, ...] = ()):
-    """``build(scale, columns)`` over the file, in ``core._FIGURES``; None at the first doubt, with the file closed."""
+def _load(path, build, expected: list[str], *args, optional: tuple[str, ...] = ()):
+    """``build(scale, columns, *args)`` over the file, in ``core._FIGURES``; None at the first doubt, with the file closed.
+
+    The one entry to this module, from ``ingest._by_blocks``; ``build`` is
+    one of the ``build_*`` functions below and returns its loader's result.
+    """
     try:
         with ingest._open(path) as fh, localcontext(_FIGURES):
-            return build(*_columns(fh, expected, optional))
+            return build(*_columns(fh, expected, optional), *args)
     except _DOUBTS:
         return None
 
@@ -113,79 +117,69 @@ def _populations(texts) -> list[int]:
     return list(map(int, texts))
 
 
-def load_economies(path):
-    """``ingest.load_economies``'s result from a block pass, or None."""
-
-    def build(scale, blocks):
-        codes = _Once(CurrencyCode)
-        dates = _Once(lambda cell: _iso_date(cell.strip()))
-        seen: set[str] = set()
-        snapshots: list[EconomySnapshot] = []
-        for country, code, gdp, population, as_of in blocks:
-            country = list(map(str.strip, country))
-            made = _snapshots(
-                country, list(map(codes.__getitem__, code)), _numbers(gdp, scale),
-                _populations(population), list(map(dates.__getitem__, as_of)),
-            )
-            seen.update(country)
-            if made is None or len(seen) != len(snapshots) + len(made):
-                raise _Doubt
-            snapshots += made
-        return snapshots, IngestReport(len(snapshots))
-
-    return _load(path, ingest._ECONOMIES_HEADER, build)
+def build_economies(scale, blocks):
+    """``ingest.load_economies``'s result from the file's blocks."""
+    codes = _Once(CurrencyCode)
+    dates = _Once(lambda cell: _iso_date(cell.strip()))
+    seen: set[str] = set()
+    snapshots: list[EconomySnapshot] = []
+    for country, code, gdp, population, as_of in blocks:
+        country = list(map(str.strip, country))
+        made = _snapshots(
+            country, list(map(codes.__getitem__, code)), _numbers(gdp, scale),
+            _populations(population), list(map(dates.__getitem__, as_of)),
+        )
+        seen.update(country)
+        if made is None or len(seen) != len(snapshots) + len(made):
+            raise _Doubt
+        snapshots += made
+    return snapshots, IngestReport(len(snapshots))
 
 
-def load_basket(path, known: set[str] | None):
-    """``ingest.load_basket``'s result from a block pass, or None.
+def build_basket(_scale, blocks, known: set[str] | None):
+    """``ingest.load_basket``'s result from the file's blocks.
 
     A block's rows join their groups a run of one (country, code, role), as
     read, at a time: an item run in one slice, a salary run of one row.
     """
-    def build(_scale, blocks):
-        groups: dict[tuple[str, str], list] = {}
-        codes = _Once(CurrencyCode)
-        texts = _Once(str)
-        shared = _Once(lambda cell: texts[cell.strip()])  # a cell as read -> its shared stripped text
-        for country, code, item, unit, amount, role in blocks:
-            if not _ROLES.issuperset(role) or known is not None and not known.issuperset(code):
+    groups: dict[tuple[str, str], list] = {}
+    codes = _Once(CurrencyCode)
+    texts = _Once(str)
+    shared = _Once(lambda cell: texts[cell.strip()])  # a cell as read -> its shared stripped text
+    for country, code, item, unit, amount, role in blocks:
+        if not _ROLES.issuperset(role) or known is not None and not known.issuperset(code):
+            raise _Doubt
+        quotes = _quotes(
+            list(map(shared.__getitem__, item)), list(map(shared.__getitem__, unit)),
+            list(map(codes.__getitem__, code)), _numbers(amount),
+        )
+        if quotes is None:
+            raise _Doubt
+        start = 0
+        for (name, code_text, role_text), run in groupby(zip(country, code, role)):
+            stop = start + len(list(run))
+            group = groups.setdefault((name.strip(), code_text), [[], None])
+            if role_text == "item":
+                group[0] += quotes[start:stop]
+            elif group[1] is None and stop - start == 1:
+                group[1] = quotes[start]
+            else:
                 raise _Doubt
-            quotes = _quotes(
-                list(map(shared.__getitem__, item)), list(map(shared.__getitem__, unit)),
-                list(map(codes.__getitem__, code)), _numbers(amount),
-            )
-            if quotes is None:
-                raise _Doubt
-            start = 0
-            for (name, code_text, role_text), run in groupby(zip(country, code, role)):
-                stop = start + len(list(run))
-                group = groups.setdefault((name.strip(), code_text), [[], None])
-                if role_text == "item":
-                    group[0] += quotes[start:stop]
-                elif group[1] is None and stop - start == 1:
-                    group[1] = quotes[start]
-                else:
-                    raise _Doubt
-                start = stop
-        return _baskets(groups, codes)
-
-    return _load(path, ingest._BASKET_HEADER, build)
+            start = stop
+    return _baskets(groups, codes)
 
 
-def load_series(path, currency: CurrencyCode, std: TimeStandard):
-    """``ingest.load_series``'s result from a block pass, or None."""
+def build_series(scale, blocks, currency: CurrencyCode, std: TimeStandard):
+    """``ingest.load_series``'s result from the file's blocks."""
     from .series import AggregateSeries, AggregateYear, _years
 
-    def build(scale, blocks):
-        years: list[AggregateYear] = []
-        for year, m1, gdp, population, events in blocks:
-            made = _years(
-                list(map(int, year)), _numbers(m1, scale), _numbers(gdp, scale), _populations(population),
-                list(map(str.strip, events)),
-            )
-            if made is None:
-                raise _Doubt
-            years += made
-        return AggregateSeries(currency=currency, years=tuple(years), std=std), IngestReport(len(years))
-
-    return _load(path, ingest._SERIES_HEADER, build, optional=("events",))
+    years: list[AggregateYear] = []
+    for year, m1, gdp, population, events in blocks:
+        made = _years(
+            list(map(int, year)), _numbers(m1, scale), _numbers(gdp, scale), _populations(population),
+            list(map(str.strip, events)),
+        )
+        if made is None:
+            raise _Doubt
+        years += made
+    return AggregateSeries(currency=currency, years=tuple(years), std=std), IngestReport(len(years))

@@ -23,6 +23,7 @@ import stat
 import sys
 from contextlib import ExitStack, contextmanager
 from decimal import Decimal, InvalidOperation, Overflow
+from functools import partial
 from pathlib import Path
 
 import click
@@ -79,8 +80,11 @@ def _read_config(ctx, param, path) -> None:
     ctx.default_map = {_CONFIG_KEYS[key]: _config_entry(key, raw) for key, raw in data.items() if key in _CONFIG_KEYS}
 
 
-def _decimal_flag(text, flag: str) -> Decimal:
-    """A flag's decimal number: finite, and in the input range unless it is zero."""
+def _decimal_flag(text, flag: str, zero: bool = False) -> Decimal:
+    """A flag's decimal number: finite, in the input range unless it is zero, and above zero.
+
+    With ``zero``, zero is taken too.
+    """
     try:
         value = Decimal(str(text))
     except InvalidOperation:
@@ -89,12 +93,14 @@ def _decimal_flag(text, flag: str) -> Decimal:
         raise click.UsageError(f"{flag} expects a finite decimal number, got {text!r}")
     if not -_BOUND <= value.adjusted() <= _BOUND and value:
         raise click.UsageError(_outside(f"{flag} {text!r}"))
+    if value < 0 or not (value or zero):
+        raise click.UsageError(f"{flag} must be {'>=' if zero else '>'} 0, got {value}")
     return value
 
 
-def _decimal(ctx, param, text) -> Decimal | None:
+def _decimal(ctx, param, text, zero: bool = False) -> Decimal | None:
     """A decimal flag's value, named by its flag in a refusal; None when not given."""
-    return None if text is None else _decimal_flag(text, param.opts[0])
+    return None if text is None else _decimal_flag(text, param.opts[0], zero)
 
 
 def _currency(ctx, param, text) -> CurrencyCode | None:
@@ -117,12 +123,9 @@ def _tetcy(ctx, param, raw) -> TimeStandard | None:
     """
     if raw is None:
         return None
-    value = _decimal_flag(raw, "--tetcy")
-    if value <= 0:
-        raise click.UsageError(f"--tetcy must be > 0, got {value}")
     from .core import TimeStandard
 
-    return TimeStandard(value)
+    return TimeStandard(_decimal_flag(raw, "--tetcy"))
 
 
 def _given(**settings) -> dict:
@@ -282,7 +285,7 @@ def cmd_cm(economies_path, std, fmt, out):
 
 
 @cli.command("convert")
-@click.option("--amount", required=True, callback=_decimal, help="Price in currency units.")
+@click.option("--amount", required=True, callback=partial(_decimal, zero=True), help="Price in currency units.")
 @click.option("--currency", default=None, callback=_currency, help="Currency code of the amount.")
 @click.option("--cm", "cm_value", default=None, callback=_decimal, help="Explicit minute value (currency per minute).")
 @click.option("--economies", "economies_path", default=None, help="Compute the minute value from this file.")
@@ -319,7 +322,7 @@ def cmd_convert(amount, currency, cm_value, economies_path, country, std, decima
 
 @cli.command("parity")
 @click.option("--rate", required=True, callback=_decimal, help="Current rate, local per reference unit.")
-@click.option("--ref", "ref_value", required=True, callback=_decimal, help="Reference-market minute price.")
+@click.option("--ref", "ref_value", required=True, callback=partial(_decimal, zero=True), help="Reference-market minute price.")
 @click.option("--local", "local_value", required=True, callback=_decimal, help="Local-market minute price.")
 @click.option("--item", default="item", help="Item label for both prices.")
 def cmd_parity(rate, ref_value, local_value, item):
@@ -464,6 +467,15 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def _one_line(message: str) -> str:
+    """A message as one line, so that stderr ends with it.
+
+    Click lists a choice's values a line each, and a name read from a file
+    may hold a line break.
+    """
+    return " ".join(map(str.strip, message.splitlines()))
+
+
 def _run(argv) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
@@ -473,13 +485,13 @@ def _run(argv) -> int:
         hint = exc.ctx.get_usage() if exc.ctx else None
         if hint:
             click.echo(hint, err=True)
-        click.echo(f"usage error: {exc.format_message()}", err=True)
+        click.echo(f"usage error: {_one_line(exc.format_message())}", err=True)
         return 1
     except click.ClickException as exc:
         exc.show()
         return 1
     except (MonMinError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        click.echo(f"error: {_one_line(str(exc))}", err=True)
         return 2
     except Overflow:  # the guard of last resort: no figure from bounded inputs gets here
         click.echo("error: Overflow: a result exceeds the decimal range (largest exponent 999999)", err=True)

@@ -326,11 +326,12 @@ def _scale_factor(directives, errors: list[Issue]) -> Decimal | None:
     return scale
 
 
-def _block_path(path):
-    """The block path's module for a regular file of at least one block; None for any other input.
+def _by_blocks(path, build: str, expected: list[str], *args, optional: tuple[str, ...] = ()):
+    """``monmin._ingest_blocks``'s builder named ``build`` over a regular file of at least one block; else None.
 
-    A FIFO or ``/dev/stdin`` cannot be read twice, and a small file gains
-    less from the block path than compiling its module costs.
+    The one way into the block path, which returns None at its first
+    doubt.  A FIFO or ``/dev/stdin`` cannot be read twice, and a small file
+    gains less from the block path than compiling its module costs.
     """
     try:
         status = os.stat(path)
@@ -339,14 +340,12 @@ def _block_path(path):
     if not S_ISREG(status.st_mode) or status.st_size < _BLOCK_CHARS:
         return None
     from . import _ingest_blocks
-    return _ingest_blocks
+    return _ingest_blocks._load(path, getattr(_ingest_blocks, build), expected, *args, optional=optional)
 
 
 def load_economies(path) -> tuple[list[EconomySnapshot], IngestReport]:
     """Load country snapshots; gdp is multiplied by any declared scale."""
-    blocks = _block_path(path)
-    loaded = blocks and blocks.load_economies(path)
-    if loaded:
+    if loaded := _by_blocks(path, "build_economies", _ECONOMIES_HEADER):
         return loaded
     scan = _read_table(path, _ECONOMIES_HEADER)
     errors = scan.errors
@@ -427,9 +426,7 @@ def load_basket(path, known_currencies=None) -> tuple[list[Basket], IngestReport
     Equal item or unit texts share one ``str`` object across the file.
     """
     known = None if known_currencies is None else {str(c) for c in known_currencies}
-    blocks = _block_path(path)
-    loaded = blocks and blocks.load_basket(path, known)
-    if loaded:
+    if loaded := _by_blocks(path, "build_basket", _BASKET_HEADER, known):
         return loaded
     scan = _read_table(path, _BASKET_HEADER)
     errors = scan.errors
@@ -470,9 +467,7 @@ def load_series(
     """
     from .series import AggregateSeries, AggregateYear  # here, so that only a series load imports it
 
-    blocks = _block_path(path)
-    loaded = blocks and blocks.load_series(path, currency, std)
-    if loaded:
+    if loaded := _by_blocks(path, "build_series", _SERIES_HEADER, currency, std, optional=("events",)):
         return loaded
     scan = _read_table(path, _SERIES_HEADER, optional=("events",))
     errors = scan.errors

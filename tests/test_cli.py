@@ -173,9 +173,9 @@ class TestParity:
         code, out, _ = run(capsys, "parity", "--rate", "108.33", "--ref", "58", "--local", "82")
         assert abs(D(out.strip()) - D("76.617")) <= D("0.01")
 
-    def test_zero_local_exits_2(self, capsys):
-        code, _, err = run(capsys, "parity", "--rate", "1", "--ref", "1", "--local", "0")
-        assert code == 2
+    def test_zero_local_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "parity", "--rate", "1", "--ref", "1", "--local", "0")
+        assert (code, out, err.splitlines()[-1]) == (1, "", "usage error: --local must be > 0, got 0")
 
     def test_rate_wider_than_28_digits_prints_every_digit(self, capsys):
         code, out, err = run(capsys, "parity", "--rate", "1E+30", "--ref", "1", "--local", "1")
@@ -464,7 +464,7 @@ class TestSettingsContract:
 
     @pytest.mark.parametrize("flag", sorted(SHARED_FLAGS))
     def test_a_shared_flag_is_refused_alike_by_every_command(self, capsys, tmp_path, flag):
-        bad = {"--cm": ["USD", "USD=1E+100000"], "--config": [str(tmp_path / "absent.json")],
+        bad = {"--cm": ["USD", "USD=1E+100000", "USD=0"], "--config": [str(tmp_path / "absent.json")],
                "--currency": ["U$D"], "--format": ["xml"], "--tetcy": ["0", "1E+100000"]}[flag]
         for value in bad:
             last = {}
@@ -637,6 +637,28 @@ class TestFaultOrder:
         code, out, _ = run(capsys, "convert", "--amount", "1", "--cm", "8", "--decimals", "3",
                            "--tetcy", "525600", "--config", config)
         assert (code, out) == (0, "0.125\n")
+
+
+class TestOneLineErrors:
+    """The last line of stderr is the error, however many lines its message would take."""
+
+    def test_a_missing_choice_lists_its_values_on_the_line(self, capsys):
+        code, out, err = run(capsys, "report")
+        last = "usage error: Missing option '--table'. Choose from: 1, 2, 3, 4, 4b, 5"
+        assert (code, out, err.splitlines()[-1]) == (1, "", last)
+
+    def test_a_country_with_a_line_break_is_named_on_the_line(self, capsys, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text('country,currency,gdp,population,as_of\n"North\nLand",USD,100,10,2019-01-01\n')
+        code, out, err = run(capsys, "convert", "--amount", "1", "--economies", str(path),
+                             "--country", "North\nLand", "--currency", "EUR")
+        assert (code, out, err) == (2, "", "error: North Land is in USD, not EUR\n")
+
+    def test_a_basket_with_a_line_break_is_named_on_the_line(self, capsys, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_text('country,currency,item,unit,amount,role\n"North\nLand",USD,Tea,box,1,item\n')
+        code, out, err = run(capsys, "percent", "--basket", str(path))
+        assert (code, out, err) == (2, "", "error: basket North Land has no salary row\n")
 
 
 class TestCurrencyFlags:

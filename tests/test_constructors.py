@@ -13,16 +13,19 @@ included, in ``test_core.TestSlottedValueTypes``.
 """
 import dataclasses
 import inspect
+import re
 from dataclasses import MISSING
 from datetime import date
 from decimal import Decimal as D, InvalidOperation
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from monmin import (
     CmSource, CurrencyCode, EconomySnapshot, ExchangeRate, MonMinPrice, MonMinValue, NonPositiveInput,
     PriceQuote, TimeStandard,
 )
+from monmin.core import _iso_date
 from monmin.series import AggregateYear
 
 USD = CurrencyCode("USD")
@@ -125,6 +128,31 @@ def test_iso_dates_are_parsed_and_dates_kept():
     assert EconomySnapshot("X", USD, D(1), 1, "2019-12-31").as_of == date(2019, 12, 31)
     day = date(2019, 1, 1)
     assert EconomySnapshot("X", USD, D(1), 1, day).as_of is day
+
+
+# Ten characters with "-" eighth whose fifth is not "-" or that are not all ASCII.
+SHAPES = st.builds(
+    "{}-{}".format,
+    st.text("0123456789-WT+:Z ٢２", min_size=7, max_size=7), st.text("0123456789٠", min_size=2, max_size=2),
+).filter(lambda text: text[4] != "-" or not text.isascii())
+
+
+@example("2019011-01")
+@example("2019W01-01")
+@example("٢٠١٩-٠١-٠١")
+@example("2019-0١-01")
+@given(text=SHAPES)
+def test_fromisoformat_refuses_what_iso_date_checks_first_with_the_same_text(text):
+    """``_iso_date``'s checks of the fifth character and of ASCII refuse no text that ``date.fromisoformat`` takes.
+
+    So dropping either check changes no outcome on the Python that runs
+    this; each version CI runs checks it again.
+    """
+    message = re.escape(f"Invalid isoformat string: {text!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        date.fromisoformat(text)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _iso_date(text)
 
 
 # every rejection, with the exact type and text the __post_init__ versions gave

@@ -36,6 +36,7 @@ def child(code: str, *argv: str) -> list[str]:
     (["--help"], "0"),
     (["report", "--help"], "0"),
     (["report", "--table", "1"], "1"),  # a usage error: no --economies
+    (["convert", "--amount", "1", "--cm", "0"], "1"),  # a flag value refused for its sign
 ])
 def test_help_and_usage_errors_load_no_arithmetic(argv, want_code):
     assert child(_MAIN, *argv) == [want_code, *BARE]

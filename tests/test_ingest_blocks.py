@@ -43,7 +43,7 @@ from monmin.series import _years
 
 def row_path(loader, path, **kwargs):
     """What ``loader`` returns with the block path switched off."""
-    with mock.patch.object(ingest, "_block_path", lambda path: None):
+    with mock.patch.object(ingest, "_by_blocks", lambda *args, **kwargs: None):
         return loader(path, **kwargs)
 
 
@@ -437,20 +437,28 @@ class TestBlockEdges:
         same(got, row_path(load_basket, path, known_currencies={"EUR", "USD", "GBP"}))
 
 
+def handed_to_blocks(path) -> bool:
+    """Whether ``ingest._by_blocks`` hands ``path`` to the block pass."""
+    with mock.patch.object(_ingest_blocks, "_load", return_value="loaded") as load:
+        got = ingest._by_blocks(path, "build_economies", ingest._ECONOMIES_HEADER)
+    assert got == ("loaded" if load.called else None)
+    return load.called
+
+
 def test_small_files_and_other_inputs_take_the_row_path(tmp_path):
     small, large = tmp_path / "small.csv", tmp_path / "large.csv"
     small.write_text("x" * (ingest._BLOCK_CHARS - 1))
     large.write_text("x" * ingest._BLOCK_CHARS)
-    assert ingest._block_path(large) is _ingest_blocks
+    assert handed_to_blocks(large)
     for path in (small, tmp_path / "missing.csv", tmp_path):
-        assert ingest._block_path(path) is None
+        assert not handed_to_blocks(path)
 
 
 def test_a_large_input_that_is_not_a_regular_file_takes_the_row_path(tmp_path):
     # a pipe whose stat size reads a block or more must still be read only once
     pipe = os.stat_result((stat.S_IFIFO | 0o600, 0, 0, 0, 0, 0, ingest._BLOCK_CHARS, 0, 0, 0))
     with mock.patch.object(os, "stat", return_value=pipe):
-        assert ingest._block_path(tmp_path / "input.csv") is None
+        assert not handed_to_blocks(tmp_path / "input.csv")
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")

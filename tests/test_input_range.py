@@ -283,13 +283,28 @@ def flag_argv(tmp_path, flag, text):
 @pytest.mark.parametrize("flag", sorted(FLAGS))
 @pytest.mark.parametrize("text", EDGES)
 def test_a_flag_at_an_edge_is_taken(capsys, tmp_path, flag, text):
-    """An edge is never refused for the range; a zero where the flag needs more than zero is refused as before."""
+    """An edge is never refused for the range; a zero where the flag needs more than zero is refused for its sign."""
     code = main(flag_argv(tmp_path, flag, text))
     _, err = capsys.readouterr()
     if text == "0E-200000" and flag not in ("--amount", "--ref"):
-        assert code != 0 and "outside the input range" not in err
+        assert code == 1 and "outside the input range" not in err
     else:
         assert code == 0, err
+
+
+@pytest.mark.parametrize("flag", sorted(FLAGS))
+@pytest.mark.parametrize("text", ["0", "-1", "0E-200000"])
+def test_a_flag_below_its_least_value_is_a_usage_error_naming_it(capsys, tmp_path, flag, text):
+    """``--amount`` and ``--ref`` take zero; every other decimal flag must be above it."""
+    code = main(flag_argv(tmp_path, flag, text))
+    out, err = capsys.readouterr()
+    zero = flag in ("--amount", "--ref")
+    if zero and text != "-1":
+        assert code == 0, err
+    else:
+        last = f"usage error: {FLAGS[flag][1]} must be {'>=' if zero else '>'} 0, got {text}"
+        assert (code, out, err.splitlines()[-1]) == (1, "", last)
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag", sorted(FLAGS))
