@@ -4,7 +4,7 @@ A loader comes here only through ``ingest._by_blocks``, for a regular
 file of at least ``ingest._BLOCK_CHARS`` bytes, so a process that reads
 only small files never compiles this module.  The file's lines come from
 the row path's own line reader, ``ingest._table_lines``, through one
-``csv.reader``; each block of about ``ingest._BLOCK_ROWS`` rows is turned
+``csv.reader``; each block of ``ingest._BLOCK_ROWS`` rows is turned
 into columns, each converted and checked in one C-level pass, and into
 values by the types' column forms, all in ``core._FIGURES``, the row
 path's context too, entered once per file.  A number is read in ``_IN_RANGE``, whose exponent range is
@@ -47,7 +47,7 @@ _DOUBTS = (_Doubt, csv.Error, ValueError, ArithmeticError, MonMinError)
 
 
 def _columns(fh, expected: list[str], optional: tuple[str, ...]):
-    """The declared scale factor, and the data rows' columns about ``_BLOCK_ROWS`` rows at a time.
+    """The declared scale factor, and the data rows' columns ``_BLOCK_ROWS`` rows at a time.
 
     The rows are read and checked as ``ingest._read_table`` and
     ``ingest._records`` do; where they would report an issue, this raises a
@@ -68,11 +68,9 @@ def _columns(fh, expected: list[str], optional: tuple[str, ...]):
     width = len(expected) + len(optional)
 
     def columns():
-        size = min(16, ingest._BLOCK_ROWS)  # the first blocks are small, so a doubt on an early row costs little
-        while rows := list(islice(reader, size)):
+        while rows := list(islice(reader, ingest._BLOCK_ROWS)):
             if errors:  # a bad scale factor, or a line that is not valid UTF-8
                 raise _Doubt
-            size = min(2 * size, ingest._BLOCK_ROWS)
             widths = set(map(len, rows))
             if widths != {width}:
                 if not widths <= set(range(width - len(optional), width + 1)):

@@ -147,14 +147,25 @@ def _decimals(ctx, param, places: int) -> int:
     return places
 
 
+def _stderr(*messages: str) -> None:
+    """Write the messages to stderr, each on one line, in one write; nothing when there are none.
+
+    Every diagnostic leaves through here, so stderr ends with its last one.
+    A line break inside a message becomes a space: click lists a choice's
+    values a line each, and a name read from a file may hold a line break.
+    """
+    if messages:
+        click.echo("\n".join(" ".join(map(str.strip, message.splitlines())) for message in messages), err=True)
+
+
 def _run_load(loader, path, **kwargs):
-    """Run a loader, echo its report to stderr, fail on any error."""
+    """Run a loader, write its report to stderr, fail on any error."""
     data, rep = loader(path, **kwargs)
-    for issue in rep.warnings:
-        click.echo(f"{path}:{issue.line}: warning: {issue.message}", err=True)
+    _stderr(
+        *(f"{path}:{issue.line}: warning: {issue.message}" for issue in rep.warnings),
+        *(f"{path}:{issue.line}: error: {issue.message}" for issue in rep.errors),
+    )
     if rep.errors:
-        for issue in rep.errors:
-            click.echo(f"{path}:{issue.line}: error: {issue.message}", err=True)
         raise IngestFailure(path, rep)
     return data
 
@@ -257,11 +268,11 @@ def _note_cm_sources(values: dict[str, MonMinValue]) -> None:
     """One stderr line per minute value used: fixed-point, or scientific with "E" past 30 zeros."""
     from .ingest import _sci_text
 
-    for code in values:
-        cm = values[code]
-        value = cm.value
-        text = format(value, "f") if abs(value.adjusted()) <= 30 else _sci_text(value)
-        click.echo(f"cm {code}={text} source={cm.source.value}", err=True)
+    def note(code: str, cm: MonMinValue) -> str:
+        text = format(cm.value, "f") if abs(cm.value.adjusted()) <= 30 else _sci_text(cm.value)
+        return f"cm {code}={text} source={cm.source.value}"
+
+    _stderr(*(note(code, cm) for code, cm in values.items()))
 
 
 @click.group()
@@ -467,36 +478,27 @@ def main(argv=None) -> int:
             gc.enable()
 
 
-def _one_line(message: str) -> str:
-    """A message as one line, so that stderr ends with it.
-
-    Click lists a choice's values a line each, and a name read from a file
-    may hold a line break.
-    """
-    return " ".join(map(str.strip, message.splitlines()))
-
-
 def _run(argv) -> int:
+    """One command's exit code; with no arguments at all, that of ``--help``.
+
+    Out of standalone mode click returns the code of an exit it makes, as
+    ``--help`` does, or the command's own None.  The one ``ClickException``
+    that gets here is a usage error: the others come from ``click.File``
+    and ``click.Path`` parameters, and monmin has none.
+    """
+    args = list(sys.argv[1:] if argv is None else argv)
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
+        return cli.main(args=args or ["--help"], standalone_mode=False) or 0
     except click.UsageError as exc:
-        hint = exc.ctx.get_usage() if exc.ctx else None
-        if hint:
-            click.echo(hint, err=True)
-        click.echo(f"usage error: {_one_line(exc.format_message())}", err=True)
-        return 1
-    except click.ClickException as exc:
-        exc.show()
+        usage = [exc.ctx.get_usage()] if exc.ctx else []
+        _stderr(*usage, f"usage error: {exc.format_message()}")
         return 1
     except (MonMinError, OSError) as exc:
-        click.echo(f"error: {_one_line(str(exc))}", err=True)
+        _stderr(f"error: {exc}")
         return 2
     except Overflow:  # the guard of last resort: no figure from bounded inputs gets here
-        click.echo("error: Overflow: a result exceeds the decimal range (largest exponent 999999)", err=True)
+        _stderr("error: Overflow: a result exceeds the decimal range (largest exponent 999999)")
         return 2
-    return 0
 
 
 def entry() -> None:

@@ -178,7 +178,10 @@ def _finite(text: str, scale: Decimal | None = None) -> Decimal:
     scale; a zero of any exponent loads.  The checks are written out here,
     with no function call, since a dirty file loads row by row.
     """
-    value = Decimal(text)
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        raise ValueError(f"not a number: {text!r}") from None
     if not value.is_finite():
         raise ValueError(f"not a finite number: {text!r}")
     if not -_BOUND <= value.adjusted() <= _BOUND and value:

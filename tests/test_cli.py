@@ -3,6 +3,7 @@ import gc
 import json
 import operator
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -230,6 +231,21 @@ class TestBasketAndPercent:
         code, _, err = run(capsys, "percent", "--basket", str(fixtures / "basket_commodities.csv"))
         assert code == 2
         assert "salary" in err
+
+    @pytest.mark.parametrize(
+        "argv,header",
+        [
+            (["report", "--table", "3", "--cm", "USD=1"], "item,unit"),
+            (["report", "--table", "4", "--cm", "USD=1"], "item,unit"),
+            (["report", "--table", "4b"], "item,unit"),
+            (["percent"], "country,currency,item,unit,percent"),
+        ],
+        ids=["table3", "table4", "table4b", "percent"],
+    )
+    def test_a_basket_file_with_no_rows_prints_only_the_header(self, capsys, tmp_path, argv, header):
+        path = tmp_path / "b.csv"
+        path.write_text("country,currency,item,unit,amount,role\n")
+        assert run(capsys, *argv, "--basket", str(path)) == (0, header + "\n", "")
 
 
 class TestSeries:
@@ -592,6 +608,13 @@ class TestSettingsContract:
         code, out, _ = run(capsys, "cm", "--help")
         assert code == 0 and out.startswith("Usage: ")
 
+    def test_no_arguments_print_the_help(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["monmin"])
+        helped = run(capsys, "--help")
+        assert helped[0] == 0 and helped[1].startswith("Usage: ") and "Commands:" in helped[1] and helped[2] == ""
+        assert run(capsys) == helped
+        assert (main(), *capsys.readouterr()) == helped
+
 
 class TestFaultOrder:
     """With two faults, the config file's own comes first, then the first bad flag on the command line,
@@ -640,7 +663,43 @@ class TestFaultOrder:
 
 
 class TestOneLineErrors:
-    """The last line of stderr is the error, however many lines its message would take."""
+    """Each diagnostic is one line of stderr, so its last line is the error, however many lines its message would take."""
+
+    # Each dirty fixture through a command that loads it.
+    DIRTY = {
+        "economies": ["cm", "--economies"],
+        "rates": ["report", "--table", "2", "--cm", "USD=1", "--rates"],
+        "basket": ["percent", "--basket"],
+        "series": ["series", "--series"],
+    }
+
+    @pytest.mark.parametrize("fmt", DIRTY)
+    def test_every_line_a_dirty_file_gets_is_one_diagnostic(self, capsys, fmt):
+        path = str(FIXTURES / f"dirty_{fmt}.csv")
+        code, out, err = run(capsys, *self.DIRTY[fmt], path)
+        diagnostic = re.compile(rf"{re.escape(path)}:\d+: (error|warning): |cm |Usage: |usage error: |error: ")
+        assert (code, out) == (2, "")
+        assert [line for line in err.splitlines() if not diagnostic.match(line)] == []
+
+    def test_a_rejected_files_issues_leave_in_one_write(self, capsys, monkeypatch):
+        path = str(FIXTURES / "dirty_economies.csv")
+        echo, writes = click.echo, []
+
+        def counted(message=None, **kwargs):
+            writes.append(message)
+            echo(message, **kwargs)
+
+        monkeypatch.setattr(click, "echo", counted)
+        code, out, err = run(capsys, "cm", "--economies", path)
+        assert (code, out, len(err.splitlines()), len(writes)) == (2, "", 16, 2)
+        assert "".join(f"{message}\n" for message in writes) == err
+        assert f"{path}:19: error: DuplicateCountry: North Land already defined on line 17" in err.splitlines()
+
+    def test_the_writer_puts_each_message_on_one_line_and_writes_nothing_for_none(self, capsys):
+        cli._stderr()
+        assert capsys.readouterr() == ("", "")
+        cli._stderr("North\nLand", " a \r\n b ")
+        assert capsys.readouterr() == ("", "North Land\na b\n")
 
     def test_a_missing_choice_lists_its_values_on_the_line(self, capsys):
         code, out, err = run(capsys, "report")
@@ -1250,6 +1309,16 @@ class TestOutputFileReplacedOnSuccess:
         assert kept.read_bytes() == b"keep,me\n"
         assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
 
+    def test_a_taken_temporary_name_is_passed_over(self, capsys, monkeypatch, tmp_path):
+        out, taken = tmp_path / "t.csv", tmp_path / f".t.csv.{'00' * 4}.tmp"
+        taken.write_bytes(b"another writer's\n")
+        draws = iter([b"\0" * 4, b"\1" * 4])
+        monkeypatch.setattr(os, "urandom", lambda size: next(draws))
+        assert run(capsys, *self.TABLE4, "--cm", "USD=0.12101", "--out", str(out))[:2] == (0, "")
+        assert out.read_bytes() == (GOLDEN / "table4.csv").read_bytes()
+        assert taken.read_bytes() == b"another writer's\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "t.csv"]
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_a_fifo_is_written_in_place(self, capsys, tmp_path):
         fifo = tmp_path / "fifo"
@@ -1337,6 +1406,11 @@ class TestConsoleEntry:
         result = self.monmin("report", "--table", "1", "--economies", str(FIXTURES / "economies_table1.csv"))
         assert (result.returncode, result.stderr) == (0, b"")
         assert result.stdout == (GOLDEN / "table1.csv").read_bytes()
+
+    def test_no_arguments_print_the_help(self):
+        result = self.monmin()
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == self.monmin("--help").stdout
 
     def test_usage_error_exits_1(self):
         result = self.monmin("cm")

@@ -339,6 +339,13 @@ class TestRateTable:
         assert edge.reciprocal_mismatches() == []
         assert len(edge.reciprocal_mismatches(rel_tol=D("0.999999e-6"))) == 1
 
+    def test_equal_only_to_a_table_of_the_same_rates(self):
+        rate = ExchangeRate(USD, EUR, D(2))
+        assert RateTable([rate]) == RateTable([rate]) and RateTable([rate]) != RateTable()
+        assert (RateTable() == 1) is False and RateTable().__eq__(1) is NotImplemented
+        assert repr(RateTable()) == "RateTable([])"
+        assert repr(RateTable([rate])) == f"RateTable([{rate!r}])"
+
     def test_rate_invariants(self):
         with pytest.raises(NonPositiveInput):
             ExchangeRate(USD, EUR, D(0))

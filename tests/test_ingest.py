@@ -219,12 +219,11 @@ class TestInvalidUtf8:
                          b'"North\nCaf\xe9",USD,100,10,2019-01-01\nB,USD,abc,10,2019-01-01\n')
         _, report = load_economies(path)
         assert [(e.line, e.message) for e in report.errors] == [
-            (3, self.E9.format(4)), (4, "MalformedRow: [<class 'decimal.ConversionSyntax'>]"),
+            (3, self.E9.format(4)), (4, "MalformedRow: not a number: 'abc'"),
         ]
 
-    # 3,056 rows end exactly at a block (16 + 32 + 64 + 128 + 11 * 256 rows), so the line after them is read
-    # only once that block is made
-    @pytest.mark.parametrize("rows", [0, 3056], ids=["no-rows", "a-last-full-block"])
+    # 3,072 rows end exactly at a block (12 * 256 rows), so the line after them is read only once that block is made
+    @pytest.mark.parametrize("rows", [0, 3072], ids=["no-rows", "a-last-full-block"])
     def test_in_a_comment_after_the_last_row_of_a_large_file(self, tmp_path, rows):
         """The block path reads that line only after its last block, and must still leave the file to the row path."""
         path = tmp_path / "e.csv"
